@@ -11,11 +11,10 @@ import (
 )
 
 // schedVariants is the scheduler matrix every parity workload runs
-// under: the dense reference scan, the activity-set event scheduler, the
-// fixed-window sharded scheduler (4 shards over 8 ranks), and the
-// adaptive-lookahead scheduler (one engine per rank, 4 worker slots,
-// deterministic stealing). All four must be bit-identical in cycle
-// counts and outputs.
+// under: the dense reference scan (the oracle), the activity-set event
+// scheduler, and the shard-adaptive parallel scheduler (one engine per
+// rank, 4 worker slots, deterministic stealing). All three must be
+// bit-identical in cycle counts and outputs.
 var schedVariants = []struct {
 	name   string
 	kind   sim.SchedulerKind
@@ -23,16 +22,18 @@ var schedVariants = []struct {
 }{
 	{"dense", sim.SchedDense, 0},
 	{"event", sim.SchedEvent, 0},
-	{"shard", sim.SchedShard, 4},
 	{"shard-adaptive", sim.SchedShardAdaptive, 4},
 }
 
+// adaptiveVariant indexes the shard-adaptive row of schedVariants.
+const adaptiveVariant = 2
+
 // TestSchedulerParity is the scheduler acceptance gate: every workload
 // must finish at the identical cycle under the dense reference scan, the
-// activity-set scheduler, and the sharded parallel scheduler, with
-// bit-identical outputs where the workload produces data. The event runs
-// must also actually skip cycles, and the shard runs must actually run
-// sharded (shards recorded, barriers counted) — schedulers that
+// activity-set scheduler, and the parallel scheduler, with bit-identical
+// outputs where the workload produces data. The event runs must also
+// actually skip cycles, and the parallel runs must actually run on
+// per-rank engines (workers recorded, barriers counted) — schedulers that
 // degenerate to dense would pass the equality checks while delivering
 // none of the speedup.
 func TestSchedulerParity(t *testing.T) {
@@ -89,17 +90,14 @@ func TestSchedulerParity(t *testing.T) {
 				t.Errorf("%s finished at cycle %d, dense at %d", schedVariants[i].name, results[i].Cycles, results[0].Cycles)
 			}
 		}
-		for i, want := range []string{"dense", "event", "shard", "shard-adaptive"} {
-			if got := results[i].Net.Sched.Scheduler; got != want {
-				t.Errorf("scheduler label %d: %q, want %q", i, got, want)
+		for i, sv := range schedVariants {
+			if got := results[i].Net.Sched.Scheduler; got != sv.name {
+				t.Errorf("scheduler label %d: %q, want %q", i, got, sv.name)
 			}
-		}
-		if sh := results[2].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 {
-			t.Errorf("shard run did not run sharded: shards=%d syncs=%d pershard=%d", sh.Shards, sh.Syncs, len(sh.PerShard))
 		}
 		// The adaptive run reports one row per worker slot and counts the
 		// per-engine windows it executed.
-		if sh := results[3].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 || sh.Windows == 0 {
+		if sh := results[adaptiveVariant].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 || len(sh.PerShard) != 4 || sh.Windows == 0 {
 			t.Errorf("adaptive run did not run sharded: shards=%d syncs=%d pershard=%d windows=%d",
 				sh.Shards, sh.Syncs, len(sh.PerShard), sh.Windows)
 		}
@@ -148,13 +146,11 @@ func TestSchedulerParity(t *testing.T) {
 					t.Errorf("%s: streaming run cut no fragments through the transport", variant.name)
 				}
 				if variant.name == "faulty" {
-					// The PR 5 reliable-forces-one-shard guard is gone:
-					// fault-injected clusters must actually shard.
-					for _, i := range []int{2, 3} {
-						if sh := results[i].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 {
-							t.Errorf("%s %s: reliable cluster fell back to one shard: shards=%d syncs=%d",
-								mode, schedVariants[i].name, sh.Shards, sh.Syncs)
-						}
+					// Fault-injected clusters must actually run on
+					// per-rank engines, never fall back to one.
+					if sh := results[adaptiveVariant].Net.Sched; sh.Shards != 4 || sh.Syncs == 0 {
+						t.Errorf("%s %s: reliable cluster fell back to one engine: shards=%d syncs=%d",
+							mode, schedVariants[adaptiveVariant].name, sh.Shards, sh.Syncs)
 					}
 				}
 			}
@@ -257,30 +253,17 @@ func TestSchedulerParity(t *testing.T) {
 	})
 }
 
-// TestShardSmoke64 is the CI race-detector gate: a 64-rank torus split
-// into 4 parallel shards must match the dense single-engine run cycle
-// for cycle. Gated behind SMI_SHARD_SMOKE=1 because 64 ranks is slow
-// under -race; the shard-smoke CI job enables it.
-func TestShardSmoke64(t *testing.T) {
-	if os.Getenv("SMI_SHARD_SMOKE") != "1" {
-		t.Skip("set SMI_SHARD_SMOKE=1 to run the 64-rank shard smoke test")
-	}
-	shardSmoke64(t, sim.SchedShard)
-}
-
-// TestStealSmoke64 is the adaptive twin of TestShardSmoke64: 64 engines
-// (one per rank) multiplexed onto 4 worker slots with deterministic
-// work-stealing, under fault injection so the reliable links' repair
-// machinery runs while ranks migrate between workers. Digest (cycles +
-// delivered packets) must match the dense reference bit for bit.
+// TestStealSmoke64 is the CI race-detector gate: a 64-rank torus on 64
+// engines (one per rank) multiplexed onto 4 worker slots with
+// deterministic work-stealing, under fault injection so the reliable
+// links' repair machinery runs while ranks migrate between workers.
+// Digest (cycles + delivered packets) must match the dense reference bit
+// for bit. Gated behind SMI_SHARD_SMOKE=1 because 64 ranks is slow under
+// -race; the parallel-smoke CI job enables it.
 func TestStealSmoke64(t *testing.T) {
 	if os.Getenv("SMI_SHARD_SMOKE") != "1" {
 		t.Skip("set SMI_SHARD_SMOKE=1 to run the 64-rank steal smoke test")
 	}
-	shardSmoke64(t, sim.SchedShardAdaptive)
-}
-
-func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 	topo, err := topology.Torus2D(8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +271,9 @@ func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 	base := NetConfig{Topology: topo, RoutingPolicy: routing.UpDown,
 		Faults: &fault.Spec{Seed: 11, DropProb: 0.0005}}
 
-	sh := base
-	sh.Scheduler, sh.Shards = kind, 4
-	shard, err := BcastTime(sh, 64, 1000)
+	ad := base
+	ad.Scheduler, ad.Shards = sim.SchedShardAdaptive, 4
+	adaptive, err := BcastTime(ad, 64, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,28 +286,26 @@ func shardSmoke64(t *testing.T, kind sim.SchedulerKind) {
 	if dense.Net.Retransmits == 0 {
 		t.Error("fault spec injected nothing; the repair machinery never ran")
 	}
-	if shard.Cycles != dense.Cycles {
-		t.Errorf("shard run finished at cycle %d, dense at %d", shard.Cycles, dense.Cycles)
+	if adaptive.Cycles != dense.Cycles {
+		t.Errorf("adaptive run finished at cycle %d, dense at %d", adaptive.Cycles, dense.Cycles)
 	}
-	if shard.Net.PacketsDelivered != dense.Net.PacketsDelivered {
-		t.Errorf("shard run delivered %d packets, dense %d", shard.Net.PacketsDelivered, dense.Net.PacketsDelivered)
+	if adaptive.Net.PacketsDelivered != dense.Net.PacketsDelivered {
+		t.Errorf("adaptive run delivered %d packets, dense %d", adaptive.Net.PacketsDelivered, dense.Net.PacketsDelivered)
 	}
-	if st := shard.Net.Sched; st.Shards != 4 || st.Syncs == 0 {
-		t.Errorf("shard run did not run sharded: shards=%d syncs=%d", st.Shards, st.Syncs)
+	st := adaptive.Net.Sched
+	if st.Shards != 4 || st.Syncs == 0 {
+		t.Errorf("adaptive run did not run in parallel: shards=%d syncs=%d", st.Shards, st.Syncs)
 	}
-	if kind == sim.SchedShardAdaptive {
-		st := shard.Net.Sched
-		if st.Windows == 0 {
-			t.Errorf("adaptive run executed no windows: %+v", st)
-		}
-		t.Logf("adaptive 64-rank run: syncs=%d windows=%d steals=%d", st.Syncs, st.Windows, st.Steals)
-		if st.Steals == 0 {
-			t.Error("64 engines on 4 workers under a broadcast hotspot rebalanced nothing: the stealing rule never fired")
-		}
+	if st.Windows == 0 {
+		t.Errorf("adaptive run executed no windows: %+v", st)
+	}
+	t.Logf("adaptive 64-rank run: syncs=%d windows=%d steals=%d", st.Syncs, st.Windows, st.Steals)
+	if st.Steals == 0 {
+		t.Error("64 engines on 4 workers under a broadcast hotspot rebalanced nothing: the stealing rule never fired")
 	}
 }
 
-// TestAdaptiveHorizonProperty drives the adaptive scheduler across shard
+// TestAdaptiveHorizonProperty drives the adaptive scheduler across worker
 // counts and workload shapes. Safety — no per-engine window ever runs
 // past a boundary's advertised safe horizon — is enforced by the flush
 // panic in sim.Boundary (an entry published behind the consumer's clock

@@ -25,11 +25,12 @@ func init() {
 // the protocol's acks ride the inter-frame gap, so cycle counts match
 // the pristine links exactly.
 //
-// -shards applies to the multi-rank scenarios: the reliable links split
-// into per-engine tx/rx halves, and the experiment fails loudly if a
-// run reports fewer shards than requested (the old behaviour was a
-// silent fallback to one engine). Scheduler parity keeps every cycle
-// count — including the timing-transparency check — identical.
+// -shards runs the multi-rank scenarios on shard-adaptive with that many
+// workers: the reliable links split into per-engine tx/rx halves, and
+// the experiment fails loudly if a run reports fewer worker slots than
+// requested (never a silent fallback to one engine). Scheduler parity
+// keeps every cycle count — including the timing-transparency check —
+// identical.
 func ablateFaults(opts Options) (*Report, error) {
 	bus, err := topology.Bus(2)
 	if err != nil {
@@ -45,13 +46,13 @@ func ablateFaults(opts Options) (*Report, error) {
 	if opts.Quick {
 		elems, bcastElems = 20_000, 1000
 	}
-	// -shards: run the 8-rank scenarios sharded. shardedStats verifies
-	// the simulator honored the request instead of silently falling back
-	// to a single engine (the pre-split behaviour on reliable links).
+	// -shards: run the 8-rank scenarios on the parallel scheduler.
+	// shardedStats verifies the simulator honored the request instead of
+	// silently falling back to a single engine.
 	shards := opts.Shards
 	sched := sim.SchedEvent
 	if shards > 1 {
-		sched = sim.SchedShard
+		sched = sim.SchedShardAdaptive
 	}
 	shardedStats := func(label string, st smi.Stats) error {
 		if shards > 1 && (st.Sched.Shards != shards || st.Sched.Syncs == 0) {

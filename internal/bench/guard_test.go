@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 )
 
 // TestFaultsBenchHonorsShards is the regression test for the smibench
-// -shards fallback: reliable workloads used to accept a shard count and
+// -shards fallback: reliable workloads used to accept a worker count and
 // silently run on one engine. The experiment now threads the count into
 // the fault scenarios and fails hard when the simulator reports fewer
-// shards than requested, so a reappearing fallback breaks this test
+// worker slots than requested, so a reappearing fallback breaks this test
 // instead of quietly producing serial measurements.
 func TestFaultsBenchHonorsShards(t *testing.T) {
 	e, err := ByID("ablate-faults")
@@ -33,8 +34,9 @@ func TestFaultsBenchHonorsShards(t *testing.T) {
 
 // TestScalingRowsRecordHost checks the provenance fields of the
 // BENCH_scaling.json document: every row must say what parallel
-// hardware produced it, and the sharded schedulers must cover the
-// GOMAXPROCS axis.
+// hardware produced it, no row may claim more parallelism than the host
+// has (gomaxprocs <= host_cpus), and the parallel scheduler must cover
+// the GOMAXPROCS axis.
 func TestScalingRowsRecordHost(t *testing.T) {
 	r := runQuick(t, "scaling")
 	var doc scalingJSON
@@ -50,6 +52,10 @@ func TestScalingRowsRecordHost(t *testing.T) {
 			t.Fatalf("row %s/%s missing host provenance: host_cpus=%d gomaxprocs=%d",
 				row.Workload, row.Scheduler, row.HostCPUs, row.GoMaxProcs)
 		}
+		if row.GoMaxProcs > row.HostCPUs {
+			t.Errorf("row %s/%s records gomaxprocs=%d on a %d-CPU host: goroutine overhead, not parallelism",
+				row.Workload, row.Scheduler, row.GoMaxProcs, row.HostCPUs)
+		}
 		if gmps[row.Scheduler] == nil {
 			gmps[row.Scheduler] = map[int]bool{}
 		}
@@ -58,11 +64,10 @@ func TestScalingRowsRecordHost(t *testing.T) {
 			t.Errorf("adaptive row %s/%d opened no lookahead windows", row.Workload, row.Ranks)
 		}
 	}
-	for _, kind := range []string{sim.SchedShard.String(), sim.SchedShardAdaptive.String()} {
-		for _, gmp := range scalingGoMaxProcs {
-			if !gmps[kind][gmp] {
-				t.Errorf("no %s row measured at GOMAXPROCS=%d (have %v)", kind, gmp, gmps[kind])
-			}
+	kind := sim.SchedShardAdaptive.String()
+	for _, gmp := range scalingGoMaxProcs() {
+		if !gmps[kind][gmp] {
+			t.Errorf("no %s row measured at GOMAXPROCS=%d (have %v)", kind, gmp, gmps[kind])
 		}
 	}
 }
@@ -133,9 +138,10 @@ func TestTransportIncastGuard(t *testing.T) {
 // TestScalingRegressionGuard is the CI benchmark gate: with
 // SMI_BENCH_GUARD=1 it re-measures the 64-rank points and fails if
 // ns_per_simulated_cycle regressed more than 20% against the committed
-// BENCH_scaling.json. Each point gets two attempts and keeps the
-// faster, so a single scheduling hiccup on a shared runner does not
-// fail the build.
+// BENCH_scaling.json. Committed rows measured with more GOMAXPROCS than
+// this host has CPUs are skipped (they cannot be reproduced here). Each
+// point gets two attempts and keeps the faster, so a single scheduling
+// hiccup on a shared runner does not fail the build.
 func TestScalingRegressionGuard(t *testing.T) {
 	if os.Getenv("SMI_BENCH_GUARD") != "1" {
 		t.Skip("set SMI_BENCH_GUARD=1 to run the benchmark regression guard")
@@ -150,13 +156,12 @@ func TestScalingRegressionGuard(t *testing.T) {
 	}
 	kinds := map[string]sim.SchedulerKind{
 		sim.SchedEvent.String():         sim.SchedEvent,
-		sim.SchedShard.String():         sim.SchedShard,
 		sim.SchedShardAdaptive.String(): sim.SchedShardAdaptive,
 	}
 	checked := 0
 	for _, base := range doc.Rows {
 		kind, ok := kinds[base.Scheduler]
-		if !ok || base.Ranks != 64 || base.NsPerCycle <= 0 {
+		if !ok || base.Ranks != 64 || base.NsPerCycle <= 0 || base.GoMaxProcs > runtime.NumCPU() {
 			continue
 		}
 		best := 0.0

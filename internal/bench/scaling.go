@@ -12,7 +12,7 @@ import (
 )
 
 func init() {
-	register("scaling", "Simulator scaling: dense scan vs event scheduler vs sharded parallel at 8..1024 ranks", scaling)
+	register("scaling", "Simulator scaling: dense scan vs event scheduler vs shard-adaptive parallel at 8..1024 ranks", scaling)
 }
 
 // scalingRanks are the supported sweep points; workload.Grid decomposes
@@ -25,11 +25,21 @@ var scalingRanks = map[int]bool{8: true, 16: true, 32: true, 64: true, 256: true
 
 const denseRankLimit = 64
 
-// scalingGoMaxProcs is the GOMAXPROCS axis for the sharded rows: the
+// scalingGoMaxProcs is the GOMAXPROCS axis for the parallel rows: the
 // serial baselines (dense, event) run pinned at 1, the parallel
-// schedulers at both points so the JSON records what parallelism the
-// host actually granted each measurement.
-var scalingGoMaxProcs = []int{1, 4}
+// scheduler at 1 and at up to 4 real cores. The wide point is capped at
+// the host's CPU count so no row records goroutine overhead as if it
+// were parallelism (gomaxprocs never exceeds host_cpus).
+func scalingGoMaxProcs() []int {
+	wide := runtime.NumCPU()
+	if wide > 4 {
+		wide = 4
+	}
+	if wide == 1 {
+		return []int{1}
+	}
+	return []int{1, wide}
+}
 
 // ScalingRow is one (workload, ranks, scheduler, shards, gomaxprocs)
 // measurement.
@@ -40,8 +50,8 @@ type ScalingRow struct {
 	Shards    int    `json:"shards"`
 	// HostCPUs and GoMaxProcs record the parallel hardware behind the
 	// wall-clock number: the machine's logical CPU count and the Go
-	// scheduler's processor limit during this run. A shard row measured
-	// with host_cpus=1 documents barrier overhead, not speedup.
+	// scheduler's processor limit during this run. A parallel row measured
+	// with gomaxprocs=1 documents barrier overhead, not speedup.
 	HostCPUs   int   `json:"host_cpus"`
 	GoMaxProcs int   `json:"gomaxprocs"`
 	Syncs      int64 `json:"syncs,omitempty"`
@@ -50,8 +60,8 @@ type ScalingRow struct {
 	// worker slots by the deterministic rebalance rule.
 	Windows int64 `json:"windows,omitempty"`
 	Steals  int64 `json:"steals,omitempty"`
-	// PerShard carries each shard's effort counters (including its sync
-	// count) for sharded rows — the load-balance signal.
+	// PerShard carries each worker slot's effort counters (including its
+	// sync count) for parallel rows — the load-balance signal.
 	PerShard       []sim.ShardEffort `json:"per_shard,omitempty"`
 	Cycles         int64             `json:"cycles"`
 	CyclesExecuted int64             `json:"cycles_executed"`
@@ -74,11 +84,6 @@ type scalingJSON struct {
 	// at the largest rank count measured (baseline = dense where it ran,
 	// event otherwise).
 	SpeedupAtMax map[string]float64 `json:"wall_clock_speedup_at_max_ranks"`
-	// ShardSpeedupAtMax is event wall-clock / fixed-shard wall-clock per
-	// workload at the largest rank count measured, taken at the highest
-	// GOMAXPROCS point. Without real cores behind GOMAXPROCS this hovers
-	// around 1 or below (barrier overhead with no parallel hardware).
-	ShardSpeedupAtMax map[string]float64 `json:"shard_wall_clock_speedup_at_max_ranks"`
 	// AdaptiveSpeedupAtMax is event wall-clock / shard-adaptive
 	// wall-clock per workload at the largest rank count, highest
 	// GOMAXPROCS point.
@@ -128,10 +133,10 @@ func scalingRun(name string, ranks int, kind sim.SchedulerKind, shards, gomaxpro
 }
 
 // scaling sweeps stencil and broadcast over growing rank counts, running
-// each point under the event scheduler, the fixed-window sharded
-// scheduler, and the adaptive-lookahead scheduler (the latter two at
-// GOMAXPROCS 1 and 4), plus the dense reference scan at the small
-// points. Every scheduler must finish every run on the identical cycle —
+// each point under the event scheduler and the shard-adaptive parallel
+// scheduler (the latter along the scalingGoMaxProcs axis), plus the
+// dense reference scan at the small points. Every scheduler must finish
+// every run on the identical cycle —
 // the sweep fails on any divergence — and the slowest available
 // scheduler is the baseline the wall-clock improvements are quoted
 // against.
@@ -154,22 +159,21 @@ func scaling(opts Options) (*Report, error) {
 
 	r := &Report{
 		ID:     "scaling",
-		Title:  "Wall-clock per simulated cycle: dense scan vs event scheduler vs sharded parallel",
-		Header: []string{"workload", "ranks", "cycles", "skipped%", "dense ms", "event ms", "shard ms", "adapt ms", "shards", "syncs", "windows", "steals", "speedup"},
+		Title:  "Wall-clock per simulated cycle: dense scan vs event scheduler vs shard-adaptive parallel",
+		Header: []string{"workload", "ranks", "cycles", "skipped%", "dense ms", "event ms", "adapt ms", "shards", "syncs", "windows", "steals", "speedup"},
 		Notes: []string{
 			"all schedulers must (and do) finish every run on the identical cycle;",
 			"'skipped%' is the share of simulated cycles the event scheduler fast-forwarded;",
 			"dense rows stop at 64 ranks (the reference scan is too slow beyond);",
-			"'speedup' is dense/event wall clock where dense ran, else event/best-sharded;",
-			"shard and adapt columns are the GOMAXPROCS=4 measurements (the JSON also",
-			"carries the GOMAXPROCS=1 rows); wall-clock wins need host_cpus > 1",
+			"'speedup' is dense/event wall clock where dense ran, else event/adaptive;",
+			"the adapt column is measured at GOMAXPROCS=min(4, host CPUs) (the JSON also",
+			"carries the GOMAXPROCS=1 row); wall-clock wins need host_cpus > 1",
 		},
 	}
 	doc := scalingJSON{
-		Description:          "smibench scaling: identical workloads under the dense reference scan, the event scheduler, the fixed-window sharded scheduler, and the adaptive-lookahead scheduler with work stealing; sharded rows are measured at GOMAXPROCS 1 and 4",
+		Description:          "smibench scaling: identical workloads under the dense reference scan, the event scheduler, and the shard-adaptive parallel scheduler (per-boundary lookahead with work stealing); parallel rows are measured at GOMAXPROCS 1 and min(4, host_cpus)",
 		HostCPUs:             runtime.NumCPU(),
 		SpeedupAtMax:         map[string]float64{},
-		ShardSpeedupAtMax:    map[string]float64{},
 		AdaptiveSpeedupAtMax: map[string]float64{},
 	}
 	for _, w := range workloads {
@@ -203,51 +207,40 @@ func scaling(opts Options) (*Report, error) {
 			}
 			doc.Rows = append(doc.Rows, event)
 
-			// The parallel schedulers sweep the GOMAXPROCS axis; the last
+			// The parallel scheduler sweeps the GOMAXPROCS axis; the last
 			// point (the widest) feeds the table and headline ratios.
-			var shard, adaptive ScalingRow
-			for _, gmp := range scalingGoMaxProcs {
-				shard, err = scalingRun(w, ranks, sim.SchedShard, sh, gmp)
-				if err != nil {
-					return nil, fmt.Errorf("scaling %s/%d shard: %w", w, ranks, err)
-				}
+			var adaptive ScalingRow
+			for _, gmp := range scalingGoMaxProcs() {
 				adaptive, err = scalingRun(w, ranks, sim.SchedShardAdaptive, sh, gmp)
 				if err != nil {
 					return nil, fmt.Errorf("scaling %s/%d shard-adaptive: %w", w, ranks, err)
 				}
-				if shard.Cycles != event.Cycles || adaptive.Cycles != event.Cycles {
-					return nil, fmt.Errorf("scaling %s/%d: shard finished at cycle %d, adaptive at %d, event at %d — scheduler parity broken",
-						w, ranks, shard.Cycles, adaptive.Cycles, event.Cycles)
+				if adaptive.Cycles != event.Cycles {
+					return nil, fmt.Errorf("scaling %s/%d: adaptive finished at cycle %d, event at %d — scheduler parity broken",
+						w, ranks, adaptive.Cycles, event.Cycles)
 				}
-				doc.Rows = append(doc.Rows, shard, adaptive)
+				doc.Rows = append(doc.Rows, adaptive)
 			}
 
-			bestShardMs := shard.WallMs
-			if adaptive.WallMs < bestShardMs {
-				bestShardMs = adaptive.WallMs
-			}
 			speedup, denseMs := 0.0, "-"
 			if haveDense {
 				denseMs = f2(dense.WallMs)
 				if event.WallMs > 0 {
 					speedup = dense.WallMs / event.WallMs
 				}
-			} else if bestShardMs > 0 {
-				speedup = event.WallMs / bestShardMs
+			} else if adaptive.WallMs > 0 {
+				speedup = event.WallMs / adaptive.WallMs
 			}
 			skipped := 100 * float64(event.CyclesSkipped) / float64(event.Cycles)
 			r.Rows = append(r.Rows, []string{
 				w, fmt.Sprintf("%d", ranks), fmt.Sprintf("%d", event.Cycles),
-				f1(skipped), denseMs, f2(event.WallMs), f2(shard.WallMs), f2(adaptive.WallMs),
+				f1(skipped), denseMs, f2(event.WallMs), f2(adaptive.WallMs),
 				fmt.Sprintf("%d", sh), fmt.Sprintf("%d", adaptive.Syncs),
 				fmt.Sprintf("%d", adaptive.Windows), fmt.Sprintf("%d", adaptive.Steals),
 				f2(speedup),
 			})
 			if ranks == rankSet[len(rankSet)-1] {
 				doc.SpeedupAtMax[w] = speedup
-				if shard.WallMs > 0 {
-					doc.ShardSpeedupAtMax[w] = event.WallMs / shard.WallMs
-				}
 				if adaptive.WallMs > 0 {
 					doc.AdaptiveSpeedupAtMax[w] = event.WallMs / adaptive.WallMs
 				}

@@ -197,7 +197,7 @@ func TestCircuitRepeatedMessages(t *testing.T) {
 }
 
 // TestCircuitShardFaultDelivery closes a long-standing coverage gap:
-// circuit channels under the shard scheduler, with fault injection
+// circuit channels under the parallel scheduler, with fault injection
 // forcing the reliable layer to carry headerless raw words (whose
 // op/count ride the frame sideband — see link.encodeWord). The full
 // cross-scheduler parity matrix for circuit and streaming channels is
@@ -211,8 +211,8 @@ func TestCircuitShardFaultDelivery(t *testing.T) {
 	c, err := NewCluster(Config{
 		Topology:  topo,
 		Program:   ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Circuit: true, BufferElems: 256}}},
-		Scheduler: sim.SchedShard,
-		Shards:    4, // reliable clusters shard for real now: split tx/rx halves per engine
+		Scheduler: sim.SchedShardAdaptive,
+		Shards:    4, // reliable clusters run in parallel for real: split tx/rx halves per engine
 		Faults:    &fault.Spec{Seed: 23, DropProb: 0.003, CorruptProb: 0.001},
 	})
 	if err != nil {
@@ -249,7 +249,7 @@ func TestCircuitShardFaultDelivery(t *testing.T) {
 		t.Fatal("fault spec injected nothing; raw words never crossed a lossy wire")
 	}
 	if st.Sched.Shards != 4 || st.Sched.Syncs == 0 {
-		t.Fatalf("reliable cluster fell back to one shard: shards=%d syncs=%d", st.Sched.Shards, st.Sched.Syncs)
+		t.Fatalf("reliable cluster fell back to one engine: shards=%d syncs=%d", st.Sched.Shards, st.Sched.Syncs)
 	}
 }
 

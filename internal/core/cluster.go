@@ -77,27 +77,22 @@ type Config struct {
 	RepairCycles int64
 	// Scheduler selects the simulator's scheduling mode: the default
 	// sim.SchedEvent activity-set scheduler, sim.SchedDense, the
-	// reference dense scan, sim.SchedShard, the fixed-window conservative
-	// parallel scheduler, or sim.SchedShardAdaptive, the per-boundary
-	// adaptive-lookahead scheduler with deterministic work stealing (see
-	// Shards). All modes produce bit-identical runs; dense is kept for
-	// parity testing and as a benchmark baseline.
+	// reference dense scan, or sim.SchedShardAdaptive, the conservative
+	// parallel scheduler with per-boundary lookahead and deterministic
+	// work stealing (see Shards). All modes produce bit-identical runs;
+	// dense is kept for parity testing and as a benchmark baseline.
 	Scheduler sim.SchedulerKind
-	// Shards engages the sharded engine builds. Under sim.SchedShard the
-	// cluster's ranks are partitioned into that many self-contained
-	// engine shards (contiguous rank ranges) connected only through the
-	// link boundaries, advancing on worker goroutines and synchronizing
-	// every link-latency lookahead window; under the serial schedulers
-	// the same sharded structure runs one shard at a time (the exact
-	// comparator). Under sim.SchedShardAdaptive every rank becomes its
-	// own engine and Shards sets the worker count: each engine advances
-	// to its own per-boundary safe horizon and ownership is rebalanced
-	// deterministically between rounds. 0 or 1 keeps the classic
-	// single-engine build. Reliable and fault-injected clusters shard
-	// too — the split link halves keep the retransmission protocol's
-	// couplings engine-local and the failover manager runs as a
-	// barrier-stepped coordinator. Tracing (Trace/ChromeTrace) is
-	// rejected with Shards > 1.
+	// Shards is the worker-slot count of sim.SchedShardAdaptive and
+	// nothing else. With Shards > 1 every rank becomes its own engine,
+	// connected to the others only through the link boundaries: each
+	// engine advances to its own per-boundary safe horizon on one of
+	// Shards worker goroutines, and ownership is rebalanced
+	// deterministically between rounds. 0 or 1 keeps the single-engine
+	// build; Shards > 1 with any other scheduler is rejected. Reliable
+	// and fault-injected clusters run in parallel too — the split link
+	// halves keep the retransmission protocol's couplings engine-local
+	// and the failover manager runs as a barrier-stepped coordinator.
+	// Tracing (Trace/ChromeTrace) is rejected with Shards > 1.
 	Shards int
 	// Progress, if non-nil, is called between cycles whenever the clock
 	// crosses a multiple of ProgressEvery cycles (default 1_000_000 when
@@ -110,9 +105,8 @@ type Config struct {
 // Cluster is a multi-FPGA system ready to execute rank programs.
 type Cluster struct {
 	cfg    Config
-	engs   []*sim.Engine // one engine per shard, ranks in contiguous ranges
-	group  *sim.Group    // barrier driver, nil when len(engs) == 1
-	shards int
+	engs   []*sim.Engine // one engine, or one per rank under the parallel scheduler
+	group  *sim.Group    // parallel driver, nil when len(engs) == 1
 	routes *routing.Routes
 	world  Comm
 	clock  sim.Clock
@@ -218,17 +212,16 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if shards > cfg.Topology.Devices {
 		return nil, fmt.Errorf("smi: %d shards exceed the cluster's %d ranks", shards, cfg.Topology.Devices)
 	}
-	if shards == 0 {
-		shards = 1
-	}
-	if shards > 1 && (cfg.Trace != nil || cfg.ChromeTrace != nil) {
-		return nil, fmt.Errorf("smi: tracing records a single global event order and cannot run with %d shards", shards)
-	}
-	// Adaptive lookahead gives every rank its own engine so horizons are
-	// truly per-boundary; Shards then sets the worker-slot count.
-	adaptive := cfg.Scheduler == sim.SchedShardAdaptive && shards > 1
-	nEng := shards
-	if adaptive {
+	nEng := 1
+	if shards > 1 {
+		if cfg.Scheduler != sim.SchedShardAdaptive {
+			return nil, fmt.Errorf("smi: %d shards need the %s scheduler, got %s", shards, sim.SchedShardAdaptive, cfg.Scheduler)
+		}
+		if cfg.Trace != nil || cfg.ChromeTrace != nil {
+			return nil, fmt.Errorf("smi: tracing records a single global event order and cannot run with %d shards", shards)
+		}
+		// Every rank gets its own engine so horizons are truly
+		// per-boundary; Shards sets the worker-slot count.
 		nEng = cfg.Topology.Devices
 	}
 
@@ -279,7 +272,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		engs:   engs,
-		shards: nEng,
 		routes: routes,
 		world:  Comm{base: 0, size: cfg.Topology.Devices},
 		clock:  sim.Clock{Hz: cfg.ClockHz},
@@ -290,7 +282,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 
 	ifaces := cfg.Topology.Ifaces
 	for r := 0; r < cfg.Topology.Devices; r++ {
-		eng := engFor(r) // every per-rank component lives on the rank's shard
+		eng := engFor(r) // every per-rank component lives on the rank's engine
 		rs := &rankState{rank: r, eps: make(map[int]*endpoint)}
 		var bindings []transport.PortBinding
 		for i := range cfg.Program.Ports {
@@ -402,7 +394,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			// is handled the same cycle.
 			engs[0].AddKernel(c.manager)
 		} else {
-			// Sharded build: the manager is not a kernel (its tick reads
+			// Per-rank engines: the manager is not a kernel (its tick reads
 			// every cable's state, which now spans engines) but a
 			// coordinator the group drives at barriers, reproducing the
 			// dense kernel tick with all engines stopped.
@@ -410,11 +402,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	if nEng > 1 {
-		if adaptive {
-			c.group = sim.NewAdaptiveGroup(engs, cfg.MaxCycles, shards)
-		} else {
-			c.group = sim.NewGroup(engs, cfg.MaxCycles, cfg.Scheduler == sim.SchedShard)
-		}
+		c.group = sim.NewGroup(engs, cfg.MaxCycles, shards)
 		if c.manager != nil {
 			c.group.SetCoordinator(c.manager)
 		}
@@ -425,10 +413,13 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// engFor maps a rank to its engine shard: shard i owns the i-th of
-// `shards` contiguous, balanced rank ranges.
+// engFor maps a rank to its engine: its own under the parallel
+// scheduler, the shared one otherwise.
 func (c *Cluster) engFor(rank int) *sim.Engine {
-	return c.engs[rank*c.shards/c.cfg.Topology.Devices]
+	if len(c.engs) == 1 {
+		return c.engs[0]
+	}
+	return c.engs[rank]
 }
 
 // Size returns the number of ranks in the cluster.
@@ -581,7 +572,7 @@ func (c *Cluster) LinkStats() []LinkStats {
 }
 
 // cycles returns the run's quoted cycle count: the group's
-// barrier-derived count for sharded builds (invariant under the shard
+// barrier-derived count for parallel runs (invariant under the worker
 // count), the engine clock otherwise.
 func (c *Cluster) cycles() int64 {
 	if c.group != nil {
@@ -593,12 +584,12 @@ func (c *Cluster) cycles() int64 {
 // schedStats assembles the scheduler-effort report for Stats.
 func (c *Cluster) schedStats() sim.SchedStats {
 	if c.group != nil {
-		return c.group.SchedStats(c.cfg.Scheduler)
+		return c.group.SchedStats()
 	}
 	st := c.engs[0].SchedStats()
-	if c.cfg.Scheduler == sim.SchedShard || c.cfg.Scheduler == sim.SchedShardAdaptive {
-		// A one-shard "shard" run executes on the plain event loop with
-		// no barriers to count.
+	if c.cfg.Scheduler == sim.SchedShardAdaptive {
+		// A one-worker run executes on the plain event loop with no
+		// barriers to count.
 		st.Shards = 1
 	}
 	return st

@@ -229,7 +229,7 @@ func TestFailoverReroutesAndRescues(t *testing.T) {
 }
 
 // TestFailoverShardParity runs the kill-mid-stream failover under the
-// sharded schedulers: the barrier-stepped coordinator must reproduce the
+// parallel scheduler: the barrier-stepped coordinator must reproduce the
 // dense fault manager cycle for cycle — death detection, route
 // regeneration, barrier-time packet rescue, and resume — with the stream
 // delivered intact and identical failover accounting.
@@ -269,26 +269,19 @@ func TestFailoverShardParity(t *testing.T) {
 	if dense.Failovers != 1 || dense.RescuedPackets == 0 {
 		t.Fatalf("reference run did not exercise the failover: %+v", dense)
 	}
-	for _, v := range []struct {
-		name   string
-		kind   sim.SchedulerKind
-		shards int
-	}{
-		{"shard", sim.SchedShard, 4},
-		{"shard-adaptive", sim.SchedShardAdaptive, 4},
-	} {
-		st := run(v.kind, v.shards)
+	for _, workers := range []int{2, 4} {
+		st := run(sim.SchedShardAdaptive, workers)
 		if st.Cycles != dense.Cycles {
-			t.Errorf("%s finished at cycle %d, dense at %d", v.name, st.Cycles, dense.Cycles)
+			t.Errorf("%d workers finished at cycle %d, dense at %d", workers, st.Cycles, dense.Cycles)
 		}
 		if st.Failovers != dense.Failovers || st.RescuedPackets != dense.RescuedPackets ||
 			st.FailoverCycles != dense.FailoverCycles {
-			t.Errorf("%s failover accounting (failovers=%d rescued=%d cycles=%d) diverges from dense (%d/%d/%d)",
-				v.name, st.Failovers, st.RescuedPackets, st.FailoverCycles,
+			t.Errorf("%d workers: failover accounting (failovers=%d rescued=%d cycles=%d) diverges from dense (%d/%d/%d)",
+				workers, st.Failovers, st.RescuedPackets, st.FailoverCycles,
 				dense.Failovers, dense.RescuedPackets, dense.FailoverCycles)
 		}
-		if st.Sched.Shards != 4 || st.Sched.Syncs == 0 {
-			t.Errorf("%s did not run sharded: shards=%d syncs=%d", v.name, st.Sched.Shards, st.Sched.Syncs)
+		if st.Sched.Shards != workers || st.Sched.Syncs == 0 {
+			t.Errorf("%d workers did not run in parallel: shards=%d syncs=%d", workers, st.Sched.Shards, st.Sched.Syncs)
 		}
 	}
 }

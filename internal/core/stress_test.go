@@ -120,8 +120,8 @@ func stressOnce(t *testing.T, seed int64) {
 		Program:       ProgramSpec{Ports: ports},
 		RoutingPolicy: policy,
 		Transport: transport.Config{
-			R:        1 << rng.Intn(5),
-			SkipIdle: rng.Intn(2) == 0,
+			R:       1 << rng.Intn(5),
+			Arbiter: []transport.Arbiter{transport.ArbiterSkipIdle, transport.ArbiterRoundRobin}[rng.Intn(2)],
 		},
 	})
 	if err != nil {

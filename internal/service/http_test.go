@@ -172,6 +172,21 @@ func TestHTTPErrorMapping(t *testing.T) {
 	code = postJSON(t, base+"/v1/jobs", `{"workload":"bcast","ranks":4,"bogus_field":1}`, &body)
 	check(code, http.StatusBadRequest, body, "invalid-spec")
 
+	// The removed fixed-window scheduler and the dense test oracle are not
+	// service options.
+	for _, sched := range []string{"shard", "dense"} {
+		body = nil
+		code = postJSON(t, base+"/v1/jobs", `{"workload":"bcast","ranks":4,"scheduler":"`+sched+`"}`, &body)
+		check(code, http.StatusBadRequest, body, "invalid-spec")
+	}
+
+	body = nil
+	code = postJSON(t, base+"/v1/jobs", `{"workload":"bcast","ranks":4,"shards":2}`, &body)
+	check(code, http.StatusBadRequest, body, "invalid-spec")
+	if msg := body["error"]; !strings.Contains(msg, `"shard-adaptive"`) || strings.Contains(msg, `"shard"`) {
+		t.Fatalf("shards-without-scheduler message %q must name only \"shard-adaptive\"", msg)
+	}
+
 	body = nil
 	code = getJSON(t, base+"/v1/jobs/j9999", &body)
 	check(code, http.StatusNotFound, body, "not-found")

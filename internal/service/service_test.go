@@ -67,73 +67,51 @@ func TestSubmitRunsJob(t *testing.T) {
 	}
 }
 
-// TestShardJobMatchesEvent admits a sharded job and checks it against
-// the same spec under the default scheduler: identical cycles and
-// output digest, with the shard layout visible in the returned stats.
-func TestShardJobMatchesEvent(t *testing.T) {
-	svc := newTestService(t, Config{Workers: 2})
-	shard, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256, Scheduler: "shard", Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	event, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stS, stE := mustDone(t, shard), mustDone(t, event)
-	if stS.Result.Cycles != stE.Result.Cycles {
-		t.Fatalf("shard job finished at cycle %d, event at %d", stS.Result.Cycles, stE.Result.Cycles)
-	}
-	if stS.Result.OutputDigest != stE.Result.OutputDigest {
-		t.Fatalf("shard digest %s != event digest %s", stS.Result.OutputDigest, stE.Result.OutputDigest)
-	}
-	if got := stS.Result.Stats.Sched.Shards; got != 4 {
-		t.Fatalf("shard job reports %d shards, want 4", got)
-	}
-	if stS.Result.Stats.Sched.Syncs <= 0 {
-		t.Fatal("shard job reports no boundary synchronizations")
-	}
-}
-
-// TestAdaptiveShardJobWithFaults admits a fault-injected job under the
-// adaptive scheduler — the combination the service used to reject —
-// and checks it against the event-scheduled run: same digest, same
-// cycles, with the adaptive window and per-shard effort counters
-// surfaced in the job's stats and aggregated into /v1/stats.
+// TestAdaptiveShardJobWithFaults admits a parallel job — pristine and
+// fault-injected, the combination the service used to reject — and
+// checks it against the same spec under the default scheduler: same
+// digest, same cycles, with the adaptive window and per-worker effort
+// counters surfaced in the job's stats and aggregated into /v1/stats.
 func TestAdaptiveShardJobWithFaults(t *testing.T) {
-	svc := newTestService(t, Config{Workers: 2})
-	faults := &fault.Spec{Seed: 7, DropProb: 0.002}
-	adaptive, err := svc.Submit(JobSpec{
-		Workload: "bcast", Ranks: 8, Size: 256,
-		Scheduler: "shard-adaptive", Shards: 4, Faults: faults,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	event, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256, Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stA, stE := mustDone(t, adaptive), mustDone(t, event)
-	if stA.Result.Cycles != stE.Result.Cycles {
-		t.Fatalf("adaptive job finished at cycle %d, event at %d", stA.Result.Cycles, stE.Result.Cycles)
-	}
-	if stA.Result.OutputDigest != stE.Result.OutputDigest {
-		t.Fatalf("adaptive digest %s != event digest %s", stA.Result.OutputDigest, stE.Result.OutputDigest)
-	}
-	sc := stA.Result.Stats.Sched
-	if sc.Shards != 4 || sc.Syncs <= 0 {
-		t.Fatalf("adaptive job reports shards=%d syncs=%d, want 4 shards with syncs", sc.Shards, sc.Syncs)
-	}
-	if sc.Windows <= 0 {
-		t.Fatal("adaptive job reports no lookahead windows")
-	}
-	if len(sc.PerShard) != 4 {
-		t.Fatalf("adaptive job reports %d per-shard rows, want 4", len(sc.PerShard))
-	}
-	agg := svc.Stats().Sched
-	if agg.ShardedJobs == 0 || agg.Syncs < sc.Syncs || agg.Windows < sc.Windows {
-		t.Fatalf("service stats did not aggregate scheduler effort: %+v (job: %+v)", agg, sc)
+	for name, faults := range map[string]*fault.Spec{
+		"pristine": nil,
+		"faulty":   {Seed: 7, DropProb: 0.002},
+	} {
+		t.Run(name, func(t *testing.T) {
+			svc := newTestService(t, Config{Workers: 2})
+			adaptive, err := svc.Submit(JobSpec{
+				Workload: "bcast", Ranks: 8, Size: 256,
+				Scheduler: "shard-adaptive", Shards: 4, Faults: faults,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			event, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 8, Size: 256, Faults: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stA, stE := mustDone(t, adaptive), mustDone(t, event)
+			if stA.Result.Cycles != stE.Result.Cycles {
+				t.Fatalf("adaptive job finished at cycle %d, event at %d", stA.Result.Cycles, stE.Result.Cycles)
+			}
+			if stA.Result.OutputDigest != stE.Result.OutputDigest {
+				t.Fatalf("adaptive digest %s != event digest %s", stA.Result.OutputDigest, stE.Result.OutputDigest)
+			}
+			sc := stA.Result.Stats.Sched
+			if sc.Shards != 4 || sc.Syncs <= 0 {
+				t.Fatalf("adaptive job reports shards=%d syncs=%d, want 4 shards with syncs", sc.Shards, sc.Syncs)
+			}
+			if sc.Windows <= 0 {
+				t.Fatal("adaptive job reports no lookahead windows")
+			}
+			if len(sc.PerShard) != 4 {
+				t.Fatalf("adaptive job reports %d per-shard rows, want 4", len(sc.PerShard))
+			}
+			agg := svc.Stats().Sched
+			if agg.ShardedJobs == 0 || agg.Syncs < sc.Syncs || agg.Windows < sc.Windows {
+				t.Fatalf("service stats did not aggregate scheduler effort: %+v (job: %+v)", agg, sc)
+			}
+		})
 	}
 }
 
@@ -217,11 +195,12 @@ func TestInvalidSpecsRejectedAtSubmit(t *testing.T) {
 		{Workload: "bcast", Ranks: 9, Topology: &topology.Spec{Kind: "torus", Rows: 2, Cols: 2}},
 		{Workload: "bcast", Ranks: 4, Faults: &fault.Spec{DropProb: 2}},
 		{Workload: "summa", Ranks: 4, Faults: &fault.Spec{DropProb: 0.5}},
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard"},                      // shards missing
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: -2},          // negative
-		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: 8},           // > ranks
-		{Workload: "bcast", Ranks: 4, Shards: 2},                               // shards without shard scheduler
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard", Shards: 2},           // removed scheduler
+		{Workload: "bcast", Ranks: 4, Scheduler: "dense"},                      // test oracle, not a service option
 		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive"},             // worker slots missing
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive", Shards: -2}, // negative
+		{Workload: "bcast", Ranks: 4, Scheduler: "shard-adaptive", Shards: 8},  // > ranks
+		{Workload: "bcast", Ranks: 4, Shards: 2},                               // shards without the parallel scheduler
 		{Workload: "bandwidth", Ranks: 4, Mode: "teleport"},                    // unknown mode
 		{Workload: "bcast", Ranks: 4, Mode: "streaming"},                       // mode-less workload
 		{Workload: "bcast", Ranks: 4, BufferElems: 64},                         // knob on mode-less workload

@@ -100,12 +100,13 @@ type Engine struct {
 	procsDoneAt  int64             // max over finished procs of (finish cycle + 1)
 	boundaries   []boundaryFlusher // outbound: flushed by the Group at barriers
 	inBoundaries []boundaryInlet   // inbound: merged into earliestEvent
-	// windowIdleUntil is the loop's own quiescence estimate, maintained
-	// every executed cycle: now+1 after an active cycle, the phase-4
-	// fast-forward target (pre horizon clamp) after an inactive one, and
-	// Never when nothing is scheduled at all. It is what the engine knows
-	// about its own future at a window boundary — hot kernels and
-	// due-this-cycle work included, which the wake heaps alone are not.
+	// windowIdleUntil is the event loop's own quiescence estimate,
+	// maintained every executed cycle: now+1 after an active cycle, the
+	// phase-4 fast-forward target (pre horizon clamp) after an inactive
+	// one, and Never when nothing is scheduled at all. It is what the
+	// engine knows about its own future at a window boundary — hot
+	// kernels and due-this-cycle work included, which the wake heaps
+	// alone are not.
 	windowIdleUntil int64
 
 	// progress observer (see SetProgress)
@@ -286,7 +287,7 @@ func (e *Engine) Run() error {
 	if e.sched == SchedDense {
 		return e.runDense()
 	}
-	// SchedShard on a lone engine is the event scheduler; the
+	// SchedShardAdaptive on a lone engine is the event scheduler; the
 	// parallelism lives in the Group driver (shard.go).
 	return e.runEvent()
 }
@@ -296,20 +297,14 @@ func (e *Engine) Run() error {
 // event scheduler must match cycle for cycle.
 func (e *Engine) runDense() error {
 	for {
-		if e.windowed {
-			if e.now >= e.horizon {
-				return nil
-			}
-		} else {
-			if e.finished == len(e.procs) && len(e.procs) > 0 {
-				return e.drain()
-			}
-			if e.now >= e.maxCycles {
-				e.stopProcs()
-				return maxCyclesErr(e.maxCycles)
-			}
-			e.maybeProgress()
+		if e.finished == len(e.procs) && len(e.procs) > 0 {
+			return e.drain()
 		}
+		if e.now >= e.maxCycles {
+			e.stopProcs()
+			return maxCyclesErr(e.maxCycles)
+		}
+		e.maybeProgress()
 		e.executed++
 		active := false
 
@@ -383,21 +378,10 @@ func (e *Engine) runDense() error {
 
 		// Phase 4: termination and fast-forward.
 		e.phase = phaseIdle
-		e.windowIdleUntil = e.now + 1
 		if !active {
 			next, sleeping := e.nextWake()
 			if kd, ok := e.denseKernelDeadline(); ok && (!sleeping || kd < next) {
 				next, sleeping = kd, true
-			}
-			if sleeping {
-				e.windowIdleUntil = next
-			} else {
-				e.windowIdleUntil = Never
-			}
-			if e.windowed && (!sleeping || next > e.horizon) {
-				// Quiescent through the window boundary; resume decisions
-				// belong to the group.
-				next, sleeping = e.horizon, true
 			}
 			switch {
 			case sleeping:
@@ -563,14 +547,9 @@ func (e *Engine) startAll() {
 func (e *Engine) runWindow(horizon int64) error {
 	e.windowed = true
 	e.horizon = horizon
-	var err error
-	if e.sched == SchedDense {
-		err = e.runDense()
-	} else {
-		err = e.runEvent()
-	}
+	err := e.runEvent()
 	if err == nil && e.now < horizon {
-		// A clean early return cannot happen (the loops only return at
+		// A clean early return cannot happen (the loop only returns at
 		// the horizon), but keep the clock consistent defensively.
 		e.now = horizon
 	}

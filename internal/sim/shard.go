@@ -1,33 +1,27 @@
 package sim
 
-// Conservative parallel simulation driver. A Group owns several engine
-// shards that share no mutable state except Boundary queues, and runs
-// them in one of two modes:
+// Conservative parallel simulation driver (SchedShardAdaptive). A Group
+// owns one engine per rank; the engines share no mutable state except
+// Boundary queues. Every boundary imposes latency, so each engine may
+// advance to its own horizon — the minimum over its *incoming*
+// boundaries of the producer's lower-bound clock plus that boundary's
+// latency — before it has to see the producer's output. The lower bounds
+// come from a bounded null-message fixpoint (see lowerBounds), so an
+// engine whose neighbors are provably idle runs far past the global
+// minimum latency, and engines with nothing scheduled jump their whole
+// horizon in one hop.
 //
-//   - Fixed window (SchedShard): every boundary imposes at least
-//     `window` cycles of latency, so all shards advance through the
-//     common window [t, t+window), synchronize once, exchange boundary
-//     traffic, and repeat — cycle-for-cycle identical to a serial run.
-//   - Adaptive lookahead (SchedShardAdaptive): each engine advances to
-//     its own horizon, the minimum over its *incoming* boundaries of the
-//     producer's lower-bound clock plus that boundary's latency. The
-//     lower bounds come from a bounded null-message fixpoint (see
-//     lowerBounds), so an engine whose neighbors are provably idle runs
-//     far past the global minimum latency, and engines with nothing
-//     scheduled jump their whole horizon in one hop.
-//
-// Determinism contract (see DESIGN.md "Shard scheduler"): shard-local
-// execution is the unmodified engine loop; rounds flush boundaries in
-// engine/registration order with all shards stopped; completion cycles
+// Determinism contract (see DESIGN.md "Parallel scheduler"): engine-local
+// execution is the unmodified event loop; rounds flush boundaries in
+// engine/registration order with all engines stopped; completion cycles
 // are quoted from per-proc finish cycles (procsDoneAt), which makes the
 // reported cycle count and every application-visible output invariant
-// under the shard count and the scheduling mode. Effort counters
-// (executed/skipped/ticks) and link tail traffic after the last proc
-// finishes are quantized to the round structure and therefore compared
-// at fixed shard counts only.
+// under the worker count. Effort counters (executed/skipped/ticks) and
+// link tail traffic after the last proc finishes are quantized to the
+// round structure and therefore compared at fixed worker counts only.
 //
-// Adaptive runs own engines through a worker pool with deterministic
-// work stealing: ownership moves only at round boundaries, driven by
+// Engines are owned by a worker pool with deterministic work stealing:
+// ownership moves only at round boundaries, driven by
 // simulation-derived effort counters (proc steps + kernel ticks), so a
 // rebalance is cycle-invisible and identical across replays regardless
 // of host scheduling.
@@ -52,31 +46,28 @@ type Coordinator interface {
 	Quiescent() bool
 }
 
-// Group runs a set of engine shards under barrier synchronization.
+// Group runs a set of per-rank engines under barrier synchronization.
 type Group struct {
 	engines   []*Engine
 	engIdx    map[*Engine]int
 	window    int64 // min latency over crossing boundaries
 	maxCycles int64
-	parallel  bool // worker goroutines per window or serial
-	adaptive  bool // per-engine horizons + work stealing
-	workers   int  // worker slots (adaptive mode)
+	workers   int // worker slots
 
 	co Coordinator
 
-	base    int64 // barrier cycle (fixed) / min engine clock (adaptive)
+	base    int64 // min engine clock
 	syncs   int64
 	cycles  int64 // final quoted cycle count (set when Run returns)
 	windows int64 // engine-window executions
-	steals  int64 // ownership moves (adaptive)
+	steals  int64 // ownership moves
 
-	// adaptive per-engine state
+	// per-engine state
 	engErr   []error
 	next     []int64 // earliestEvent per engine, per round
 	lb       []int64 // null-message lower bounds
 	horizon  []int64 // per-engine window end, exclusive
 	runSet   []bool  // engines executing a real window this round
-	engWins  []int64 // windows executed per engine
 	owner    []int   // engine -> worker slot
 	recent   []int64 // decayed recent work per engine (steal signal)
 	lastWork []int64 // procSteps+kernelTicks snapshot per engine
@@ -90,14 +81,14 @@ type Group struct {
 	nextProgress  int64
 }
 
-// NewGroup assembles a fixed-window shard group. Call after every engine
-// is fully built (kernels, FIFOs, boundaries): the lookahead window is
-// derived from the smallest cross-engine boundary latency. parallel
-// selects worker goroutines per window (SchedShard) versus serial shard
-// execution (the exact comparator used by SchedDense/SchedEvent runs of
-// a sharded cluster).
-func NewGroup(engines []*Engine, maxCycles int64, parallel bool) *Group {
-	g := &Group{engines: engines, maxCycles: maxCycles, parallel: parallel}
+// NewGroup assembles the parallel driver over one engine per rank, owned
+// by `workers` worker slots (clamped to [1, len(engines)]) with
+// deterministic stealing. Call after every engine is fully built
+// (kernels, FIFOs, boundaries): the round chunk is derived from the
+// smallest cross-engine boundary latency. Engines run the event loop
+// whatever their own scheduler setting.
+func NewGroup(engines []*Engine, maxCycles int64, workers int) *Group {
+	g := &Group{engines: engines, maxCycles: maxCycles}
 	g.engIdx = make(map[*Engine]int, len(engines))
 	for i, e := range engines {
 		g.engIdx[e] = i
@@ -113,16 +104,6 @@ func NewGroup(engines []*Engine, maxCycles int64, parallel bool) *Group {
 	if g.window < 1 {
 		g.window = 1
 	}
-	g.engWins = make([]int64, len(engines))
-	return g
-}
-
-// NewAdaptiveGroup assembles an adaptive-lookahead group: one engine per
-// rank, owned by `workers` worker slots with deterministic stealing.
-// workers <= 1 runs rounds serially (still with per-engine horizons).
-func NewAdaptiveGroup(engines []*Engine, maxCycles int64, workers int) *Group {
-	g := NewGroup(engines, maxCycles, workers > 1)
-	g.adaptive = true
 	if workers < 1 {
 		workers = 1
 	}
@@ -143,7 +124,7 @@ func NewAdaptiveGroup(engines []*Engine, maxCycles int64, workers int) *Group {
 	g.wWins = make([]int64, workers)
 	g.order = make([]int, n)
 	g.load = make([]int64, workers)
-	// Initial placement: contiguous rank ranges, like the fixed sharding.
+	// Initial placement: contiguous rank ranges.
 	for i := range g.owner {
 		g.owner[i] = i * workers / n
 	}
@@ -154,19 +135,15 @@ func NewAdaptiveGroup(engines []*Engine, maxCycles int64, workers int) *Group {
 // cluster's failover manager). Must be called before Run.
 func (g *Group) SetCoordinator(co Coordinator) { g.co = co }
 
-// Window returns the lookahead window in cycles (fixed mode; the floor
-// of per-engine horizons in adaptive mode).
-func (g *Group) Window() int64 { return g.window }
-
 // Syncs returns the number of barrier synchronizations performed.
 func (g *Group) Syncs() int64 { return g.syncs }
 
 // Steals returns the number of engine-ownership moves the deterministic
-// rebalancer performed (adaptive mode).
+// rebalancer performed.
 func (g *Group) Steals() int64 { return g.steals }
 
 // Cycles returns the run's quoted cycle count: the completion cycle of
-// the slowest proc on clean runs (invariant under the shard count), or
+// the slowest proc on clean runs (invariant under the worker count), or
 // the cycle the run stopped at on error.
 func (g *Group) Cycles() int64 { return g.cycles }
 
@@ -190,15 +167,14 @@ func (g *Group) maybeProgress() {
 	g.nextProgress = g.base - g.base%g.progressEvery + g.progressEvery
 }
 
-// SchedStats aggregates scheduler effort over the shards. kind is the
-// cluster-level scheduling mode the stats are reported under. Fixed
-// groups report one row per engine shard; adaptive groups report one
-// row per worker slot, aggregating the engines it owned at the end.
-func (g *Group) SchedStats(kind SchedulerKind) SchedStats {
+// SchedStats aggregates scheduler effort over the engines, with one
+// PerShard row per worker slot aggregating the engines it owned at the
+// end.
+func (g *Group) SchedStats() SchedStats {
 	st := SchedStats{
-		Scheduler: kind.String(),
+		Scheduler: SchedShardAdaptive.String(),
 		Cycles:    g.cycles,
-		Shards:    len(g.engines),
+		Shards:    g.workers,
 		Syncs:     g.syncs,
 		Windows:   g.windows,
 		Steals:    g.steals,
@@ -210,37 +186,20 @@ func (g *Group) SchedStats(kind SchedulerKind) SchedStats {
 		st.KernelTicks += e.kernelTicks
 		st.FifoCommits += e.fifoCommits
 	}
-	if g.adaptive {
-		st.Shards = g.workers
-		rows := make([]ShardEffort, g.workers)
-		for w := range rows {
-			rows[w] = ShardEffort{Shard: w, Syncs: g.syncs, Windows: g.wWins[w], Steals: g.wSteals[w]}
-		}
-		for i, e := range g.engines {
-			r := &rows[g.owner[i]]
-			r.Procs += len(e.procs)
-			r.CyclesExecuted += e.executed
-			r.CyclesSkipped += e.skipped
-			r.ProcSteps += e.procSteps
-			r.KernelTicks += e.kernelTicks
-			r.FifoCommits += e.fifoCommits
-		}
-		st.PerShard = rows
-		return st
+	rows := make([]ShardEffort, g.workers)
+	for w := range rows {
+		rows[w] = ShardEffort{Shard: w, Syncs: g.syncs, Windows: g.wWins[w], Steals: g.wSteals[w]}
 	}
 	for i, e := range g.engines {
-		st.PerShard = append(st.PerShard, ShardEffort{
-			Shard:          i,
-			Procs:          len(e.procs),
-			CyclesExecuted: e.executed,
-			CyclesSkipped:  e.skipped,
-			ProcSteps:      e.procSteps,
-			KernelTicks:    e.kernelTicks,
-			FifoCommits:    e.fifoCommits,
-			Syncs:          g.syncs,
-			Windows:        g.engWins[i],
-		})
+		r := &rows[g.owner[i]]
+		r.Procs += len(e.procs)
+		r.CyclesExecuted += e.executed
+		r.CyclesSkipped += e.skipped
+		r.ProcSteps += e.procSteps
+		r.KernelTicks += e.kernelTicks
+		r.FifoCommits += e.fifoCommits
 	}
+	st.PerShard = rows
 	return st
 }
 
@@ -257,18 +216,6 @@ func (g *Group) maxProcsDoneAt() int64 {
 	for _, e := range g.engines {
 		if e.procsDoneAt > at {
 			at = e.procsDoneAt
-		}
-	}
-	return at
-}
-
-// earliest returns the earliest cycle any shard would do work at given
-// no further boundary traffic (boundaries already flushed).
-func (g *Group) earliest() int64 {
-	at := Never
-	for _, e := range g.engines {
-		if w := e.earliestEvent(); w < at {
-			at = w
 		}
 	}
 	return at
@@ -291,7 +238,7 @@ func (g *Group) stopAll() {
 }
 
 // flushAll publishes every boundary's window output, in deterministic
-// engine/registration order, with all shards stopped.
+// engine/registration order, with all engines stopped.
 func (g *Group) flushAll() {
 	for _, e := range g.engines {
 		for _, b := range e.boundaries {
@@ -317,7 +264,7 @@ func (g *Group) quiescentCo() bool {
 	return g.co == nil || g.co.Quiescent()
 }
 
-// deadlockAll merges per-shard blocked-proc reports into one group
+// deadlockAll merges per-engine blocked-proc reports into one group
 // deadlock error. The reported cycle is the barrier the group quiesced
 // at (round-quantized; a single-engine run pins the exact cycle).
 func (g *Group) deadlockAll(cycle int64) error {
@@ -329,116 +276,13 @@ func (g *Group) deadlockAll(cycle int64) error {
 	return &DeadlockError{Cycle: cycle, Blocked: blocked}
 }
 
-// Run executes all shards to completion. Completion, deadlock, and
-// cycle-limit decisions are made at barriers: a run completes when every
-// proc of every shard has finished, deadlocks when no shard has any
-// scheduled event, no boundary traffic is pending, and the coordinator
-// is quiescent, and fails with ErrMaxCycles when the group clock reaches
-// the limit first.
-func (g *Group) Run() error {
-	for _, e := range g.engines {
-		e.startAll()
-		if e.sched != SchedDense {
-			// Seed the event heaps before the first earliest() query.
-			e.ensureEventInit()
-		}
-	}
-	if g.adaptive {
-		return g.runAdaptive()
-	}
-	return g.runFixed()
-}
-
-// runFixed is the common-window driver (SchedShard and the serial
-// comparator for dense/event sharded runs).
-func (g *Group) runFixed() error {
-	for {
-		if done, total := g.totals(); total > 0 && done == total {
-			g.cycles = g.maxProcsDoneAt()
-			return nil
-		}
-		if g.base >= g.maxCycles {
-			g.cycles = g.maxCycles
-			g.stopAll()
-			return maxCyclesErr(g.maxCycles)
-		}
-		coCap := g.capAt(g.base)
-		minE := g.earliest()
-		if minE == Never && g.quiescentCo() {
-			g.cycles = g.base
-			err := g.deadlockAll(g.base)
-			g.stopAll()
-			return err
-		}
-		horizon := g.base + g.window
-		if horizon > coCap {
-			horizon = coCap
-		}
-		if horizon > g.maxCycles {
-			horizon = g.maxCycles
-		}
-		if minE >= horizon {
-			// Every shard is idle until minE: skip the empty span in one
-			// hop instead of spinning barriers through it. No shard can
-			// produce boundary traffic in a span it never executes, so
-			// the jump preserves the lookahead invariant. The jump stops
-			// at the coordinator's next action cycle: what happens there
-			// may reschedule everything.
-			to := minE
-			if to > coCap {
-				to = coCap
-			}
-			if to > g.maxCycles {
-				to = g.maxCycles
-			}
-			for _, e := range g.engines {
-				e.jumpTo(to)
-			}
-			g.base = to
-			g.atBarrier()
-			g.maybeProgress()
-			continue
-		}
-		errs := make([]error, len(g.engines))
-		if g.parallel && len(g.engines) > 1 {
-			var wg sync.WaitGroup
-			for i, e := range g.engines {
-				wg.Add(1)
-				go func(i int, e *Engine) {
-					defer wg.Done()
-					errs[i] = e.runWindow(horizon)
-				}(i, e)
-			}
-			wg.Wait()
-		} else {
-			for i, e := range g.engines {
-				errs[i] = e.runWindow(horizon)
-			}
-		}
-		g.syncs++
-		g.windows += int64(len(g.engines))
-		for i := range g.engines {
-			g.engWins[i]++
-		}
-		if err := g.firstError(errs); err != nil {
-			g.stopAll()
-			return err
-		}
-		g.flushAll()
-		g.base = horizon
-		g.atBarrier()
-		g.maybeProgress()
-	}
-}
-
 // atBarrier hands the stopped group to the coordinator. With every
 // engine at clock c+1 the coordinator reproduces its dense kernel tick
-// at cycle c; in fixed mode all engines share g.base, in adaptive mode
-// the caller guarantees the clocks have converged. Engines are placed in
-// phaseBarrier for the duration so coordinator-issued WakeKernel calls
-// land this cycle — the cycle the stopped engines have not executed yet
-// — exactly when a dense-mode kernel running before them would be
-// observed.
+// at cycle c; the caller guarantees the clocks have converged on
+// g.base. Engines are placed in phaseBarrier for the duration so
+// coordinator-issued WakeKernel calls land this cycle — the cycle the
+// stopped engines have not executed yet — exactly when a dense-mode
+// kernel running before them would be observed.
 func (g *Group) atBarrier() {
 	if g.co == nil {
 		return
@@ -450,26 +294,6 @@ func (g *Group) atBarrier() {
 	for _, e := range g.engines {
 		e.phase = phaseIdle
 	}
-}
-
-// firstError picks the error the serial (dense) run would have hit
-// first: smallest failure cycle, ties broken by shard index (shards are
-// ordered by rank, matching dense proc registration order).
-func (g *Group) firstError(errs []error) error {
-	best := -1
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if best < 0 || g.engines[i].now < g.engines[best].now {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	g.cycles = g.engines[best].now
-	return errs[best]
 }
 
 // satAdd is a+b saturating at Never.
@@ -558,8 +382,18 @@ func (g *Group) horizons(coCap, chunk int64) {
 	}
 }
 
-// runAdaptive is the per-boundary adaptive-lookahead driver.
-func (g *Group) runAdaptive() error {
+// Run executes all engines to completion with per-boundary adaptive
+// lookahead. Completion, deadlock, and cycle-limit decisions are made
+// between rounds: a run completes when every proc of every engine has
+// finished, deadlocks when no engine has any scheduled event, no
+// boundary traffic is pending, and the coordinator is quiescent, and
+// fails with ErrMaxCycles when the group clock reaches the limit first.
+func (g *Group) Run() error {
+	for _, e := range g.engines {
+		e.startAll()
+		// Seed the event heaps before the first earliestEvent query.
+		e.ensureEventInit()
+	}
 	var failErr error
 	failMin := Never
 	for {
@@ -635,27 +469,19 @@ func (g *Group) runAdaptive() error {
 			g.runSet[i] = run
 		}
 		if ran {
-			if g.parallel && g.workers > 1 {
-				var wg sync.WaitGroup
-				for w := 0; w < g.workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i, e := range g.engines {
-							if g.runSet[i] && g.owner[i] == w {
-								g.engErr[i] = e.runWindow(g.horizon[i])
-							}
+			var wg sync.WaitGroup
+			for w := 0; w < g.workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i, e := range g.engines {
+						if g.runSet[i] && g.owner[i] == w {
+							g.engErr[i] = e.runWindow(g.horizon[i])
 						}
-					}(w)
-				}
-				wg.Wait()
-			} else {
-				for i, e := range g.engines {
-					if g.runSet[i] {
-						g.engErr[i] = e.runWindow(g.horizon[i])
 					}
-				}
+				}(w)
 			}
+			wg.Wait()
 			for i := range g.engines {
 				if g.runSet[i] {
 					g.windows++
@@ -699,9 +525,9 @@ func (g *Group) earliestFailure() (int64, error) {
 }
 
 // liveConverged reports whether every non-failed engine's clock sits
-// exactly at the given cycle — the adaptive-mode barrier condition for
-// coordinator actions, which mutate cross-engine state and therefore
-// need the same all-stopped common clock the fixed mode gets for free.
+// exactly at the given cycle — the barrier condition for coordinator
+// actions, which mutate cross-engine state and therefore need an
+// all-stopped common clock.
 func (g *Group) liveConverged(at int64) bool {
 	for i, e := range g.engines {
 		if g.engErr[i] == nil && e.now != at {

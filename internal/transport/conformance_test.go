@@ -144,21 +144,6 @@ func TestConformanceCreditConservation(t *testing.T) {
 	}
 }
 
-// TestConformanceSkipIdleShim pins the deprecated SkipIdle boolean to
-// the Arbiter enum for the one-release compatibility window.
-func TestConformanceSkipIdleShim(t *testing.T) {
-	c := Config{SkipIdle: true}
-	c.fill()
-	if c.Arbiter != ArbiterSkipIdle {
-		t.Fatalf("SkipIdle=true must map to ArbiterSkipIdle, got %v", c.Arbiter)
-	}
-	c = Config{}
-	c.fill()
-	if c.Arbiter != ArbiterRoundRobin {
-		t.Fatalf("zero config must keep ArbiterRoundRobin, got %v", c.Arbiter)
-	}
-}
-
 func TestParseTransport(t *testing.T) {
 	cases := []struct {
 		in   string

@@ -130,12 +130,6 @@ type Config struct {
 	// Arbiter selects the CK input-arbitration scheme (default
 	// ArbiterRoundRobin).
 	Arbiter Arbiter
-	// SkipIdle selects the skip-idle arbiter.
-	//
-	// Deprecated: set Arbiter to ArbiterSkipIdle instead. The shim maps
-	// SkipIdle=true onto Arbiter when Arbiter is left at its zero value
-	// and will be removed next release.
-	SkipIdle bool
 
 	// Unscheduled is the receiver-driven first window: packets each
 	// paced flow may send before its first grant. It is what keeps
@@ -159,10 +153,6 @@ func (c *Config) fill() {
 	}
 	if c.CKDepth <= 0 {
 		c.CKDepth = 8
-	}
-	if c.SkipIdle && c.Arbiter == ArbiterRoundRobin {
-		// Deprecated-field shim: honor the old boolean for one release.
-		c.Arbiter = ArbiterSkipIdle
 	}
 	if c.Unscheduled <= 0 {
 		c.Unscheduled = 8

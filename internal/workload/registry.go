@@ -68,7 +68,7 @@ type Params struct {
 	Arbiter string
 	// Scheduler selects the simulator scheduling mode.
 	Scheduler sim.SchedulerKind
-	// Shards partitions the ranks into engine shards (see
+	// Shards is the worker-slot count of sim.SchedShardAdaptive (see
 	// smi.Config.Shards); 0 keeps the single-engine build.
 	Shards int
 	// MaxCycles bounds the simulation (0 = workload default).
