@@ -16,6 +16,14 @@ import (
 // engines), which decides them at round barriers instead of in the
 // engine loop.
 func TestTerminationParity(t *testing.T) {
+	wantMaxCycles := func(t *testing.T, event, adaptive error) {
+		if !errors.Is(event, sim.ErrMaxCycles) || !errors.Is(adaptive, sim.ErrMaxCycles) {
+			t.Fatalf("want ErrMaxCycles twice, got event %v, adaptive %v", event, adaptive)
+		}
+		if event.Error() != adaptive.Error() {
+			t.Errorf("event %q, adaptive %q", event, adaptive)
+		}
+	}
 	for _, tc := range []struct {
 		name      string
 		maxCycles int64
@@ -46,9 +54,7 @@ func TestTerminationParity(t *testing.T) {
 		},
 		{
 			// Every rank stays busy, so no engine fast-forwards across the
-			// limit and the quoted cycle is the limit itself. (A lone
-			// engine that idle-skips past MaxCycles quotes the cycle it
-			// landed on; the group clamps to the limit.)
+			// limit.
 			name:      "max-cycles",
 			maxCycles: 2500,
 			program: func(c *Cluster) {
@@ -58,14 +64,18 @@ func TestTerminationParity(t *testing.T) {
 					}
 				})
 			},
-			check: func(t *testing.T, event, adaptive error) {
-				if !errors.Is(event, sim.ErrMaxCycles) || !errors.Is(adaptive, sim.ErrMaxCycles) {
-					t.Fatalf("want ErrMaxCycles twice, got event %v, adaptive %v", event, adaptive)
-				}
-				if event.Error() != adaptive.Error() {
-					t.Errorf("event %q, adaptive %q", event, adaptive)
-				}
+			check:     wantMaxCycles,
+			sameCycle: true,
+		},
+		{
+			// Every rank sleeps through the limit: the idle fast-forward
+			// stops at MaxCycles instead of landing on the far wake-up.
+			name:      "idle-skip across the limit",
+			maxCycles: 2500,
+			program: func(c *Cluster) {
+				c.SPMD("sleeper", func(x *Ctx) { x.Sleep(10_000) })
 			},
+			check:     wantMaxCycles,
 			sameCycle: true,
 		},
 		{

@@ -24,8 +24,12 @@ type Boundary[T any] struct {
 	dstK     KernelID
 	latency  int64
 
-	head []boundaryEntry[T] // visible to the consumer
-	tail []boundaryEntry[T] // produced this window, not yet flushed
+	// Entries visible to the consumer: a power-of-two ring holding n
+	// entries from index first, so steady-state Put/PopReady allocate
+	// nothing (the ring only ever grows to the peak in-flight count).
+	ring     []boundaryEntry[T]
+	first, n int
+	tail     []boundaryEntry[T] // produced this window, not yet flushed
 }
 
 type boundaryEntry[T any] struct {
@@ -78,12 +82,24 @@ func (b *Boundary[T]) srcEngine() *Engine { return b.src }
 // Crossing reports whether the boundary connects two distinct engines.
 func (b *Boundary[T]) Crossing() bool { return b.src != b.dst }
 
+// publish appends ent to the consumer-visible ring, doubling it when full.
+func (b *Boundary[T]) publish(ent boundaryEntry[T]) {
+	if b.n == len(b.ring) {
+		grown := make([]boundaryEntry[T], max(4, 2*len(b.ring)))
+		k := copy(grown, b.ring[b.first:])
+		copy(grown[k:], b.ring[:b.first])
+		b.ring, b.first = grown, 0
+	}
+	b.ring[(b.first+b.n)&(len(b.ring)-1)] = ent
+	b.n++
+}
+
 // Put appends v with readyAt = now+latency. Must be called from the
 // source engine's thread (its kernel or proc phases).
 func (b *Boundary[T]) Put(now int64, v T) {
 	ent := boundaryEntry[T]{v: v, readyAt: now + b.latency}
 	if b.src == b.dst {
-		b.head = append(b.head, ent)
+		b.publish(ent)
 		// The consumer may be parked waiting for exactly this arrival.
 		b.src.wakeKernelAt(b.dstK, ent.readyAt)
 		return
@@ -107,7 +123,9 @@ func (b *Boundary[T]) flush() {
 		panic(fmt.Sprintf("sim: boundary flush violates lookahead: entry ready at %d, consumer already at %d (latency %d)",
 			b.tail[0].readyAt, b.dst.now, b.latency))
 	}
-	b.head = append(b.head, b.tail...)
+	for _, ent := range b.tail {
+		b.publish(ent)
+	}
 	b.dst.wakeKernelAt(b.dstK, b.tail[0].readyAt)
 	b.tail = b.tail[:0]
 }
@@ -116,12 +134,12 @@ func (b *Boundary[T]) flush() {
 // attached hardware is parked for repair (e.g. a failed cable): in-flight
 // traffic is lost, exactly like the monolithic wire model it replaces.
 func (b *Boundary[T]) Clear() {
-	b.head = b.head[:0]
+	b.first, b.n = 0, 0
 	b.tail = b.tail[:0]
 }
 
 // Len returns the number of entries visible to the consumer.
-func (b *Boundary[T]) Len() int { return len(b.head) }
+func (b *Boundary[T]) Len() int { return b.n }
 
 // Pending returns the number of unflushed (produced this window)
 // entries; consumer-side callers must treat it as zero.
@@ -130,17 +148,18 @@ func (b *Boundary[T]) Pending() int { return len(b.tail) }
 // PeekReady returns the oldest entry if its readyAt is due.
 func (b *Boundary[T]) PeekReady(now int64) (T, bool) {
 	var zero T
-	if len(b.head) == 0 || b.head[0].readyAt > now {
+	if b.n == 0 || b.ring[b.first].readyAt > now {
 		return zero, false
 	}
-	return b.head[0].v, true
+	return b.ring[b.first].v, true
 }
 
 // PopReady removes and returns the oldest entry if its readyAt is due.
 func (b *Boundary[T]) PopReady(now int64) (T, bool) {
 	v, ok := b.PeekReady(now)
 	if ok {
-		b.head = b.head[1:]
+		b.first = (b.first + 1) & (len(b.ring) - 1)
+		b.n--
 	}
 	return v, ok
 }
@@ -148,8 +167,8 @@ func (b *Boundary[T]) PopReady(now int64) (T, bool) {
 // NextReadyAt returns the readyAt of the oldest visible entry, or Never
 // if none is visible — the consumer's IdleUntil contribution.
 func (b *Boundary[T]) NextReadyAt() int64 {
-	if len(b.head) == 0 {
+	if b.n == 0 {
 		return Never
 	}
-	return b.head[0].readyAt
+	return b.ring[b.first].readyAt
 }

@@ -55,7 +55,7 @@ type Engine struct {
 	now     int64
 	procs   []*Proc
 	kernels []Kernel
-	fifos   []fifoRef
+	fifos   []*fifoCore
 
 	maxCycles int64
 	trace     io.Writer
@@ -74,14 +74,14 @@ type Engine struct {
 	sched      SchedulerKind
 	phase      enginePhase
 	curKernel  int32         // kernel index being ticked in phaseKernels
-	pq         schedHeap     // proc wake heap: (wakeAt, proc index)
-	kq         schedHeap     // kernel deadline heap: (wakeAt, kernel index)
-	dueK       intHeap       // kernels due this cycle (index order)
-	hotK       []int32       // sorted snapshot of every-cycle kernels
-	isHot      []bool        // per-kernel hot membership
-	hotDirty   bool          // hotK needs rebuilding from isHot
-	kernParked []bool        // per-kernel parked flag
-	kernWhen   []int64       // per-kernel live scheduled wake (or kernUnscheduled)
+	kHot       tickSet       // kernels ticked every executed cycle
+	kDue       tickSet       // parked kernels to tick this cycle
+	kNext      tickSet       // parked kernels to tick next cycle
+	pDue       tickSet       // procs to step this cycle
+	pNext      tickSet       // procs to step next cycle
+	pq         schedHeap     // far proc wakes: (wakeAt, proc index)
+	kq         schedHeap     // far kernel wakes: (wakeAt, kernel index)
+	kernWhen   []int64       // per-kernel live far wake (or kernUnscheduled)
 	kernIdle   []IdleUntiler // cached IdleUntiler, nil if not implemented
 	dirtyFifos []int32       // FIFOs touched this cycle, by registration index
 
@@ -105,7 +105,7 @@ type Engine struct {
 	// phase-4 fast-forward target (pre horizon clamp) after an inactive
 	// one, and Never when nothing is scheduled at all. It is what the
 	// engine knows about its own future at a window boundary — hot
-	// kernels and due-this-cycle work included, which the wake heaps
+	// kernels and due-this-cycle work included, which the far queues
 	// alone are not.
 	windowIdleUntil int64
 
@@ -127,11 +127,6 @@ type Recorder interface {
 	KernelInterval(name string, start, end int64)
 	// Done marks the end of the simulation.
 	Done(now int64)
-}
-
-type fifoRef struct {
-	commit func() bool // returns true if any writes were committed
-	core   *fifoCore
 }
 
 // NewEngine returns an engine with a default cycle limit of one billion
@@ -253,8 +248,6 @@ func (e *Engine) AddKernel(k Kernel) KernelID {
 	e.kernels = append(e.kernels, k)
 	iu, _ := k.(IdleUntiler)
 	e.kernIdle = append(e.kernIdle, iu)
-	e.isHot = append(e.isHot, false)
-	e.kernParked = append(e.kernParked, false)
 	e.kernWhen = append(e.kernWhen, kernUnscheduled)
 	return id
 }
@@ -370,7 +363,7 @@ func (e *Engine) runDense() error {
 			}
 		}
 		for _, f := range e.fifos {
-			f.core.wake(e)
+			f.wake(e)
 		}
 		if e.recorder != nil {
 			e.record(kernelWas)
@@ -385,7 +378,11 @@ func (e *Engine) runDense() error {
 			}
 			switch {
 			case sleeping:
-				// Idle span: jump straight to the next scheduled wake-up.
+				// Idle span: jump straight to the next scheduled wake-up,
+				// or to the cycle limit if that comes first.
+				if next > e.maxCycles {
+					next = e.maxCycles
+				}
 				if next > e.now+1 {
 					e.skipped += next - e.now - 1
 					e.now = next
@@ -517,12 +514,7 @@ func (e *Engine) WakeKernelAt(id KernelID, at int64) {
 }
 
 func (e *Engine) deadlock() error {
-	var blocked []string
-	for _, p := range e.procs {
-		if p.status == procBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s waiting on %s", p.name, p.blockedOn))
-		}
-	}
+	blocked := e.blockedProcs()
 	sort.Strings(blocked)
 	return &DeadlockError{Cycle: e.now, Blocked: blocked}
 }
@@ -581,12 +573,14 @@ func (e *Engine) earliestEvent() int64 {
 }
 
 // jumpTo fast-forwards an idle engine to cycle `at` without executing
-// anything; the caller (the Group) guarantees nothing is scheduled
-// before it.
+// anything; the caller (the Group) guarantees earliestEvent reported
+// nothing before it. Wakes the engine holds regardless (a flush queued
+// behind a stuck boundary head) stay due and run at the first cycle it
+// does execute.
 func (e *Engine) jumpTo(at int64) {
 	if at > e.now {
 		e.skipped += at - e.now
-		e.now = at
+		e.advance(at)
 	}
 }
 
@@ -596,7 +590,11 @@ func (e *Engine) blockedProcs() []string {
 	var blocked []string
 	for _, p := range e.procs {
 		if p.status == procBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s waiting on %s", p.name, p.blockedOn))
+			what := "data"
+			if p.waitSpace {
+				what = "space"
+			}
+			blocked = append(blocked, fmt.Sprintf("%s waiting on %s in fifo %s", p.name, what, p.waitFifo.name))
 		}
 	}
 	return blocked

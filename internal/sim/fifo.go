@@ -9,6 +9,7 @@ type fifoCore struct {
 	capacity  int
 	size      int // committed (reader-visible) occupancy
 	pendingIn int // writes performed this cycle, not yet visible
+	head      int // ring index of the oldest committed element
 
 	spaceWaiters []*Proc
 	dataWaiters  []*Proc
@@ -45,6 +46,29 @@ func (c *fifoCore) wake(e *Engine) {
 	}
 }
 
+// commit publishes this cycle's writes to readers. The elements already
+// sit in their ring slots (see TryPush), so publishing is type-independent.
+func (c *fifoCore) commit() bool {
+	if c.pendingIn == 0 {
+		return false
+	}
+	c.size += c.pendingIn
+	c.pendingIn = 0
+	if c.size > c.maxSize {
+		c.maxSize = c.size
+	}
+	return true
+}
+
+// slot returns the ring index k elements past the oldest committed one.
+func (c *fifoCore) slot(k int) int {
+	i := c.head + k
+	if i >= c.capacity {
+		i -= c.capacity
+	}
+	return i
+}
+
 // Fifo is a bounded queue with registered writes: an element pushed
 // during cycle t becomes visible to readers at cycle t+1, mirroring the
 // one-cycle output latency of an on-chip FIFO. Pops take effect
@@ -55,9 +79,7 @@ func (c *fifoCore) wake(e *Engine) {
 // that the paper's reference implementation works within.
 type Fifo[T any] struct {
 	fifoCore
-	buf     []T // ring buffer of committed elements
-	head    int
-	pending []T // writes awaiting commit
+	buf []T // ring: size committed elements from head, then pendingIn registered writes
 }
 
 // NewFifo creates a FIFO of the given capacity (minimum 1) and registers
@@ -73,7 +95,7 @@ func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
 		fifoCore: fifoCore{name: name, eng: e, index: int32(len(e.fifos)), capacity: capacity},
 		buf:      make([]T, capacity),
 	}
-	e.fifos = append(e.fifos, fifoRef{commit: f.commit, core: &f.fifoCore})
+	e.fifos = append(e.fifos, &f.fifoCore)
 	return f
 }
 
@@ -121,7 +143,10 @@ func (f *Fifo[T]) CanPush() bool { return f.size+f.pendingIn < f.capacity }
 func (f *Fifo[T]) CanPop() bool { return f.size > 0 }
 
 // TryPush enqueues v if space is available, reporting success. The
-// element becomes visible to readers next cycle.
+// element becomes visible to readers next cycle: it is written straight
+// into the ring slot behind the committed and pending elements — pops
+// advance head and shrink size together, so that slot stays put — and
+// commit only has to count it in.
 func (f *Fifo[T]) TryPush(v T) bool {
 	if !f.CanPush() {
 		if !f.stalled {
@@ -131,7 +156,7 @@ func (f *Fifo[T]) TryPush(v T) bool {
 		return false
 	}
 	f.stalled = false
-	f.pending = append(f.pending, v)
+	f.buf[f.slot(f.size+f.pendingIn)] = v
 	f.pendingIn++
 	f.pushes++
 	f.markDirty()
@@ -146,7 +171,7 @@ func (f *Fifo[T]) TryPop() (T, bool) {
 	}
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
-	f.head = (f.head + 1) % f.capacity
+	f.head = f.slot(1)
 	f.size--
 	// A pop frees space immediately, so the end-of-cycle wake pass must
 	// visit this FIFO, and parked producer kernels may resume.
@@ -254,8 +279,11 @@ func (f *Fifo[T]) PopProcPairedE(p *Proc, deadline int64) (T, WaitResult) {
 // commits in c's phase 3 and wakes everything for cycle c+1. Only group
 // coordinators (e.g. the failover manager's packet rescue) may call it;
 // from inside a running window it would break the registered-write
-// contract.
+// contract (and, with writes pending, overwrite the oldest of them).
 func (f *Fifo[T]) PushAtBarrier(v T) bool {
+	if f.pendingIn != 0 {
+		panic("sim: PushAtBarrier with registered writes pending")
+	}
 	if !f.CanPush() {
 		if !f.stalled {
 			f.stalled = true
@@ -264,7 +292,7 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 		return false
 	}
 	f.stalled = false
-	f.buf[(f.head+f.size)%f.capacity] = v
+	f.buf[f.slot(f.size)] = v
 	f.size++
 	f.pushes++
 	if f.size > f.maxSize {
@@ -282,23 +310,6 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 			e.scheduleProc(p, p.runAt)
 		}
 		f.dataWaiters = f.dataWaiters[:0]
-	}
-	return true
-}
-
-// commit publishes this cycle's writes to readers.
-func (f *Fifo[T]) commit() bool {
-	if f.pendingIn == 0 {
-		return false
-	}
-	for _, v := range f.pending {
-		f.buf[(f.head+f.size)%f.capacity] = v
-		f.size++
-	}
-	f.pending = f.pending[:0]
-	f.pendingIn = 0
-	if f.size > f.maxSize {
-		f.maxSize = f.size
 	}
 	return true
 }

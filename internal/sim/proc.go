@@ -42,7 +42,7 @@ func (r WaitResult) String() string {
 	}
 }
 
-// schedNone marks a proc with no live wake-heap entry (event scheduler).
+// schedNone marks a proc with no scheduled wake (event scheduler).
 const schedNone = int64(-1)
 
 // Proc is a cooperative process driven by the engine. A proc models a
@@ -55,26 +55,26 @@ const schedNone = int64(-1)
 type Proc struct {
 	name string
 	eng  *Engine
-	idx  int32 // registration index; ties in the wake heap break on it
+	idx  int32 // registration index: the proc's bit in the tick sets
 	body func(*Proc)
 
 	resume  chan struct{}
 	yielded chan struct{}
 	quit    chan struct{}
 
-	status    procStatus
-	runAt     int64  // earliest cycle a runnable proc may run
-	wakeAt    int64  // wake cycle while sleeping
-	blockedOn string // description of the blocking condition
-	err       error
+	status procStatus
+	runAt  int64 // earliest cycle a runnable proc may run
+	wakeAt int64 // wake cycle while sleeping
+	err    error
 
-	// Cancellable-wait state. A blocked proc whose wait was armed with a
-	// deadline owns exactly one live wake-heap entry at that cycle; the
-	// entry fires the timeout if the FIFO wake has not already won.
-	schedAt     int64      // cycle of the live wake-heap entry (schedNone if none)
+	// Wait state. waitFifo/waitSpace name what a blocked proc waits for
+	// (deadlock reports, waiter removal). A blocked proc whose wait was
+	// armed with a deadline owns exactly one live scheduled wake at that
+	// cycle; it fires the timeout if the FIFO wake has not already won.
+	schedAt     int64      // cycle of the live scheduled wake (schedNone if none)
 	deadline    int64      // absolute timeout cycle while blocked (Never if none)
 	cancellable bool       // current wait may be cancelled (timeout/abort)
-	waitFifo    *fifoCore  // FIFO the proc is blocked on, for waiter removal
+	waitFifo    *fifoCore  // FIFO the proc is (or was last) blocked on
 	waitSpace   bool       // blocked on space (true) or data (false)
 	waitRes     WaitResult // outcome of the last cancellable wait
 }
@@ -169,15 +169,20 @@ func (p *Proc) Sleep(n int64) {
 // waitCond blocks the proc on a FIFO condition. The FIFO's wake pass
 // marks the proc runnable again.
 func (p *Proc) waitCond(c *fifoCore, space bool) {
+	p.block(c, space)
+	p.pause()
+}
+
+// block marks the proc blocked on c and queues it as a waiter.
+func (p *Proc) block(c *fifoCore, space bool) {
 	p.status = procBlocked
+	p.waitFifo = c
+	p.waitSpace = space
 	if space {
-		p.blockedOn = fmt.Sprintf("space in fifo %s", c.name)
 		c.spaceWaiters = append(c.spaceWaiters, p)
 	} else {
-		p.blockedOn = fmt.Sprintf("data in fifo %s", c.name)
 		c.dataWaiters = append(c.dataWaiters, p)
 	}
-	p.pause()
 }
 
 // waitCondCancel blocks the proc on a FIFO condition like waitCond, but
@@ -187,26 +192,17 @@ func (p *Proc) waitCond(c *fifoCore, space bool) {
 // cancellable by Engine.CancelWaits only.
 //
 // A deadline is a scheduled wake, not a per-cycle poll: in the event
-// scheduler it is one wake-heap entry at the deadline cycle, which the
+// scheduler it is one scheduled wake at the deadline cycle, which the
 // FIFO wake turns stale by re-scheduling the proc. An armed deadline
 // that never fires is therefore invisible to the cycle count.
 func (p *Proc) waitCondCancel(c *fifoCore, space bool, deadline int64) WaitResult {
 	if deadline <= p.eng.now {
 		return WaitTimeout
 	}
-	p.status = procBlocked
+	p.block(c, space)
 	p.cancellable = true
 	p.deadline = deadline
-	p.waitFifo = c
-	p.waitSpace = space
 	p.waitRes = WaitOK
-	if space {
-		p.blockedOn = fmt.Sprintf("space in fifo %s", c.name)
-		c.spaceWaiters = append(c.spaceWaiters, p)
-	} else {
-		p.blockedOn = fmt.Sprintf("data in fifo %s", c.name)
-		c.dataWaiters = append(c.dataWaiters, p)
-	}
 	if deadline < Never {
 		p.eng.scheduleProc(p, deadline)
 	}
@@ -214,19 +210,16 @@ func (p *Proc) waitCondCancel(c *fifoCore, space bool, deadline int64) WaitResul
 	res := p.waitRes
 	p.cancellable = false
 	p.deadline = Never
-	p.waitFifo = nil
 	return res
 }
 
 // cancelWait removes a blocked proc from its FIFO waiter list and stamps
 // the wait outcome. The caller transitions the proc back to runnable.
 func (p *Proc) cancelWait(res WaitResult) {
-	if c := p.waitFifo; c != nil {
-		if p.waitSpace {
-			c.spaceWaiters = removeProc(c.spaceWaiters, p)
-		} else {
-			c.dataWaiters = removeProc(c.dataWaiters, p)
-		}
+	if c := p.waitFifo; p.waitSpace {
+		c.spaceWaiters = removeProc(c.spaceWaiters, p)
+	} else {
+		c.dataWaiters = removeProc(c.dataWaiters, p)
 	}
 	p.waitRes = res
 }

@@ -1,21 +1,28 @@
 package sim
 
+import "math/bits"
+
 // Event-driven scheduler. The engine supports two scheduling modes that
 // are required to be cycle-for-cycle equivalent:
 //
 //   - SchedDense is the reference implementation: every proc, kernel,
 //     and FIFO is visited on every executed cycle.
-//   - SchedEvent visits only components with work: procs live in a
-//     min-heap keyed by wake cycle, kernels that declare an idle horizon
-//     (IdleUntil) are parked until a scheduled deadline or an explicit
-//     wake, and FIFO commits are driven by a dirty list.
+//   - SchedEvent visits only components with work. Activity is kept in
+//     index-ordered bitsets (tickSet): kernels have a hot set (tick every
+//     executed cycle), a due set (tick this cycle) and a next set (tick
+//     the cycle after); procs have the same due/next pair. Nearly every
+//     wake is for this cycle or the next, so it is one bit; only wakes
+//     further out (link-latency arrivals, retransmit timers, Sleep(n>=2),
+//     wait deadlines, IdleUntil horizons) go through the far queues, a
+//     binary heap per component kind. FIFO commits are driven by a dirty
+//     list.
 //
 // Determinism contract (see DESIGN.md): whenever several components are
-// due on the same cycle, they are drained in registration-index order,
-// which is exactly the order the dense scan visits them. Parked kernels
-// promise via IdleUntil that ticking them before their horizon would
-// observe no state change and perform none, so skipping those ticks is
-// unobservable.
+// due on the same cycle, they run in registration-index order, which is
+// exactly the order the dense scan visits them — and the order a bitset
+// walk yields. Parked kernels promise via IdleUntil that ticking them
+// before their horizon would observe no state change and perform none,
+// so skipping those ticks is unobservable.
 
 // SchedulerKind selects the engine's scheduling mode.
 type SchedulerKind uint8
@@ -54,7 +61,7 @@ func (k SchedulerKind) String() string {
 // an attached FIFO or an explicit WakeKernel call wakes it.
 const Never = int64(1<<63 - 1)
 
-// kernUnscheduled marks a parked kernel with no live heap entry.
+// kernUnscheduled marks a kernel with no live far-queue entry.
 const kernUnscheduled = int64(-1)
 
 // KernelID identifies a registered kernel; AddKernel returns it and
@@ -133,9 +140,8 @@ const (
 	phaseBarrier
 )
 
-// schedEntry is a heap element: a component index due at cycle `at`.
-// Entries with equal `at` order by index, which makes same-cycle heap
-// drains match registration order.
+// schedEntry is a far-queue element: a component index due at cycle
+// `at`, two or more cycles out when it was pushed.
 type schedEntry struct {
 	at  int64
 	idx int32
@@ -147,12 +153,10 @@ type schedHeap struct {
 
 func (q *schedHeap) len() int        { return len(q.h) }
 func (q *schedHeap) top() schedEntry { return q.h[0] }
-func (q *schedHeap) less(a, b int) bool {
-	if q.h[a].at != q.h[b].at {
-		return q.h[a].at < q.h[b].at
-	}
-	return q.h[a].idx < q.h[b].idx
-}
+
+// less orders by cycle alone: entries that mature on the same cycle are
+// merged into a tick set, which puts them in index order.
+func (q *schedHeap) less(a, b int) bool { return q.h[a].at < q.h[b].at }
 
 func (q *schedHeap) push(at int64, idx int32) {
 	q.h = append(q.h, schedEntry{at, idx})
@@ -190,47 +194,37 @@ func (q *schedHeap) pop() schedEntry {
 	}
 }
 
-// intHeap is a min-heap of kernel indices used for same-cycle due sets.
-type intHeap []int32
+// tickSet is a bitset over registration indices. Same-cycle components
+// run in registration order, so walking the words upward and each word
+// with bits.TrailingZeros64 visits a due-set already sorted.
+type tickSet []uint64
 
-func (q *intHeap) push(v int32) {
-	*q = append(*q, v)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[i] >= h[parent] {
-			break
+func (s tickSet) set(i int32) { s[i>>6] |= 1 << (uint(i) & 63) }
+
+func (s tickSet) any() bool {
+	for _, w := range s {
+		if w != 0 {
+			return true
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	}
+	return false
+}
+
+// fill marks indices [0, n).
+func (s tickSet) fill(n int) {
+	for i := 0; i < n; i++ {
+		s.set(int32(i))
 	}
 }
 
-func (q *intHeap) pop() int32 {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h) && h[l] < h[smallest] {
-			smallest = l
+// drainInto ors s into dst and empties s.
+func (s tickSet) drainInto(dst tickSet) {
+	for i, w := range s {
+		if w != 0 {
+			dst[i] |= w
+			s[i] = 0
 		}
-		if r < len(h) && h[r] < h[smallest] {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
 	}
-	*q = h
-	return top
 }
 
 // SetScheduler selects the scheduling mode. Must be called before Run.
@@ -285,76 +279,67 @@ func (e *Engine) WakeKernel(id KernelID) {
 }
 
 // wakeKernelAt schedules a tick for a parked kernel at cycle `at` unless
-// an earlier or equal tick is already scheduled.
+// an earlier or equal tick is already scheduled. The due set is the cycle
+// being executed (or, with the engine stopped, the next one it executes);
+// the next set is e.now+1 and is merged into due whenever the clock moves
+// (see advance), so a now+1 wake issued while stopped still lands a cycle
+// after the one the engine has yet to run.
 func (e *Engine) wakeKernelAt(id KernelID, at int64) {
 	j := int32(id)
-	if !e.kernParked[j] {
-		return
+	w, m := int(j>>6), uint64(1)<<(uint(j)&63)
+	if w >= len(e.kHot) || e.kHot[w]&m != 0 {
+		return // ticking every cycle anyway (the sets are empty under the dense scan)
 	}
-	if w := e.kernWhen[j]; w != kernUnscheduled && w <= at {
-		return
+	switch {
+	case at <= e.now:
+		e.kDue[w] |= m
+	case at == e.now+1:
+		e.kNext[w] |= m
+	case (e.kDue[w]|e.kNext[w])&m != 0:
+		// already ticking sooner than any far wake
+	default:
+		if have := e.kernWhen[j]; have == kernUnscheduled || have > at {
+			e.kernWhen[j] = at
+			e.kq.push(at, j)
+		}
 	}
-	e.kernWhen[j] = at
-	e.kq.push(at, j)
 }
 
-// scheduleProc records a proc wake for the event scheduler. Each proc
-// has at most one live heap entry — the one matching p.schedAt: procs
-// enter the heap when they sleep, arm a wait deadline, or are woken from
-// a FIFO wait, and leave it when stepped. Re-scheduling (e.g. a FIFO
-// wake beating an armed deadline) strands the older entry, which the pop
-// and fast-forward paths recognize as stale and discard.
+// advance moves the clock forward to cycle `to`; whatever was scheduled
+// for the cycle after the old one is due by then.
+func (e *Engine) advance(to int64) {
+	e.now = to
+	e.kNext.drainInto(e.kDue)
+	e.pNext.drainInto(e.pDue)
+}
+
+// scheduleProc records a proc wake for the event scheduler: a bit in the
+// due or next set (split as in wakeKernelAt), or a far-queue entry.
+// A proc has at most one live far entry — the one matching p.schedAt —
+// because re-scheduling (a FIFO wake beating an armed deadline) strands
+// the older entry, which maturation and fast-forward discard as stale.
 func (e *Engine) scheduleProc(p *Proc, at int64) {
-	if e.sched != SchedDense {
-		p.schedAt = at
+	if e.sched == SchedDense {
+		return
+	}
+	p.schedAt = at
+	switch {
+	case at <= e.now:
+		e.pDue.set(p.idx)
+	case at == e.now+1:
+		e.pNext.set(p.idx)
+	default:
 		e.pq.push(at, p.idx)
 	}
 }
 
-// setHot moves kernel j into the every-cycle tick set.
-func (e *Engine) setHot(j int32) {
-	e.kernParked[j] = false
-	e.kernWhen[j] = kernUnscheduled
-	if !e.isHot[j] {
-		e.isHot[j] = true
-		e.hotDirty = true
-	}
-}
-
-// parkKernel removes kernel j from the tick set until cycle w (or an
-// external wake if w is Never).
-func (e *Engine) parkKernel(j int32, w int64) {
-	e.kernParked[j] = true
-	if e.isHot[j] {
-		e.isHot[j] = false
-		e.hotDirty = true
-	}
-	if w < Never {
-		e.kernWhen[j] = w
-		e.kq.push(w, j)
-	} else {
-		e.kernWhen[j] = kernUnscheduled
-	}
-}
-
-// rebuildHot regenerates the sorted hot-kernel snapshot from isHot.
-func (e *Engine) rebuildHot() {
-	e.hotK = e.hotK[:0]
-	for j := range e.isHot {
-		if e.isHot[j] {
-			e.hotK = append(e.hotK, int32(j))
-		}
-	}
-	e.hotDirty = false
-}
-
-// kernNextDeadline returns the earliest live scheduled kernel wake,
-// discarding stale heap entries.
+// kernNextDeadline returns the earliest live far kernel wake, discarding
+// stale entries.
 func (e *Engine) kernNextDeadline() (int64, bool) {
 	for e.kq.len() > 0 {
 		top := e.kq.top()
 		if e.kernWhen[top.idx] != top.at {
-			e.kq.pop() // stale: the kernel was rescheduled or woken
+			e.kq.pop() // stale: the kernel ticked or was rescheduled since
 			continue
 		}
 		return top.at, true
@@ -382,32 +367,29 @@ func (c *fifoCore) wakeKernels() {
 	}
 }
 
-// ensureEventInit seeds the wake heap and hot set once per run. Windowed
-// runs (see Group) call runEvent once per window, so the seeding is
-// guarded rather than inlined in the loop entry.
+// ensureEventInit sizes the tick sets from the registered counts and
+// seeds them, once per run. Windowed runs (see Group) call runEvent once
+// per window, so the seeding is guarded rather than inlined in the loop
+// entry.
 func (e *Engine) ensureEventInit() {
 	if e.eventInit {
 		return
 	}
 	e.eventInit = true
-	// All procs start runnable at cycle 0, in registration order.
-	for _, p := range e.procs {
-		p.schedAt = 0
-		e.pq.push(0, p.idx)
-	}
-	for j := range e.kernels {
-		e.isHot[j] = true
-		e.hotK = append(e.hotK, int32(j))
-	}
+	kw, pw := (len(e.kernels)+63)/64, (len(e.procs)+63)/64
+	e.kHot, e.kDue, e.kNext = make(tickSet, kw), make(tickSet, kw), make(tickSet, kw)
+	e.pDue, e.pNext = make(tickSet, pw), make(tickSet, pw)
+	// All procs start runnable at cycle 0 and every kernel starts hot.
+	e.pDue.fill(len(e.procs))
+	e.kHot.fill(len(e.kernels))
 }
 
-// nextProcEvent returns the earliest live proc wake in the event heap,
-// discarding stale entries along the way.
+// nextProcEvent returns the earliest live far proc wake, discarding
+// stale entries along the way.
 func (e *Engine) nextProcEvent() int64 {
 	for e.pq.len() > 0 {
 		top := e.pq.top()
-		p := e.procs[top.idx]
-		if p.status == procFinished || p.schedAt != top.at {
+		if e.procs[top.idx].schedAt != top.at {
 			e.pq.pop() // stale: superseded by a later (re)schedule
 			continue
 		}
@@ -440,37 +422,39 @@ func (e *Engine) runEvent() error {
 		e.executed++
 		active := false
 
-		// Phase 1: run procs due this cycle, in registration order
-		// (equal-cycle heap entries pop in index order). Entries whose
-		// cycle no longer matches the proc's live schedule are stale —
-		// a FIFO wake or cancel superseded them — and are discarded.
-		// A live entry for a still-blocked proc is an armed deadline
-		// firing: the wait is cancelled with WaitTimeout.
+		// Phase 1: far proc wakes that matured join the due set, then the
+		// due procs run in registration order. A far entry whose cycle no
+		// longer matches the proc's live schedule is stale — a FIFO wake
+		// or cancel superseded it. A due proc that is still blocked is an
+		// armed deadline firing: the wait is cancelled with WaitTimeout.
 		e.phase = phaseProcs
 		for e.pq.len() > 0 && e.pq.top().at <= e.now {
-			ent := e.pq.pop()
-			p := e.procs[ent.idx]
-			if p.status == procFinished || p.schedAt != ent.at {
-				continue // stale entry
+			if ent := e.pq.pop(); e.procs[ent.idx].schedAt == ent.at {
+				e.pDue.set(ent.idx)
 			}
-			p.schedAt = schedNone
-			if p.status == procBlocked {
-				p.cancelWait(WaitTimeout)
-			}
-			p.status = procRunnable
-			active = true
-			if err := e.step(p); err != nil {
-				e.stopProcs()
-				return err
+		}
+		for w := range e.pDue {
+			for e.pDue[w] != 0 {
+				b := bits.TrailingZeros64(e.pDue[w])
+				e.pDue[w] &^= 1 << b
+				p := e.procs[w<<6|b]
+				p.schedAt = schedNone
+				if p.status == procBlocked {
+					p.cancelWait(WaitTimeout)
+				}
+				p.status = procRunnable
+				active = true
+				if err := e.step(p); err != nil {
+					e.stopProcs()
+					return err
+				}
 			}
 		}
 
-		// Phase 2: tick hot kernels and due parked kernels, merged in
-		// index order. Same-cycle wakes land in dueK mid-pass.
+		// Phase 2: tick hot and due kernels in index order. hot|due is
+		// re-read above the last ticked bit after every tick, so a
+		// same-cycle wake of a later kernel joins the pass.
 		e.phase = phaseKernels
-		if e.hotDirty {
-			e.rebuildHot()
-		}
 		if e.recorder != nil {
 			if cap(e.kernWasBuf) < len(e.kernels) {
 				e.kernWasBuf = make([]bool, len(e.kernels))
@@ -480,63 +464,60 @@ func (e *Engine) runEvent() error {
 				e.kernWasBuf[i] = false
 			}
 		}
-		e.dueK = e.dueK[:0]
-		drainDue := func() {
-			for e.kq.len() > 0 {
-				top := e.kq.top()
-				if top.at > e.now {
-					if e.kernWhen[top.idx] != top.at {
-						e.kq.pop() // stale
-						continue
-					}
-					break
-				}
-				e.kq.pop()
-				if e.kernWhen[top.idx] != top.at {
-					continue // stale
-				}
-				e.kernWhen[top.idx] = kernUnscheduled
-				e.kernParked[top.idx] = false
-				e.dueK.push(top.idx)
+		for e.kq.len() > 0 && e.kq.top().at <= e.now {
+			if ent := e.kq.pop(); e.kernWhen[ent.idx] == ent.at {
+				e.kDue.set(ent.idx)
 			}
 		}
-		drainDue()
-		hi := 0
-		for {
-			var j int32 = -1
-			if hi < len(e.hotK) {
-				j = e.hotK[hi]
-			}
-			if len(e.dueK) > 0 && (j < 0 || e.dueK[0] < j) {
-				j = e.dueK.pop()
-			} else if j >= 0 {
-				hi++
-			} else {
-				break
-			}
-			e.curKernel = j
-			did := e.kernels[j].Tick(e.now)
-			e.kernelTicks++
-			if e.recorder != nil {
-				e.kernWasBuf[j] = did
-			}
-			if did {
-				active = true
-				e.setHot(j)
-			} else if iu := e.kernIdle[j]; iu != nil {
-				// Any future horizon becomes a scheduled park — even
-				// now+1 — so phase 4 sees every pending wake in the
-				// heap and never mistakes a waiting kernel for
-				// quiescence.
-				if w := iu.IdleUntil(e.now); w > e.now {
-					e.parkKernel(j, w)
-				} else {
-					e.setHot(j)
+		hot := e.kHot
+		due, nxt := e.kDue[:len(hot)], e.kNext[:len(hot)] // equal lengths, stated for bounds-check elimination
+		for w := range hot {
+			var done uint64 // bits up to and including the last ticked one
+			for {
+				pend := (hot[w] | due[w]) &^ done
+				if pend == 0 {
+					break
 				}
-			} else {
-				e.setHot(j)
+				m := pend & -pend
+				done = m | (m - 1)
+				j := int32(w<<6 | bits.TrailingZeros64(pend))
+				e.curKernel = j
+				did := e.kernels[j].Tick(e.now)
+				e.kernelTicks++
+				// The tick supersedes every wake the kernel held (or sent
+				// itself by popping its own input); a next bit left
+				// standing would tick it twice.
+				if (due[w]|nxt[w])&m != 0 {
+					due[w] &^= m
+					nxt[w] &^= m
+				}
+				e.kernWhen[j] = kernUnscheduled
+				if e.recorder != nil {
+					e.kernWasBuf[j] = did
+				}
+				until := e.now // stay hot unless the kernel declares a horizon
+				if did {
+					active = true
+				} else if iu := e.kernIdle[j]; iu != nil {
+					until = iu.IdleUntil(e.now)
+				}
+				// Any future horizon becomes a scheduled park — even
+				// now+1 — so phase 4 sees every pending wake and never
+				// mistakes a waiting kernel for quiescence.
+				switch {
+				case until <= e.now:
+					hot[w] |= m
+				case until == e.now+1:
+					hot[w] &^= m
+					nxt[w] |= m
+				default:
+					hot[w] &^= m
+					if until < Never {
+						e.kernWhen[j] = until
+						e.kq.push(until, j)
+					}
+				}
 			}
-			drainDue() // pick up same-cycle wakes issued by this tick
 		}
 		e.curKernel = int32(len(e.kernels))
 
@@ -547,40 +528,35 @@ func (e *Engine) runEvent() error {
 			sortInt32(e.dirtyFifos)
 		}
 		for _, fi := range e.dirtyFifos {
-			f := e.fifos[fi]
-			if f.commit() {
+			if f := e.fifos[fi]; f.commit() {
 				active = true
 				e.fifoCommits++
-				f.core.wakeKernels()
+				f.wakeKernels()
 			}
 		}
 		for _, fi := range e.dirtyFifos {
-			e.fifos[fi].core.wake(e)
+			e.fifos[fi].wake(e)
 		}
 		for _, fi := range e.dirtyFifos {
-			e.fifos[fi].core.dirty = false
+			e.fifos[fi].dirty = false
 		}
 		e.dirtyFifos = e.dirtyFifos[:0]
 		if e.recorder != nil {
 			e.record(e.kernWasBuf)
 		}
 
-		// Phase 4: termination and fast-forward.
+		// Phase 4: termination and fast-forward. A next bit is an event
+		// at now+1; hot kernels alone schedule nothing, so an inactive
+		// cycle with only hot kernels still fast-forwards.
 		e.phase = phaseIdle
 		e.windowIdleUntil = e.now + 1
-		if !active {
+		if !active && !e.kNext.any() && !e.pNext.any() {
 			next := e.nextProcEvent()
 			if kd, ok := e.kernNextDeadline(); ok && kd < next {
 				next = kd
 			}
 			e.windowIdleUntil = next
-			if e.windowed && next > e.horizon {
-				// Quiescent through the window boundary; whether anything
-				// happens later (boundary traffic, other shards' procs) is
-				// the group's call, so jump to the horizon and return.
-				next = e.horizon
-			}
-			if next == Never {
+			if next == Never && !e.windowed {
 				if e.finished == len(e.procs) {
 					// Kernel-only (or empty) quiescence: nothing is
 					// scheduled and no proc is waiting — a clean end.
@@ -590,13 +566,23 @@ func (e *Engine) runEvent() error {
 				e.stopProcs()
 				return err
 			}
+			// Quiescent through the window boundary (whether anything
+			// happens later is the group's call) or through the cycle
+			// limit: jump exactly there.
+			limit := e.maxCycles
+			if e.windowed {
+				limit = e.horizon
+			}
+			if next > limit {
+				next = limit
+			}
 			if next > e.now+1 {
 				e.skipped += next - e.now - 1
-				e.now = next
+				e.advance(next)
 				continue
 			}
 		}
-		e.now++
+		e.advance(e.now + 1)
 	}
 }
 
