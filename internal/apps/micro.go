@@ -248,6 +248,7 @@ type PingPongResult struct {
 	Cycles    int64
 	LatencyUs float64 // half round-trip time
 	Hops      int
+	Net       smi.Stats
 }
 
 // PingPong bounces a single-element message between two ranks and
@@ -290,6 +291,7 @@ func PingPong(cfg NetConfig, a, b, rounds int) (PingPongResult, error) {
 		Cycles:    st.Cycles,
 		LatencyUs: st.Micros / float64(2*rounds),
 		Hops:      c.Routes().Hops(a, b),
+		Net:       st,
 	}, nil
 }
 
@@ -449,7 +451,7 @@ func ReduceTime(cfg NetConfig, ranks, elems, creditElems int) (CollectiveResult,
 	if err != nil {
 		return CollectiveResult{}, err
 	}
-	return CollectiveResult{Elems: elems, Ranks: ranks, Cycles: st.Cycles, Micros: st.Micros}, nil
+	return CollectiveResult{Elems: elems, Ranks: ranks, Cycles: st.Cycles, Micros: st.Micros, Net: st}, nil
 }
 
 // ScatterTime distributes elems float32 elements per rank from rank 0
@@ -517,5 +519,5 @@ func oneToAllTime(cfg NetConfig, ranks, elems int, kind smi.PortKind) (Collectiv
 	if err != nil {
 		return CollectiveResult{}, err
 	}
-	return CollectiveResult{Elems: elems, Ranks: ranks, Cycles: st.Cycles, Micros: st.Micros}, nil
+	return CollectiveResult{Elems: elems, Ranks: ranks, Cycles: st.Cycles, Micros: st.Micros, Net: st}, nil
 }

@@ -42,6 +42,7 @@ type SummaResult struct {
 	Cycles int64
 	Micros float64
 	C      [][]float32 // assembled result when Verify
+	Net    smi.Stats
 }
 
 // Deterministic synthetic inputs, exact in float32.
@@ -154,7 +155,7 @@ func Summa(cfg SummaConfig) (SummaResult, error) {
 	if err != nil {
 		return SummaResult{}, err
 	}
-	res.Cycles, res.Micros = stats.Cycles, stats.Micros
+	res.Cycles, res.Micros, res.Net = stats.Cycles, stats.Micros, stats
 	if cfg.Verify {
 		res.C = make([][]float32, cfg.N)
 		for i := range res.C {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-func busCluster(t *testing.T, n int, ports ...PortSpec) *Cluster {
+func busCluster(t testing.TB, n int, ports ...PortSpec) *Cluster {
 	t.Helper()
 	topo, err := topology.Bus(n)
 	if err != nil {

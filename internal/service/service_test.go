@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -386,4 +389,38 @@ func TestJobFailureIsIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustDone(t, good)
+}
+
+// A failed run leaves nothing behind: every proc of a job that hits its
+// cycle limit is unwound before the job turns terminal, under both
+// schedulers, so the server's goroutine count returns to its idle value.
+func TestFailedJobsLeakNoGoroutines(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 2, QueueDepth: 32})
+	idle := runtime.NumGoroutine()
+
+	var jobs []*Job
+	for i := 0; i < 20; i++ {
+		spec := JobSpec{Workload: "stencil", Ranks: 4, MaxCycles: 50}
+		if i%2 == 1 {
+			spec.Scheduler, spec.Shards = "shard-adaptive", 2
+		}
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		st := waitTerminal(t, j)
+		if st.State != StateFailed || !strings.Contains(st.Error, sim.ErrMaxCycles.Error()) {
+			t.Fatalf("job %s ended %s (%s), want the cycle limit to fail it", st.ID, st.State, st.Error)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > idle {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after 20 failed jobs, %d when idle", runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

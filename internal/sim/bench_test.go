@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -112,25 +114,38 @@ func BenchmarkBoundary(b *testing.B) {
 	})
 }
 
+// BenchmarkProcTick is one proc resumption: engine -> body -> engine. The
+// coroutine switch never goes through a run queue, so the cost at
+// GOMAXPROCS 1 and at every CPU is expected to be the same (within 10 %).
 func BenchmarkProcTick(b *testing.B) {
-	e := NewEngine()
-	e.SetMaxCycles(int64(b.N) + 2)
-	NewProc(e, "ticker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Tick()
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
+	counts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, procs := range counts {
+		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			e := NewEngine()
+			e.SetMaxCycles(int64(b.N) + 2)
+			NewProc(e, "ticker", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Tick()
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := e.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
 // The steady state of every sim primitive allocates nothing: FIFO
 // elements live in the ring from push to pop, boundary rings only grow
 // to their peak occupancy, and parking and waking a kernel is bit
-// arithmetic plus far-queue slots that are reused.
+// arithmetic plus far-queue slots that are reused, and a proc step is a
+// coroutine switch.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	check := func(name string, f func()) {
 		t.Helper()
@@ -183,6 +198,26 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	pe := NewEngine()
+	NewProc(pe, "ticker", func(p *Proc) {
+		for {
+			p.Tick()
+		}
+	})
+	pe.startAll()
+	defer pe.stopProcs()
+	horizon = 0
+	check("proc step", func() {
+		horizon += 6
+		if err := pe.runWindow(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := pe.SchedStats(); st.ProcSteps != st.CyclesExecuted {
+		t.Errorf("ticker proc stepped %d times over %d cycles", st.ProcSteps, st.CyclesExecuted)
+	}
+
 	if st := pw.SchedStats(); st.KernelTicks >= int64(140)*st.CyclesExecuted || st.FifoCommits == 0 {
 		t.Errorf("park/wake engine never parked: %d ticks over %d cycles, %d commits", st.KernelTicks, st.CyclesExecuted, st.FifoCommits)
 	}

@@ -4,7 +4,7 @@
 // The engine advances a single global clock. Three kinds of entities
 // participate in every cycle, in a fixed, deterministic order:
 //
-//  1. Procs: cooperative processes backed by goroutines. A proc models a
+//  1. Procs: cooperative processes backed by coroutines. A proc models a
 //     pipelined HLS kernel written as straight-line code; every blocking
 //     FIFO operation costs at least one clock cycle (initiation interval
 //     of one).
@@ -272,10 +272,7 @@ func maxCyclesErr(limit int64) error {
 // or nil on clean completion. The scheduling mode (SetScheduler) changes
 // only wall-clock cost, never simulated behavior.
 func (e *Engine) Run() error {
-	e.started = true
-	for _, p := range e.procs {
-		p.start()
-	}
+	e.startAll()
 	defer e.finishRecording()
 	if e.sched == SchedDense {
 		return e.runDense()
@@ -291,7 +288,7 @@ func (e *Engine) Run() error {
 func (e *Engine) runDense() error {
 	for {
 		if e.finished == len(e.procs) && len(e.procs) > 0 {
-			return e.drain()
+			return nil
 		}
 		if e.now >= e.maxCycles {
 			e.stopProcs()
@@ -395,7 +392,7 @@ func (e *Engine) runDense() error {
 			default:
 				// Kernel-only (or empty) quiescence: nothing scheduled,
 				// no proc waiting — a clean end.
-				return e.drain()
+				return nil
 			}
 		}
 		e.now++
@@ -424,11 +421,10 @@ func (e *Engine) denseKernelDeadline() (int64, bool) {
 	return at, ok
 }
 
-// step resumes proc p and waits for it to yield.
+// step switches into proc p until its next pause (or its end).
 func (e *Engine) step(p *Proc) error {
 	e.procSteps++
-	p.resume <- struct{}{}
-	<-p.yielded
+	p.next()
 	if p.status == procFinished {
 		e.finished++
 		// The cycle the dense scan would report if this were the last
@@ -519,11 +515,8 @@ func (e *Engine) deadlock() error {
 	return &DeadlockError{Cycle: e.now, Blocked: blocked}
 }
 
-// drain lets proc goroutines exit after completion.
-func (e *Engine) drain() error { return nil }
-
-// startAll starts every proc goroutine; the Group driver calls it once
-// in place of Run's own startup.
+// startAll creates every proc's coroutine; the Group driver calls it
+// once in place of Run's own startup.
 func (e *Engine) startAll() {
 	e.started = true
 	for _, p := range e.procs {
@@ -600,12 +593,13 @@ func (e *Engine) blockedProcs() []string {
 	return blocked
 }
 
-// stopProcs terminates any still-running proc goroutines so they do not
-// leak after an error.
+// stopProcs unwinds every unfinished proc before a failed run returns:
+// deferred functions of entered bodies run, unentered bodies never do,
+// and no coroutine outlives the run.
 func (e *Engine) stopProcs() {
 	for _, p := range e.procs {
 		if p.status != procFinished {
-			p.kill()
+			p.stop()
 		}
 	}
 }

@@ -229,8 +229,12 @@ func TestProcPanicPropagates(t *testing.T) {
 		}
 	})
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if err == nil || !strings.Contains(err.Error(), "proc bad: panic: boom") {
 		t.Fatalf("expected propagated panic, got %v", err)
+	}
+	// The stack is the proc's own, taken before it unwound.
+	if !strings.Contains(err.Error(), "TestProcPanicPropagates.func1") {
+		t.Errorf("panic report does not name the proc body:\n%v", err)
 	}
 }
 

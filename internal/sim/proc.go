@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -15,8 +16,8 @@ const (
 	procFinished
 )
 
-// errKilled is thrown (via panic) into a proc goroutine when the engine
-// aborts; it unwinds the proc body and is swallowed by the runner.
+// errKilled is thrown (via panic) into a proc body when the engine
+// aborts; it unwinds the body and is swallowed by the runner.
 var errKilled = errors.New("sim: proc killed")
 
 // WaitResult reports how a cancellable FIFO wait ended.
@@ -50,6 +51,15 @@ const schedNone = int64(-1)
 // cycle-consuming operation (Tick, Sleep, blocking FIFO access) yields
 // control back to the engine.
 //
+// The body runs as a coroutine (iter.Pull): the engine switches into it
+// and it switches back, without a trip through the Go scheduler. When a
+// run fails, every unfinished body is unwound before Run returns: a
+// parked body panics out of its pending call and its deferred functions
+// run; a body never entered never is. A body must not call
+// runtime.Goexit (t.FailNow/Fatal/Skip included: it would take the
+// engine's goroutine along) or runtime.LockOSThread (the engine resumes
+// it from whichever worker goroutine owns the engine at the time).
+//
 // Proc methods must only be called from within the proc's own body
 // function, never from other goroutines or from Kernel.Tick.
 type Proc struct {
@@ -58,9 +68,11 @@ type Proc struct {
 	idx  int32 // registration index: the proc's bit in the tick sets
 	body func(*Proc)
 
-	resume  chan struct{}
-	yielded chan struct{}
-	quit    chan struct{}
+	// Coroutine hand-off (see start): next runs the body up to its next
+	// pause, yield is the body's way back, stop unwinds a parked body.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	status procStatus
 	runAt  int64 // earliest cycle a runnable proc may run
@@ -90,9 +102,6 @@ func NewProc(e *Engine, name string, body func(*Proc)) *Proc {
 		eng:      e,
 		idx:      int32(len(e.procs)),
 		body:     body,
-		resume:   make(chan struct{}),
-		yielded:  make(chan struct{}),
-		quit:     make(chan struct{}),
 		schedAt:  schedNone,
 		deadline: Never,
 	}
@@ -109,8 +118,13 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current cycle.
 func (p *Proc) Now() int64 { return p.eng.now }
 
+// start creates the proc's coroutine; the body is entered by the first
+// next, and never if stop comes first. The panic filter sits inside the
+// pulled function so that nothing escapes through next into the engine
+// loop: a body panic becomes p.err, errKilled is swallowed.
 func (p *Proc) start() {
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if err, ok := r.(error); !ok || !errors.Is(err, errKilled) {
@@ -118,30 +132,17 @@ func (p *Proc) start() {
 				}
 			}
 			p.status = procFinished
-			p.yielded <- struct{}{}
 		}()
-		<-p.resume
 		p.body(p)
-	}()
+	})
 }
 
-func (p *Proc) kill() {
-	close(p.quit)
-	select {
-	case p.resume <- struct{}{}:
-		<-p.yielded
-	default:
-	}
-}
-
-// pause yields control to the engine and blocks until resumed.
+// pause yields control to the engine and blocks until resumed. Once the
+// proc is killed every pause panics, so a body that recovers errKilled
+// and keeps going is killed again at its next cycle-consuming call.
 func (p *Proc) pause() {
-	p.yielded <- struct{}{}
-	<-p.resume
-	select {
-	case <-p.quit:
+	if !p.yield(struct{}{}) {
 		panic(errKilled)
-	default:
 	}
 }
 

@@ -411,7 +411,7 @@ func (e *Engine) runEvent() error {
 			}
 		} else {
 			if e.finished == len(e.procs) && len(e.procs) > 0 {
-				return e.drain()
+				return nil
 			}
 			if e.now >= e.maxCycles {
 				e.stopProcs()
@@ -560,7 +560,7 @@ func (e *Engine) runEvent() error {
 				if e.finished == len(e.procs) {
 					// Kernel-only (or empty) quiescence: nothing is
 					// scheduled and no proc is waiting — a clean end.
-					return e.drain()
+					return nil
 				}
 				err := e.deadlock()
 				e.stopProcs()

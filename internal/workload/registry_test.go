@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -79,6 +80,39 @@ func quickTestSize(name string) int {
 		return 8
 	default:
 		return 0
+	}
+}
+
+// Every registered workload hands back the cluster's execution record:
+// the scheduler it reports is the one requested (never a silent
+// fallback), and its cycle count is the result's. Scheduling changes
+// neither cycles nor digest.
+func TestEveryWorkloadReportsStats(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var results []Result
+			for _, sched := range []sim.SchedulerKind{sim.SchedEvent, sim.SchedShardAdaptive} {
+				p := Params{Ranks: 4, Size: quickTestSize(name), Scheduler: sched}
+				if sched == sim.SchedShardAdaptive {
+					p.Shards = 2
+				}
+				res, err := Run(name, p)
+				if err != nil {
+					t.Fatalf("%s: %v", sched, err)
+				}
+				if got := res.Stats.Sched.Scheduler; got != sched.String() {
+					t.Errorf("%s: stats report scheduler %q", sched, got)
+				}
+				if res.Stats.Cycles != res.Cycles || res.Cycles <= 0 {
+					t.Errorf("%s: stats report %d cycles, the result %d", sched, res.Stats.Cycles, res.Cycles)
+				}
+				results = append(results, res)
+			}
+			if a, b := results[0], results[1]; a.Cycles != b.Cycles || a.OutputDigest != b.OutputDigest {
+				t.Errorf("event (%d, %s) and shard-adaptive (%d, %s) disagree", a.Cycles, a.OutputDigest, b.Cycles, b.OutputDigest)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/apps"
+	smi "repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/transport"
 )
@@ -122,11 +123,12 @@ func ValidateTransportKnobs(w Workload, p Params) error {
 	return nil
 }
 
-// result fills the normalized fields shared by every workload.
-func result(name string, p Params, size, steps int, cycles int64, micros float64) Result {
+// result fills the normalized fields shared by every workload; taking
+// the cluster's stats here means no workload can forget to report them.
+func result(name string, p Params, size, steps int, cycles int64, micros float64, net smi.Stats) Result {
 	return Result{
 		Workload: name, Ranks: p.Ranks, Size: size, Steps: steps,
-		Cycles: cycles, Micros: micros, Metrics: map[string]float64{},
+		Cycles: cycles, Micros: micros, Metrics: map[string]float64{}, Stats: net,
 	}
 }
 
@@ -154,8 +156,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("bandwidth", p, elems, 0, res.Cycles, res.Micros)
-			out.Stats = res.Net
+			out := result("bandwidth", p, elems, 0, res.Cycles, res.Micros, res.Net)
 			out.Metrics["gbps"] = res.Gbps
 			out.Metrics["hops"] = float64(res.Hops)
 			if cfg.Mode == apps.ModeStreaming {
@@ -187,7 +188,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("pingpong", p, rounds, 0, res.Cycles, 0)
+			out := result("pingpong", p, rounds, 0, res.Cycles, 0, res.Net)
 			out.Metrics["latency_us"] = res.LatencyUs
 			out.Metrics["hops"] = float64(res.Hops)
 			d := newDigest()
@@ -215,8 +216,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("bcast", p, p.Size, 0, res.Cycles, res.Micros)
-			out.Stats = res.Net
+			out := result("bcast", p, p.Size, 0, res.Cycles, res.Micros, res.Net)
 			d := newDigest()
 			d.i64(int64(res.Elems))
 			d.i64(res.Cycles)
@@ -242,7 +242,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("reduce", p, p.Size, 0, res.Cycles, res.Micros)
+			out := result("reduce", p, p.Size, 0, res.Cycles, res.Micros, res.Net)
 			d := newDigest()
 			d.i64(int64(res.Elems))
 			d.i64(res.Cycles)
@@ -287,8 +287,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("stencil", p, n, steps, res.Cycles, res.Micros)
-			out.Stats = res.Net
+			out := result("stencil", p, n, steps, res.Cycles, res.Micros, res.Net)
 			out.Metrics["ns_per_point"] = res.NsPerPoint
 			d := newDigest()
 			d.i64(res.Cycles)
@@ -331,8 +330,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("incast", p, p.Size, 0, res.Cycles, 0)
-			out.Stats = res.Net
+			out := result("incast", p, p.Size, 0, res.Cycles, 0, res.Net)
 			out.Metrics["tail_cycles"] = float64(res.TailCycles)
 			out.Metrics["mean_cycles"] = res.MeanCycles
 			out.Metrics["senders"] = float64(senders)
@@ -366,7 +364,7 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			out := result("summa", p, n, 0, res.Cycles, res.Micros)
+			out := result("summa", p, n, 0, res.Cycles, res.Micros, res.Net)
 			d := newDigest()
 			d.i64(res.Cycles)
 			if p.Verify {
