@@ -99,17 +99,17 @@ func tracePingPong(f *os.File, spec *fault.Spec) (smi.Stats, error) {
 	c.OnRank(0, "ping", func(x *smi.Ctx) {
 		for r := 0; r < 4; r++ {
 			s, _ := x.OpenSendChannel(1, smi.Int, 3, 0, x.CommWorld())
-			s.PushInt(int32(r))
+			smi.Push(s, int32(r))
 			v, _ := x.OpenRecvChannel(1, smi.Int, 3, 1, x.CommWorld())
-			v.PopInt()
+			smi.Pop[int32](v)
 		}
 	})
 	c.OnRank(3, "pong", func(x *smi.Ctx) {
 		for r := 0; r < 4; r++ {
 			v, _ := x.OpenRecvChannel(1, smi.Int, 0, 0, x.CommWorld())
-			got := v.PopInt()
+			got := smi.Pop[int32](v)
 			s, _ := x.OpenSendChannel(1, smi.Int, 0, 1, x.CommWorld())
-			s.PushInt(got)
+			smi.Push(s, got)
 		}
 	})
 	return c.Run()
@@ -193,7 +193,7 @@ func traceStencil(f *os.File, spec *fault.Spec) (smi.Stats, error) {
 					panic(err)
 				}
 				for i := 0; i < halo; i++ {
-					s.PushFloat(float32(i))
+					smi.Push(s, float32(i))
 				}
 			}
 			for _, e := range edges {
@@ -202,7 +202,7 @@ func traceStencil(f *os.File, spec *fault.Spec) (smi.Stats, error) {
 					panic(err)
 				}
 				for i := 0; i < halo; i++ {
-					r.PopFloat()
+					smi.Pop[float32](r)
 				}
 			}
 			x.Sleep(2000) // the compute sweep between exchanges

@@ -61,8 +61,10 @@ func Incast(cfg NetConfig, senders, elems int) (IncastResult, error) {
 	}
 	specs := make([]smi.PortSpec, senders)
 	for i := range specs {
-		specs[i] = smi.PortSpec{Port: i, Type: smi.Int, VecWidth: vec, BufferElems: buf}
-		cfg.Mode.apply(&specs[i], cfg.StreamBatch)
+		specs[i] = smi.PortSpec{
+			Port: i, Type: smi.Int, VecWidth: vec, BufferElems: buf,
+			Mode: cfg.Mode, StreamBatch: cfg.StreamBatch,
+		}
 	}
 	c, err := cfg.cluster(smi.ProgramSpec{Ports: specs})
 	if err != nil {

@@ -15,65 +15,6 @@ import (
 	"repro/internal/transport"
 )
 
-// TransferMode selects the point-to-point transfer machinery a
-// microbenchmark's bulk port uses.
-type TransferMode uint8
-
-// Transfer modes.
-const (
-	// ModePacket is the default eager packet-switched path.
-	ModePacket TransferMode = iota
-	// ModeCredited adds the §3.3 credit-based flow control the paper
-	// prescribes when the endpoint buffer is smaller than the message.
-	ModeCredited
-	// ModeCircuit uses §4.2 circuit switching: whole-message raw-word
-	// transfer behind a single route lock.
-	ModeCircuit
-	// ModeStreaming uses the streaming large-message path: rendezvous
-	// handshake, then cut-through fragment trains of raw words.
-	ModeStreaming
-)
-
-func (m TransferMode) String() string {
-	switch m {
-	case ModePacket:
-		return "packet"
-	case ModeCredited:
-		return "credited"
-	case ModeCircuit:
-		return "circuit"
-	case ModeStreaming:
-		return "streaming"
-	default:
-		return fmt.Sprintf("TransferMode(%d)", uint8(m))
-	}
-}
-
-// ParseTransferMode maps a wire name ("packet", "credited", "circuit",
-// "streaming"; "" means packet) to a TransferMode.
-func ParseTransferMode(s string) (TransferMode, error) {
-	switch s {
-	case "", "packet":
-		return ModePacket, nil
-	case "credited":
-		return ModeCredited, nil
-	case "circuit":
-		return ModeCircuit, nil
-	case "streaming":
-		return ModeStreaming, nil
-	default:
-		return 0, fmt.Errorf("apps: unknown transfer mode %q (want packet, credited, circuit, or streaming)", s)
-	}
-}
-
-// apply configures a point-to-point PortSpec for the mode.
-func (m TransferMode) apply(spec *smi.PortSpec, streamBatch int) {
-	spec.Credited = m == ModeCredited
-	spec.Circuit = m == ModeCircuit
-	spec.Streaming = m == ModeStreaming
-	spec.StreamBatch = streamBatch
-}
-
 // NetConfig bundles the cluster knobs the microbenchmarks sweep.
 type NetConfig struct {
 	Topology  *topology.Topology
@@ -87,10 +28,10 @@ type NetConfig struct {
 	// BufferElems is the endpoint buffer size (asynchronicity degree).
 	BufferElems int
 	// Mode selects the P2P transfer machinery for bulk microbenchmarks
-	// (default ModePacket).
-	Mode TransferMode
+	// (default smi.ModePacket).
+	Mode smi.Mode
 	// StreamBatch is the streaming fragment size in raw words
-	// (ModeStreaming only; 0 picks the port default).
+	// (smi.ModeStreaming only; 0 picks the port default).
 	StreamBatch int
 	// MaxCycles optionally bounds the simulation.
 	MaxCycles int64
@@ -192,9 +133,10 @@ func Bandwidth(cfg NetConfig, src, dst, elems int) (BandwidthResult, error) {
 	if err := cfg.checkRanks(src, dst); err != nil {
 		return BandwidthResult{}, err
 	}
-	spec := smi.PortSpec{Port: 0, Type: smi.Int, VecWidth: vec, BufferElems: buf}
-	cfg.Mode.apply(&spec, cfg.StreamBatch)
-	c, err := cfg.cluster(smi.ProgramSpec{Ports: []smi.PortSpec{spec}})
+	c, err := cfg.cluster(smi.ProgramSpec{Ports: []smi.PortSpec{{
+		Port: 0, Type: smi.Int, VecWidth: vec, BufferElems: buf,
+		Mode: cfg.Mode, StreamBatch: cfg.StreamBatch,
+	}}})
 	if err != nil {
 		return BandwidthResult{}, err
 	}

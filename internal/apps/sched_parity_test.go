@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	smi "repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -110,7 +111,7 @@ func TestSchedulerParity(t *testing.T) {
 		// injection (where raw words cross the reliable layer's frame
 		// sideband). 500 ints over a 64-element buffer forces credit
 		// round-trips and the streaming rendezvous alike.
-		for _, mode := range []TransferMode{ModeCredited, ModeCircuit, ModeStreaming} {
+		for _, mode := range []smi.Mode{smi.ModeCredited, smi.ModeCircuit, smi.ModeStreaming} {
 			for _, variant := range []struct {
 				name string
 				mod  func(*NetConfig)
@@ -142,7 +143,7 @@ func TestSchedulerParity(t *testing.T) {
 							mode, variant.name, schedVariants[i].name, results[i].Net.PacketsDelivered, results[0].Net.PacketsDelivered)
 					}
 				}
-				if mode == ModeStreaming && results[0].Net.StreamFragments == 0 {
+				if mode == smi.ModeStreaming && results[0].Net.StreamFragments == 0 {
 					t.Errorf("%s: streaming run cut no fragments through the transport", variant.name)
 				}
 				if variant.name == "faulty" {

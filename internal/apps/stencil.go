@@ -322,10 +322,10 @@ func Stencil(cfg StencilConfig) (StencilResult, error) {
 					}
 					var westVal, eastVal float32
 					if hasW {
-						westVal = chW.PopFloat()
+						westVal = smi.Pop[float32](chW)
 					}
 					if hasE {
-						eastVal = chE.PopFloat()
+						eastVal = smi.Pop[float32](chE)
 					}
 					// The pipelined sweep of one row: reads at the memory
 					// rate, one vector per cycle.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	smi "repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -144,7 +145,7 @@ func TestReceiverDrivenRejections(t *testing.T) {
 	})
 	t.Run("circuit", func(t *testing.T) {
 		cfg := base
-		cfg.Mode = ModeCircuit
+		cfg.Mode = smi.ModeCircuit
 		_, err := Bandwidth(cfg, 0, 1, 100)
 		if err == nil || !strings.Contains(err.Error(), "receiver-driven") {
 			t.Fatalf("receiver-driven + circuit must be rejected, got %v", err)
@@ -152,7 +153,7 @@ func TestReceiverDrivenRejections(t *testing.T) {
 	})
 	t.Run("streaming", func(t *testing.T) {
 		cfg := base
-		cfg.Mode = ModeStreaming
+		cfg.Mode = smi.ModeStreaming
 		_, err := Bandwidth(cfg, 0, 1, 100)
 		if err == nil || !strings.Contains(err.Error(), "receiver-driven") {
 			t.Fatalf("receiver-driven + streaming must be rejected, got %v", err)
@@ -160,7 +161,7 @@ func TestReceiverDrivenRejections(t *testing.T) {
 	})
 	t.Run("credited-allowed", func(t *testing.T) {
 		cfg := base
-		cfg.Mode = ModeCredited
+		cfg.Mode = smi.ModeCredited
 		cfg.BufferElems = 64
 		if _, err := Bandwidth(cfg, 0, 1, 500); err != nil {
 			t.Fatalf("credited mode composes with receiver-driven pacing: %v", err)

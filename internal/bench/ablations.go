@@ -210,7 +210,7 @@ func burstyTransfer(topo *topology.Topology, k, elems, pauseEvery, pauseCycles i
 			panic(err)
 		}
 		for i := 0; i < elems; i++ {
-			ch.PushInt(int32(i))
+			smi.Push(ch, int32(i))
 		}
 		senderDone = x.Now()
 	})
@@ -220,7 +220,7 @@ func burstyTransfer(topo *topology.Topology, k, elems, pauseEvery, pauseCycles i
 			panic(err)
 		}
 		for i := 0; i < elems; i++ {
-			ch.PopInt()
+			smi.Pop[int32](ch)
 			if (i+1)%pauseEvery == 0 {
 				x.Sleep(int64(pauseCycles))
 			}
@@ -260,16 +260,16 @@ func ablateFlowControl(opts Options) (*Report, error) {
 		},
 	}
 	for _, cfg := range []struct {
-		label    string
-		credited bool
-		buffer   int
+		label  string
+		mode   smi.Mode
+		buffer int
 	}{
-		{"eager", false, 28},
-		{"eager", false, bulk},
-		{"credited", true, 28},
-		{"credited", true, 448},
+		{"eager", smi.ModePacket, 28},
+		{"eager", smi.ModePacket, bulk},
+		{"credited", smi.ModeCredited, 28},
+		{"credited", smi.ModeCredited, 448},
 	} {
-		ctl, bulkDone, err := contendedTransfer(cfg.credited, cfg.buffer, bulk)
+		ctl, bulkDone, err := contendedTransfer(cfg.mode, cfg.buffer, bulk)
 		outcome := "ok"
 		if err != nil {
 			outcome = "DEADLOCK"
@@ -287,7 +287,7 @@ func ablateFlowControl(opts Options) (*Report, error) {
 // contendedTransfer runs the shared-pair bulk + control scenario and
 // returns the completion cycles of the control exchange and of the bulk
 // message.
-func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64, err error) {
+func contendedTransfer(mode smi.Mode, buffer, bulk int) (ctlDone, bulkDone int64, err error) {
 	topo, err := topology.Bus(2)
 	if err != nil {
 		return 0, 0, err
@@ -295,7 +295,7 @@ func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64
 	c, err := smi.NewCluster(smi.Config{
 		Topology: topo,
 		Program: smi.ProgramSpec{Ports: []smi.PortSpec{
-			{Port: 0, Type: smi.Int, Credited: credited, BufferElems: buffer, Iface: 0, PinIface: true},
+			{Port: 0, Type: smi.Int, Mode: mode, BufferElems: buffer, Iface: 0, PinIface: true},
 			{Port: 1, Type: smi.Int, BufferElems: 28, Iface: 0, PinIface: true},
 		}},
 		MaxCycles: 50_000_000,
@@ -309,7 +309,7 @@ func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64
 			panic(err)
 		}
 		for i := 0; i < bulk; i++ {
-			ch.PushInt(int32(i))
+			smi.Push(ch, int32(i))
 		}
 	})
 	c.OnRank(0, "ctl", func(x *smi.Ctx) {
@@ -319,7 +319,7 @@ func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64
 			panic(err)
 		}
 		for i := 0; i < 4; i++ {
-			ch.PushInt(int32(i))
+			smi.Push(ch, int32(i))
 		}
 	})
 	c.OnRank(1, "consumer", func(x *smi.Ctx) {
@@ -328,7 +328,7 @@ func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64
 			panic(err)
 		}
 		for i := 0; i < 4; i++ {
-			ctl.PopInt()
+			smi.Pop[int32](ctl)
 		}
 		ctlDone = x.Now()
 		bc, err := x.OpenRecvChannel(bulk, smi.Int, 0, 0, x.CommWorld())
@@ -336,7 +336,7 @@ func contendedTransfer(credited bool, buffer, bulk int) (ctlDone, bulkDone int64
 			panic(err)
 		}
 		for i := 0; i < bulk; i++ {
-			bc.PopInt()
+			smi.Pop[int32](bc)
 		}
 		bulkDone = x.Now()
 	})
@@ -502,13 +502,13 @@ func ablateSwitching(opts Options) (*Report, error) {
 		},
 	}
 	for _, mode := range []struct {
-		label   string
-		circuit bool
+		label string
+		mode  smi.Mode
 	}{
-		{"packet switching", false},
-		{"circuit switching", true},
+		{"packet switching", smi.ModePacket},
+		{"circuit switching", smi.ModeCircuit},
 	} {
-		gbps, ctl, err := switchingRun(mode.circuit, bulk)
+		gbps, ctl, err := switchingRun(mode.mode, bulk)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", mode.label, err)
 		}
@@ -521,7 +521,7 @@ func ablateSwitching(opts Options) (*Report, error) {
 // switchingRun measures a saturated bulk transfer's payload bandwidth
 // and the completion cycle of a small concurrent message sharing the
 // same CKS/CKR pair.
-func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err error) {
+func switchingRun(mode smi.Mode, bulk int) (gbps float64, ctlDone int64, err error) {
 	topo, err := topology.Bus(2)
 	if err != nil {
 		return 0, 0, err
@@ -529,7 +529,7 @@ func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err erro
 	c, err := smi.NewCluster(smi.Config{
 		Topology: topo,
 		Program: smi.ProgramSpec{Ports: []smi.PortSpec{
-			{Port: 0, Type: smi.Int, Circuit: circuit, VecWidth: 8, BufferElems: 4096, Iface: 0, PinIface: true},
+			{Port: 0, Type: smi.Int, Mode: mode, VecWidth: 8, BufferElems: 4096, Iface: 0, PinIface: true},
 			{Port: 1, Type: smi.Int, Iface: 0, PinIface: true},
 		}},
 		Transport: transport.DefaultConfig(),
@@ -543,7 +543,7 @@ func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err erro
 			panic(err)
 		}
 		for i := 0; i < bulk; i++ {
-			ch.PushInt(int32(i))
+			smi.Push(ch, int32(i))
 		}
 	})
 	c.OnRank(0, "ctl", func(x *smi.Ctx) {
@@ -553,7 +553,7 @@ func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err erro
 			panic(err)
 		}
 		for i := 0; i < 4; i++ {
-			ch.PushInt(int32(i))
+			smi.Push(ch, int32(i))
 		}
 	})
 	var bulkDone int64
@@ -563,7 +563,7 @@ func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err erro
 			panic(err)
 		}
 		for i := 0; i < bulk; i++ {
-			ch.PopInt()
+			smi.Pop[int32](ch)
 		}
 		bulkDone = x.Now()
 	})
@@ -573,7 +573,7 @@ func switchingRun(circuit bool, bulk int) (gbps float64, ctlDone int64, err erro
 			panic(err)
 		}
 		for i := 0; i < 4; i++ {
-			ch.PopInt()
+			smi.Pop[int32](ch)
 		}
 		ctlDone = x.Now()
 	})

@@ -72,6 +72,46 @@ func TestScalingRowsRecordHost(t *testing.T) {
 	}
 }
 
+// TestStreamingCyclesGuard pins BENCH_streaming.json: the experiment is
+// simulated cycles only (host-independent, 0.1 s), so every committed
+// cycle count — packet, packet-eager, circuit and streaming at each size
+// — must reproduce exactly, always, not only under SMI_BENCH_GUARD.
+func TestStreamingCyclesGuard(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_streaming.json")
+	if err != nil {
+		t.Fatalf("no committed baseline: %v", err)
+	}
+	var committed, measured struct {
+		Rows []streamingRow `json:"rows"`
+	}
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatalf("committed BENCH_streaming.json: %v", err)
+	}
+	e, err := ByID("streaming")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(r.JSON, &measured); err != nil {
+		t.Fatal(err)
+	}
+	if len(committed.Rows) != 16 || len(measured.Rows) != len(committed.Rows) {
+		t.Fatalf("committed file has %d rows, the experiment produced %d, want 16 each", len(committed.Rows), len(measured.Rows))
+	}
+	for i, want := range committed.Rows {
+		got := measured.Rows[i]
+		if got.Mode != want.Mode || got.Elems != want.Elems {
+			t.Fatalf("row %d is %s/%d, committed %s/%d", i, got.Mode, got.Elems, want.Mode, want.Elems)
+		}
+		if got.Cycles != want.Cycles {
+			t.Errorf("%s/%d elements: %d cycles, committed %d", want.Mode, want.Elems, got.Cycles, want.Cycles)
+		}
+	}
+}
+
 // TestTransportIncastGuard is the transport ablation's CI gate: with
 // SMI_BENCH_GUARD=1 it re-measures the 8:1 incast under both transports
 // and fails if the receiver-driven tail win disappears or the measured

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	smi "repro/internal/core"
 	"repro/internal/topology"
 )
 
@@ -22,12 +23,12 @@ func init() {
 // but lets large transfers squat in the shared transport.
 var streamingModes = []struct {
 	name string
-	mode apps.TransferMode
+	mode smi.Mode
 }{
-	{"packet", apps.ModeCredited},
-	{"packet-eager", apps.ModePacket},
-	{"circuit", apps.ModeCircuit},
-	{"streaming", apps.ModeStreaming},
+	{"packet", smi.ModeCredited},
+	{"packet-eager", smi.ModePacket},
+	{"circuit", smi.ModeCircuit},
+	{"streaming", smi.ModeStreaming},
 }
 
 type streamingRow struct {

@@ -16,7 +16,7 @@ func BenchmarkChannelPushPop(b *testing.B) {
 			return
 		}
 		for i := 0; i < b.N; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 		}
 	})
 	c.OnRank(1, "recv", func(x *Ctx) {
@@ -26,7 +26,7 @@ func BenchmarkChannelPushPop(b *testing.B) {
 			return
 		}
 		for i := 0; i < b.N; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	b.ReportAllocs()

@@ -30,29 +30,24 @@ type SendChannel struct {
 	cur packet.Packet
 	n   int // elements in cur
 
-	// Credit-based flow control state (nil credits semantics when the
-	// port is eager): remaining elements the receiver has granted.
+	// Credit-based flow control state (ModeCredited): remaining elements
+	// the receiver has granted.
 	credited bool
 	credits  int
 
-	// Circuit switching state: the leading OpOpen has been sent, and
-	// payload packs into headerless 32-byte packets.
-	circuit bool
-	opened  bool
-
-	// Streaming state (Streaming ports whose message exceeds the endpoint
-	// buffer): the rendezvous handshake, the fragment sequence counter,
-	// and the raw words left in the fragment opened by the last header.
-	// Both sides derive "this message streams" from the same predicate
-	// (count > BufferElems), so no negotiation packet is needed for the
-	// eager case.
-	streaming bool // this message uses the rendezvous + fragment path
-	specPort  bool // the port is declared Streaming (half-duplex held)
-	batch     int  // fragment size in raw words
-	rvSent    bool // rendezvous request pushed
-	rvDone    bool // rendezvous grant received
-	seq       uint32
-	fragLeft  int
+	// Raw-word state. A raw message travels as headerless 32-byte OpRaw
+	// words behind OpStream fragment headers of up to batch words each:
+	// circuit ports always (batch = the whole message, so one fragment),
+	// streaming ports for messages above BufferElems (batch =
+	// StreamBatch), which additionally complete a rendezvous first. Both
+	// peers derive raw, batch and the rendezvous from the port's mode and
+	// the declared count, so they agree without negotiating.
+	raw      bool
+	batch    int    // fragment size in raw words
+	rvSent   bool   // rendezvous request pushed
+	rvDone   bool   // rendezvous grant received, or none needed
+	seq      uint32 // next fragment sequence number
+	fragLeft int    // raw words left in the fragment the last header opened
 }
 
 // OpenSendChannel opens a transient channel to stream count elements of
@@ -72,7 +67,7 @@ func (x *Ctx) OpenSendChannel(count int, dt Datatype, destination, port int, com
 		return nil, fmt.Errorf("smi: rank %d port %d already has an open send channel", x.rank, port)
 	}
 	dstGlobal := comm.Global(destination)
-	if ep.spec.Credited || ep.spec.Streaming {
+	if ep.spec.Mode.halfDuplex() {
 		// The reverse direction of a credited port carries the credits;
 		// of a streaming port, the rendezvous handshake.
 		if ep.inUseRecv {
@@ -84,23 +79,32 @@ func (x *Ctx) OpenSendChannel(count int, dt Datatype, destination, port int, com
 		ep.inUseRecv = true
 	}
 	ep.inUseSend = true
-	// Eager-vs-rendezvous switchover: a message that fits the endpoint
-	// buffer goes eager on the plain packet path; a larger one streams.
-	// Both peers evaluate the same predicate on the same declared count,
-	// so they agree without negotiating.
-	streaming := ep.spec.Streaming && count > ep.spec.BufferElems
-	epp := dt.ElemsPerPacket()
-	if ep.spec.Circuit || streaming {
-		epp = packet.RawElemsPerPacket(dt)
+	raw, rendezvous, epp := ep.spec.rawPath(dt, count)
+	batch := ep.spec.StreamBatch
+	if ep.spec.Mode == ModeCircuit {
+		batch = (count + epp - 1) / epp
 	}
 	o := x.resolveOpts(opts)
 	return &SendChannel{
 		x: x, ep: ep, dt: dt, epp: epp, vec: ep.spec.VecWidth,
 		count: count, dst: dstGlobal, port: port, patience: o.patience,
-		credited: ep.spec.Credited, credits: ep.spec.BufferElems,
-		circuit:   ep.spec.Circuit,
-		streaming: streaming, specPort: ep.spec.Streaming, batch: ep.spec.StreamBatch,
+		credited: ep.spec.Mode == ModeCredited, credits: ep.spec.BufferElems,
+		raw: raw, batch: batch, rvDone: !rendezvous,
 	}, nil
+}
+
+// rawPath derives how a count-element message of type dt travels on the
+// port: whether it uses headerless raw words, whether a rendezvous gates
+// it, and the elements per wire word that follows from the first. A
+// streaming port switches over at the endpoint buffer size — a message
+// that fits goes eager on the plain packet path.
+func (s *PortSpec) rawPath(dt Datatype, count int) (raw, rendezvous bool, epp int) {
+	rendezvous = s.Mode == ModeStreaming && count > s.BufferElems
+	raw = s.Mode == ModeCircuit || rendezvous
+	if raw {
+		return raw, rendezvous, packet.RawElemsPerPacket(dt)
+	}
+	return raw, rendezvous, dt.ElemsPerPacket()
 }
 
 // opDeadline converts the channel's patience into an absolute deadline
@@ -138,25 +142,14 @@ func (ch *SendChannel) PushE(bits uint64) error {
 		return err
 	}
 	deadline := ch.opDeadline()
-	if ch.circuit && !ch.opened {
-		// Establish the circuit: one packet carries all the message
-		// meta-information; the payload that follows is headerless.
-		rawPkts := (ch.count + ch.epp - 1) / ch.epp
-		open := packet.EncodeOpen(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port),
-			packet.OpenInfo{RawPackets: uint32(rawPkts), Elems: uint32(ch.count)})
-		if res := ch.ep.appSend.PushProcE(ch.x.proc, open, deadline); res != sim.WaitOK {
-			return ch.x.waitErr(res, "push", ch.port, ch.dst)
-		}
-		ch.opened = true
-	}
-	if ch.streaming && !ch.rvDone {
+	if !ch.rvDone {
 		// Rendezvous: the receiver must commit buffer before any payload
 		// enters the shared transport.
 		if err := ch.rendezvousE(deadline); err != nil {
 			return err
 		}
 	}
-	if ch.circuit || ch.streaming {
+	if ch.raw {
 		ch.cur.PutRawElem(ch.n, ch.dt, bits)
 	} else {
 		ch.cur.PutElem(ch.n, ch.dt, bits)
@@ -164,13 +157,7 @@ func (ch *SendChannel) PushE(bits uint64) error {
 	ch.n++
 	ch.sent++
 	if ch.n == ch.epp || ch.sent == ch.count {
-		var err error
-		if ch.streaming {
-			err = ch.flushStreamE(deadline)
-		} else {
-			err = ch.flushE(deadline)
-		}
-		if err != nil {
+		if err := ch.flushE(deadline); err != nil {
 			// Roll back the staged element; a retry re-stages it.
 			ch.n--
 			ch.sent--
@@ -179,8 +166,7 @@ func (ch *SendChannel) PushE(bits uint64) error {
 	}
 	if ch.sent == ch.count {
 		ch.ep.inUseSend = false // channel implicitly closed
-		ch.opened = false
-		if ch.credited || ch.specPort {
+		if ch.ep.spec.Mode.halfDuplex() {
 			ch.ep.inUseRecv = false
 		}
 	}
@@ -217,49 +203,6 @@ func (ch *SendChannel) rendezvousE(deadline int64) error {
 	return nil
 }
 
-// flushStreamE emits the staged raw word on the streaming path. At
-// fragment boundaries it first emits the OpStream header that pins the
-// route for the fragment's word train — one header amortized over up to
-// batch full 32-byte words. The header leg and the word leg are guarded
-// by fragLeft so a failed push resumes exactly where it left off.
-func (ch *SendChannel) flushStreamE(deadline int64) error {
-	if ch.fragLeft == 0 {
-		flushed := ch.sent - ch.n // elements already on the wire
-		elems := ch.count - flushed
-		if max := ch.batch * ch.epp; elems > max {
-			elems = max
-		}
-		frag := packet.StreamFrag{
-			Seq:   ch.seq,
-			Words: uint16((elems + ch.epp - 1) / ch.epp),
-			Elems: uint32(elems),
-			Last:  flushed+elems == ch.count,
-		}
-		hdr := packet.EncodeStreamFrag(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port), frag)
-		if res := ch.ep.appSend.PushProcE(ch.x.proc, hdr, deadline); res != sim.WaitOK {
-			return ch.x.waitErr(res, "push", ch.port, ch.dst)
-		}
-		ch.seq++
-		ch.fragLeft = int(frag.Words)
-	}
-	ch.cur.Src = uint16(ch.x.rank)
-	ch.cur.Dst = uint16(ch.dst)
-	ch.cur.Port = uint8(ch.port)
-	ch.cur.Op = packet.OpRaw
-	ch.cur.Count = uint8(ch.n)
-	cycles := int64((ch.n + ch.vec - 1) / ch.vec)
-	if cycles > 1 {
-		ch.x.proc.Sleep(cycles - 1)
-	}
-	if res := ch.ep.appSend.PushProcE(ch.x.proc, ch.cur, deadline); res != sim.WaitOK {
-		return ch.x.waitErr(res, "push", ch.port, ch.dst)
-	}
-	ch.fragLeft--
-	ch.cur = packet.Packet{}
-	ch.n = 0
-	return nil
-}
-
 // PushN pushes every element of bits in order, returning how many were
 // consumed and the first error. On error the remaining elements
 // (bits[n:]) may be retried. On a Streaming port this is the intended
@@ -276,11 +219,13 @@ func (ch *SendChannel) PushN(bits []uint64) (int, error) {
 // Remaining returns how many elements may still be pushed.
 func (ch *SendChannel) Remaining() int { return ch.count - ch.sent }
 
-// flushE emits the current packet, charging the cycles the application
-// pipeline spent producing its elements: a kernel pushing one element
-// per cycle (VecWidth 1) pays one cycle per element; a vectorized kernel
-// pays proportionally less. On failure the staged packet is preserved so
-// the caller can roll back and retry.
+// flushE emits the staged packet or raw word: credit gate, then the
+// fragment header if one is due, then the payload, charging the cycles
+// the application pipeline spent producing its elements — a kernel
+// pushing one element per cycle (VecWidth 1) pays one cycle per element,
+// a vectorized kernel proportionally less. Every leg is guarded by its
+// own state (credits, fragLeft), so after a failure the staged payload is
+// preserved and a retry resumes exactly where the last attempt stopped.
 func (ch *SendChannel) flushE(deadline int64) error {
 	if ch.credited {
 		// Block until the receiver has granted room for this packet, so
@@ -297,13 +242,33 @@ func (ch *SendChannel) flushE(deadline int64) error {
 			ch.credits += int(packet.DecodeCreditElems(grant))
 		}
 	}
+	if ch.raw && ch.fragLeft == 0 {
+		// The OpStream header pins the route for the fragment's word train:
+		// one header amortized over up to batch full 32-byte words.
+		flushed := ch.sent - ch.n // elements already on the wire
+		elems := ch.count - flushed
+		if max := ch.batch * ch.epp; elems > max {
+			elems = max
+		}
+		frag := packet.StreamFrag{
+			Seq:   ch.seq,
+			Words: uint32((elems + ch.epp - 1) / ch.epp),
+			Elems: uint32(elems),
+			Last:  flushed+elems == ch.count,
+		}
+		hdr := packet.EncodeStreamFrag(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port), frag)
+		if res := ch.ep.appSend.PushProcE(ch.x.proc, hdr, deadline); res != sim.WaitOK {
+			return ch.x.waitErr(res, "push", ch.port, ch.dst)
+		}
+		ch.seq++
+		ch.fragLeft = int(frag.Words)
+	}
 	ch.cur.Src = uint16(ch.x.rank)
 	ch.cur.Dst = uint16(ch.dst)
 	ch.cur.Port = uint8(ch.port)
-	if ch.circuit {
+	ch.cur.Op = packet.OpData
+	if ch.raw {
 		ch.cur.Op = packet.OpRaw
-	} else {
-		ch.cur.Op = packet.OpData
 	}
 	ch.cur.Count = uint8(ch.n)
 	cycles := int64((ch.n + ch.vec - 1) / ch.vec)
@@ -315,6 +280,9 @@ func (ch *SendChannel) flushE(deadline int64) error {
 	}
 	if ch.credited {
 		ch.credits -= ch.n
+	}
+	if ch.raw {
+		ch.fragLeft--
 	}
 	ch.cur = packet.Packet{}
 	ch.n = 0
@@ -352,17 +320,12 @@ type RecvChannel struct {
 	grantBatch int
 	granted    int
 
-	// Circuit switching state: the leading OpOpen has been consumed.
-	circuit bool
-	opened  bool
-
-	// Streaming state: the rendezvous handshake, the expected fragment
-	// sequence number, and the words/elements left in the fragment whose
-	// header was last consumed.
-	streaming bool
-	specPort  bool
+	// Raw-word state (see SendChannel): the rendezvous handshake, the
+	// expected fragment sequence number, and the words/elements left in
+	// the fragment whose header was last consumed.
+	raw       bool
 	rvSeen    bool // rendezvous request consumed
-	rvDone    bool // grant pushed
+	rvDone    bool // grant pushed, or none needed
 	seq       uint32
 	fragWords int
 	fragElems int
@@ -385,11 +348,13 @@ func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Com
 	}
 	srcGlobal := comm.Global(source)
 	o := x.resolveOpts(opts)
+	raw, rendezvous, _ := ep.spec.rawPath(dt, count)
 	ch := &RecvChannel{
 		x: x, ep: ep, dt: dt, vec: ep.spec.VecWidth,
 		count: count, src: srcGlobal, port: port, patience: o.patience,
+		raw: raw, rvDone: !rendezvous,
 	}
-	if ep.spec.Credited || ep.spec.Streaming {
+	if ep.spec.Mode.halfDuplex() {
 		if ep.inUseSend {
 			return nil, fmt.Errorf("smi: rank %d port %d: credited and streaming ports are half-duplex", x.rank, port)
 		}
@@ -398,7 +363,7 @@ func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Com
 		}
 		ep.inUseSend = true
 	}
-	if ep.spec.Credited {
+	if ep.spec.Mode == ModeCredited {
 		ch.credited = true
 		ch.grantBatch = ep.spec.BufferElems / 2
 		epp := dt.ElemsPerPacket()
@@ -406,9 +371,6 @@ func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Com
 			ch.grantBatch = epp
 		}
 	}
-	ch.circuit = ep.spec.Circuit
-	ch.specPort = ep.spec.Streaming
-	ch.streaming = ep.spec.Streaming && count > ep.spec.BufferElems
 	ep.inUseRecv = true
 	return ch, nil
 }
@@ -448,18 +410,12 @@ func (ch *RecvChannel) PopE() (uint64, error) {
 	}
 	deadline := ch.opDeadline()
 	if ch.have == 0 {
-		var err error
-		if ch.streaming {
-			err = ch.fetchStreamE(deadline)
-		} else {
-			err = ch.fetchE(deadline)
-		}
-		if err != nil {
+		if err := ch.fetchE(deadline); err != nil {
 			return 0, err
 		}
 	}
 	var bits uint64
-	if ch.circuit || ch.streaming {
+	if ch.raw {
 		bits = ch.cur.RawElem(ch.pos, ch.dt)
 	} else {
 		bits = ch.cur.Elem(ch.pos, ch.dt)
@@ -482,8 +438,7 @@ func (ch *RecvChannel) PopE() (uint64, error) {
 		}
 	}
 	if ch.received == ch.count {
-		ch.opened = false
-		if ch.credited || ch.specPort {
+		if ch.ep.spec.Mode.halfDuplex() {
 			ch.ep.inUseSend = false
 		}
 		ch.ep.inUseRecv = false // channel implicitly closed
@@ -534,63 +489,16 @@ func (ch *RecvChannel) sendCreditE(deadline int64) error {
 // Remaining returns how many elements are still to be popped.
 func (ch *RecvChannel) Remaining() int { return ch.count - ch.received }
 
-// fetchE pops the next data packet from the endpoint. Malformed traffic
-// (wrong op, wrong source, empty packets) panics — a mismatched program
-// is a bug, not a runtime condition.
-func (ch *RecvChannel) fetchE(deadline int64) error {
-	pkt, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
-	if res != sim.WaitOK {
-		return ch.x.waitErr(res, "pop", ch.port, ch.src)
-	}
-	if ch.circuit && !ch.opened {
-		// The circuit's establishment packet arrives first.
-		if pkt.Op != packet.OpOpen {
-			panic(fmt.Sprintf("smi: rank %d port %d: expected circuit OPEN, got %v", ch.x.rank, ch.port, pkt.Op))
-		}
-		if int(pkt.Src) != ch.src {
-			panic(fmt.Sprintf("smi: rank %d port %d: circuit from rank %d, expected %d", ch.x.rank, ch.port, pkt.Src, ch.src))
-		}
-		if got := int(packet.DecodeOpen(pkt).Elems); got != ch.count {
-			panic(fmt.Sprintf("smi: rank %d port %d: circuit announces %d elements, channel expects %d", ch.x.rank, ch.port, got, ch.count))
-		}
-		ch.opened = true
-		pkt, res = ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
-		if res != sim.WaitOK {
-			return ch.x.waitErr(res, "pop", ch.port, ch.src)
-		}
-	}
-	wantOp := packet.OpData
-	if ch.circuit {
-		wantOp = packet.OpRaw
-	}
-	if pkt.Op != wantOp {
-		panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet on recv channel", ch.x.rank, ch.port, pkt.Op))
-	}
-	if !ch.circuit && int(pkt.Src) != ch.src {
-		panic(fmt.Sprintf("smi: rank %d port %d: packet from rank %d, expected %d", ch.x.rank, ch.port, pkt.Src, ch.src))
-	}
-	if pkt.Count == 0 {
-		panic(fmt.Sprintf("smi: rank %d port %d: empty data packet", ch.x.rank, ch.port))
-	}
-	// Charge the cycles a pipelined consumer spends draining the packet.
-	cycles := int64((int(pkt.Count) + ch.vec - 1) / ch.vec)
-	if cycles > 1 {
-		ch.x.proc.Sleep(cycles - 1)
-	}
-	ch.cur = pkt
-	ch.have = int(pkt.Count)
-	ch.pos = 0
-	return nil
-}
-
-// fetchStreamE pops the next raw word on the streaming path. The first
-// call completes the receiver half of the rendezvous (consume the
-// request, push the grant); fragment headers are consumed and validated
-// at fragment boundaries. Each leg is guarded by its own state flag so a
+// fetchE pops the next data packet or raw word from the endpoint. The
+// first call on a rendezvous message completes the receiver half of the
+// handshake (consume the request, push the grant); on the raw path a
+// fragment header is consumed and validated whenever the previous
+// fragment is exhausted. Each leg is guarded by its own state flag so a
 // failed wait resumes exactly where it left off without consuming or
-// duplicating protocol packets. Malformed traffic panics — a mismatched
-// program is a bug, not a runtime condition.
-func (ch *RecvChannel) fetchStreamE(deadline int64) error {
+// duplicating protocol packets. Malformed traffic (wrong op, wrong
+// source, empty packets, a header that disagrees with the channel)
+// panics — a mismatched program is a bug, not a runtime condition.
+func (ch *RecvChannel) fetchE(deadline int64) error {
 	if !ch.rvDone {
 		if !ch.rvSeen {
 			req, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
@@ -617,7 +525,7 @@ func (ch *RecvChannel) fetchStreamE(deadline int64) error {
 		}
 		ch.rvDone = true
 	}
-	if ch.fragWords == 0 {
+	if ch.raw && ch.fragWords == 0 {
 		hdr, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
 		if res != sim.WaitOK {
 			return ch.x.waitErr(res, "pop", ch.port, ch.src)
@@ -646,20 +554,34 @@ func (ch *RecvChannel) fetchStreamE(deadline int64) error {
 	if res != sim.WaitOK {
 		return ch.x.waitErr(res, "pop", ch.port, ch.src)
 	}
-	if pkt.Op != packet.OpRaw {
-		panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet inside a stream fragment", ch.x.rank, ch.port, pkt.Op))
+	if ch.raw {
+		// A raw word has no header of its own: the fragment header vouched
+		// for its source, and the fragment's budget bounds it.
+		if pkt.Op != packet.OpRaw {
+			panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet inside a stream fragment", ch.x.rank, ch.port, pkt.Op))
+		}
+		if pkt.Count == 0 || int(pkt.Count) > ch.fragElems {
+			panic(fmt.Sprintf("smi: rank %d port %d: stream word carries %d elements, fragment has %d left",
+				ch.x.rank, ch.port, pkt.Count, ch.fragElems))
+		}
+		ch.fragWords--
+		ch.fragElems -= int(pkt.Count)
+		if ch.fragWords == 0 && ch.fragElems != 0 {
+			panic(fmt.Sprintf("smi: rank %d port %d: stream fragment ended with %d elements missing",
+				ch.x.rank, ch.port, ch.fragElems))
+		}
+	} else {
+		if pkt.Op != packet.OpData {
+			panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet on recv channel", ch.x.rank, ch.port, pkt.Op))
+		}
+		if int(pkt.Src) != ch.src {
+			panic(fmt.Sprintf("smi: rank %d port %d: packet from rank %d, expected %d", ch.x.rank, ch.port, pkt.Src, ch.src))
+		}
+		if pkt.Count == 0 {
+			panic(fmt.Sprintf("smi: rank %d port %d: empty data packet", ch.x.rank, ch.port))
+		}
 	}
-	if pkt.Count == 0 || int(pkt.Count) > ch.fragElems {
-		panic(fmt.Sprintf("smi: rank %d port %d: stream word carries %d elements, fragment has %d left",
-			ch.x.rank, ch.port, pkt.Count, ch.fragElems))
-	}
-	ch.fragWords--
-	ch.fragElems -= int(pkt.Count)
-	if ch.fragWords == 0 && ch.fragElems != 0 {
-		panic(fmt.Sprintf("smi: rank %d port %d: stream fragment ended with %d elements missing",
-			ch.x.rank, ch.port, ch.fragElems))
-	}
-	// Charge the cycles a pipelined consumer spends draining the word.
+	// Charge the cycles a pipelined consumer spends draining the packet.
 	cycles := int64((int(pkt.Count) + ch.vec - 1) / ch.vec)
 	if cycles > 1 {
 		ch.x.proc.Sleep(cycles - 1)

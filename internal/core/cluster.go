@@ -36,9 +36,7 @@ type Config struct {
 	// (Transport.Kind, parse strings with transport.Parse), the CK
 	// arbiter (Transport.Arbiter, parse with transport.ParseArbiter),
 	// the polling factor R, FIFO depths, and the receiver-driven pacing
-	// knobs. The receiver-driven transport's pacing ops have no wire
-	// encoding, so it is rejected together with Reliable/Faults and with
-	// circuit or streaming ports.
+	// knobs. TransportCarries names the combinations that are rejected.
 	Transport transport.Config
 	// LinkLatency is the one-way serial link latency in cycles
 	// (default link.DefaultLatency).
@@ -52,8 +50,6 @@ type Config struct {
 	// MaxCycles bounds the simulation (default 4e9 cycles ≈ 25 s of
 	// simulated time).
 	MaxCycles int64
-	// Trace, if non-nil, receives a per-event text trace (slow).
-	Trace io.Writer
 	// ChromeTrace, if non-nil, receives a Chrome trace-event JSON file
 	// (load in chrome://tracing or Perfetto) with one lane per
 	// application kernel and hardware kernel, written when Run finishes.
@@ -92,7 +88,7 @@ type Config struct {
 	// and fault-injected clusters run in parallel too — the split link
 	// halves keep the retransmission protocol's couplings engine-local
 	// and the failover manager runs as a barrier-stepped coordinator.
-	// Tracing (Trace/ChromeTrace) is rejected with Shards > 1.
+	// Tracing (ChromeTrace) is rejected with Shards > 1.
 	Shards int
 	// Progress, if non-nil, is called between cycles whenever the clock
 	// crosses a multiple of ProgressEvery cycles (default 1_000_000 when
@@ -144,6 +140,32 @@ type endpoint struct {
 	inUseRecv bool
 }
 
+// TransportCarries is the one legality rule between the transport, the
+// transfer mode and the link layer: it returns nil when a transport of
+// the given kind can carry a point-to-point port of the given mode over
+// links that do (reliable) or do not run the retransmission protocol,
+// and the reason otherwise. NewCluster applies it to every port;
+// workload.Validate applies it at admission, so a job is rejected before
+// it reaches a worker with the same words the builder would use.
+//
+// Only the receiver-driven transport has illegal cells. Its pacing ops
+// are in-memory packets with no wire encoding, so they cannot cross the
+// serializing reliable link layer (Reliable, or any fault spec); and the
+// route locks of circuit and streaming ports would bypass its pacing
+// gates.
+func TransportCarries(kind transport.Kind, mode Mode, reliable bool) error {
+	if kind != transport.ReceiverDrivenKind {
+		return nil
+	}
+	if reliable {
+		return fmt.Errorf("smi: the receiver-driven transport requires pristine links (its pacing ops have no wire encoding); disable Reliable/Faults")
+	}
+	if mode == ModeCircuit || mode == ModeStreaming {
+		return fmt.Errorf("smi: %s ports bypass receiver-driven pacing; use the sender-driven transport", mode)
+	}
+	return nil
+}
+
 // NewCluster validates the configuration, generates routes, and builds
 // every rank's endpoint FIFOs, collective support kernels, transport
 // layer, and inter-FPGA links — the work the paper splits between its
@@ -183,19 +205,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg.RepairCycles = 400
 	}
 	reliable := cfg.Reliable || cfg.Faults != nil
-	if cfg.Transport.Kind == transport.ReceiverDrivenKind {
-		// The pacing control ops are in-memory packets with no 3-bit wire
-		// encoding (the wire op space is full), so they cannot cross the
-		// serializing reliable link layer, and circuit/streaming locks
-		// would bypass the pacing gates. Fail loudly rather than silently
-		// falling back to sender-driven — benches assert on this.
-		if reliable {
-			return nil, fmt.Errorf("smi: the receiver-driven transport requires pristine links (its pacing ops have no wire encoding); disable Reliable/Faults")
-		}
-		for i := range cfg.Program.Ports {
-			if cfg.Program.Ports[i].Circuit || cfg.Program.Ports[i].Streaming {
-				return nil, fmt.Errorf("smi: port %d: circuit/streaming ports bypass receiver-driven pacing; use the sender-driven transport", cfg.Program.Ports[i].Port)
-			}
+	for i := range cfg.Program.Ports {
+		// Fail loudly rather than silently falling back to sender-driven —
+		// benches assert on this.
+		if err := TransportCarries(cfg.Transport.Kind, cfg.Program.Ports[i].Mode, reliable); err != nil {
+			return nil, err
 		}
 	}
 	if reliable && cfg.Topology.Devices > packet.MaxWireRanks {
@@ -217,7 +231,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if cfg.Scheduler != sim.SchedShardAdaptive {
 			return nil, fmt.Errorf("smi: %d shards need the %s scheduler, got %s", shards, sim.SchedShardAdaptive, cfg.Scheduler)
 		}
-		if cfg.Trace != nil || cfg.ChromeTrace != nil {
+		if cfg.ChromeTrace != nil {
 			return nil, fmt.Errorf("smi: tracing records a single global event order and cannot run with %d shards", shards)
 		}
 		// Every rank gets its own engine so horizons are truly
@@ -252,9 +266,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		e.SetScheduler(cfg.Scheduler)
 		e.SetMaxCycles(cfg.MaxCycles)
 		engs[i] = e
-	}
-	if cfg.Trace != nil {
-		engs[0].SetTrace(cfg.Trace)
 	}
 	progressEvery := cfg.ProgressEvery
 	if progressEvery <= 0 {
@@ -305,7 +316,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 					// Plain P2P data ports are subject to receiver-driven
 					// pacing; circuit and streaming ports run their own
 					// protocols (and are rejected above for that transport).
-					Paced: !spec.Circuit && !spec.Streaming,
+					Paced: spec.Mode == ModePacket || spec.Mode == ModeCredited,
 				})
 			} else {
 				// Collective port: the support kernel sits between the

@@ -115,13 +115,13 @@ func TestVecWidthSpeedsUpTransfer(t *testing.T) {
 		c.OnRank(0, "s", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
 			for i := 0; i < n; i++ {
-				ch.PushInt(1)
+				Push(ch, int32(1))
 			}
 		})
 		c.OnRank(1, "r", func(x *Ctx) {
 			ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 			for i := 0; i < n; i++ {
-				ch.PopInt()
+				Pop[int32](ch)
 			}
 		})
 		st, err := c.Run()
@@ -178,45 +178,19 @@ func TestPinIface(t *testing.T) {
 	}
 }
 
-func TestTraceOutput(t *testing.T) {
-	topo, _ := topology.Bus(2)
-	var buf bytes.Buffer
-	c, err := NewCluster(Config{
-		Topology: topo,
-		Program:  ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int}}},
-		Trace:    &buf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.OnRank(0, "s", func(x *Ctx) {
-		ch, _ := x.OpenSendChannel(1, Int, 1, 0, x.CommWorld())
-		ch.PushInt(42)
-	})
-	c.OnRank(1, "r", func(x *Ctx) {
-		ch, _ := x.OpenRecvChannel(1, Int, 0, 0, x.CommWorld())
-		ch.PopInt()
-	})
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Tracing is optional plumbing; the run must simply not break with
-	// it enabled.
-}
-
 func TestStatsTraffic(t *testing.T) {
 	const n = 700 // 100 packets
 	c := busCluster(t, 4, PortSpec{Port: 0, Type: Int})
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(n, Int, 3, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PushInt(0)
+			Push(ch, int32(0))
 		}
 	})
 	c.OnRank(3, "r", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	st, err := c.Run()
@@ -255,7 +229,7 @@ func TestManyRanksLargeCluster(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			chs.PushInt(int32(x.Rank()))
+			Push(chs, int32(x.Rank()))
 		}
 		chr, err := x.OpenRecvChannel(n, Int, prev, 0, x.CommWorld())
 		if err != nil {
@@ -263,7 +237,7 @@ func TestManyRanksLargeCluster(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			if got := chr.PopInt(); got != int32(prev) {
+			if got := Pop[int32](chr); got != int32(prev) {
 				t.Errorf("rank %d got %d, want %d", x.Rank(), got, prev)
 				return
 			}
@@ -429,13 +403,13 @@ func TestLinkStats(t *testing.T) {
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PushInt(0)
+			Push(ch, int32(0))
 		}
 	})
 	c.OnRank(1, "r", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	if _, err := c.Run(); err != nil {
@@ -473,13 +447,13 @@ func TestChromeTraceOutput(t *testing.T) {
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(50, Int, 1, 0, x.CommWorld())
 		for i := 0; i < 50; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 		}
 	})
 	c.OnRank(1, "r", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(50, Int, 0, 0, x.CommWorld())
 		for i := 0; i < 50; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	if _, err := c.Run(); err != nil {

@@ -48,7 +48,7 @@ func TestListing1(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			chs.PushInt(int32(i * 3))
+			Push(chs, int32(i*3))
 		}
 	})
 	var got []int32
@@ -59,7 +59,7 @@ func TestListing1(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			got = append(got, chr.PopInt())
+			got = append(got, Pop[int32](chr))
 		}
 	})
 	st, err := c.Run()
@@ -87,41 +87,41 @@ func TestAllDatatypesRoundtrip(t *testing.T) {
 		pop  func(ch *RecvChannel, i int) error
 	}{
 		{Char,
-			func(ch *SendChannel, i int) { ch.PushChar(byte(i)) },
+			func(ch *SendChannel, i int) { Push(ch, byte(i)) },
 			func(ch *RecvChannel, i int) error {
-				if got := ch.PopChar(); got != byte(i) {
+				if got := Pop[byte](ch); got != byte(i) {
 					return fmt.Errorf("char %d: got %d", i, got)
 				}
 				return nil
 			}},
 		{Short,
-			func(ch *SendChannel, i int) { ch.PushShort(int16(-i * 7)) },
+			func(ch *SendChannel, i int) { Push(ch, int16(-i*7)) },
 			func(ch *RecvChannel, i int) error {
-				if got := ch.PopShort(); got != int16(-i*7) {
+				if got := Pop[int16](ch); got != int16(-i*7) {
 					return fmt.Errorf("short %d: got %d", i, got)
 				}
 				return nil
 			}},
 		{Int,
-			func(ch *SendChannel, i int) { ch.PushInt(int32(i * 1000003)) },
+			func(ch *SendChannel, i int) { Push(ch, int32(i*1000003)) },
 			func(ch *RecvChannel, i int) error {
-				if got := ch.PopInt(); got != int32(i*1000003) {
+				if got := Pop[int32](ch); got != int32(i*1000003) {
 					return fmt.Errorf("int %d: got %d", i, got)
 				}
 				return nil
 			}},
 		{Float,
-			func(ch *SendChannel, i int) { ch.PushFloat(float32(i) * 0.5) },
+			func(ch *SendChannel, i int) { Push(ch, float32(i)*0.5) },
 			func(ch *RecvChannel, i int) error {
-				if got := ch.PopFloat(); got != float32(i)*0.5 {
+				if got := Pop[float32](ch); got != float32(i)*0.5 {
 					return fmt.Errorf("float %d: got %g", i, got)
 				}
 				return nil
 			}},
 		{Double,
-			func(ch *SendChannel, i int) { ch.PushDouble(float64(i) * 0.25) },
+			func(ch *SendChannel, i int) { Push(ch, float64(i)*0.25) },
 			func(ch *RecvChannel, i int) error {
-				if got := ch.PopDouble(); got != float64(i)*0.25 {
+				if got := Pop[float64](ch); got != float64(i)*0.25 {
 					return fmt.Errorf("double %d: got %g", i, got)
 				}
 				return nil
@@ -168,13 +168,13 @@ func TestMultiHopMessage(t *testing.T) {
 	c.OnRank(0, "send", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(n, Int, 7, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 		}
 	})
 	c.OnRank(7, "recv", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			if got := ch.PopInt(); got != int32(i) {
+			if got := Pop[int32](ch); got != int32(i) {
 				t.Errorf("element %d = %d", i, got)
 				return
 			}
@@ -196,7 +196,7 @@ func TestSendToSelf(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i + 5))
+			Push(ch, int32(i+5))
 		}
 	})
 	c.OnRank(0, "consumer", func(x *Ctx) {
@@ -206,7 +206,7 @@ func TestSendToSelf(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			if got := ch.PopInt(); got != int32(i+5) {
+			if got := Pop[int32](ch); got != int32(i+5) {
 				t.Errorf("element %d = %d", i, got)
 				return
 			}
@@ -240,11 +240,11 @@ func TestSPMDNeighborExchange(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			chs.PushInt(int32(x.Rank()*100 + i))
+			Push(chs, int32(x.Rank()*100+i))
 		}
 		for i := 0; i < n; i++ {
 			want := int32(left*100 + i)
-			if got := chr.PopInt(); got != want {
+			if got := Pop[int32](chr); got != want {
 				t.Errorf("rank %d element %d = %d, want %d", x.Rank(), i, got, want)
 				return
 			}
@@ -289,7 +289,7 @@ func TestOpenValidation(t *testing.T) {
 			t.Error("double open accepted")
 		}
 		for i := 0; i < 10; i++ {
-			ch.PushInt(1)
+			Push(ch, int32(1))
 		}
 		// After the channel closed implicitly, the port is free again.
 		ch2, err := x.OpenSendChannel(5, Int, 1, 0, w)
@@ -298,17 +298,17 @@ func TestOpenValidation(t *testing.T) {
 			return
 		}
 		for i := 0; i < 5; i++ {
-			ch2.PushInt(int32(i))
+			Push(ch2, int32(i))
 		}
 	})
 	c.OnRank(1, "recv", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(10, Int, 0, 0, x.CommWorld())
 		for i := 0; i < 10; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 		ch2, _ := x.OpenRecvChannel(5, Int, 0, 0, x.CommWorld())
 		for i := 0; i < 5; i++ {
-			ch2.PopInt()
+			Pop[int32](ch2)
 		}
 	})
 	if _, err := c.Run(); err != nil {
@@ -320,12 +320,12 @@ func TestPushOverrunPanicsAsError(t *testing.T) {
 	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int})
 	c.OnRank(0, "bad", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(1, Int, 1, 0, x.CommWorld())
-		ch.PushInt(1)
-		ch.PushInt(2) // beyond count: must panic
+		Push(ch, int32(1))
+		Push(ch, int32(2)) // beyond count: must panic
 	})
 	c.OnRank(1, "recv", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(1, Int, 0, 0, x.CommWorld())
-		ch.PopInt()
+		Pop[int32](ch)
 	})
 	if _, err := c.Run(); err == nil {
 		t.Fatal("expected an error from the overrun")
@@ -345,11 +345,11 @@ func TestDeadlockDetected(t *testing.T) {
 		recvPort, sendPort := x.Rank(), other
 		chr, _ := x.OpenRecvChannel(n, Int, other, recvPort, x.CommWorld())
 		for i := 0; i < n; i++ {
-			chr.PopInt()
+			Pop[int32](chr)
 		}
 		chs, _ := x.OpenSendChannel(n, Int, other, sendPort, x.CommWorld())
 		for i := 0; i < n; i++ {
-			chs.PushInt(0)
+			Push(chs, int32(0))
 		}
 	}
 	c.OnRank(0, "a", body)

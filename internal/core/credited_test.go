@@ -11,7 +11,7 @@ func TestCreditedChannelDeliversIntact(t *testing.T) {
 	// Message far exceeds the buffer: the credited protocol must cycle
 	// grants many times and still deliver in order.
 	const n = 2000
-	c := busCluster(t, 3, PortSpec{Port: 0, Type: Int, Credited: true, BufferElems: 56})
+	c := busCluster(t, 3, PortSpec{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: 56})
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, err := x.OpenSendChannel(n, Int, 2, 0, x.CommWorld())
 		if err != nil {
@@ -19,7 +19,7 @@ func TestCreditedChannelDeliversIntact(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i * 7))
+			Push(ch, int32(i*7))
 		}
 	})
 	c.OnRank(2, "r", func(x *Ctx) {
@@ -29,7 +29,7 @@ func TestCreditedChannelDeliversIntact(t *testing.T) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			if got := ch.PopInt(); got != int32(i*7) {
+			if got := Pop[int32](ch); got != int32(i*7) {
 				t.Errorf("element %d = %d", i, got)
 				return
 			}
@@ -45,12 +45,12 @@ func TestCreditedSenderNeverOverrunsBuffer(t *testing.T) {
 	// must stop after committing at most the buffer (plus what is in
 	// flight), instead of jamming the transport.
 	const n, k = 1000, 56
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Credited: true, BufferElems: k})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: k})
 	var pushedBeforeStall int
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 			if x.Now() < 5000 {
 				pushedBeforeStall = i + 1
 			}
@@ -60,7 +60,7 @@ func TestCreditedSenderNeverOverrunsBuffer(t *testing.T) {
 		x.Sleep(5000) // receiver not ready for a long time
 		ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 		for i := 0; i < n; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	if _, err := c.Run(); err != nil {
@@ -72,7 +72,7 @@ func TestCreditedSenderNeverOverrunsBuffer(t *testing.T) {
 }
 
 func TestCreditedHalfDuplexEnforced(t *testing.T) {
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Credited: true, BufferElems: 28})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: 28})
 	c.OnRank(0, "s", func(x *Ctx) {
 		ch, err := x.OpenSendChannel(100, Int, 1, 0, x.CommWorld())
 		if err != nil {
@@ -85,13 +85,13 @@ func TestCreditedHalfDuplexEnforced(t *testing.T) {
 			t.Error("credited port allowed a concurrent recv channel")
 		}
 		for i := 0; i < 100; i++ {
-			ch.PushInt(1)
+			Push(ch, int32(1))
 		}
 	})
 	c.OnRank(1, "r", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(100, Int, 0, 0, x.CommWorld())
 		for i := 0; i < 100; i++ {
-			ch.PopInt()
+			Pop[int32](ch)
 		}
 	})
 	if _, err := c.Run(); err != nil {
@@ -100,7 +100,7 @@ func TestCreditedHalfDuplexEnforced(t *testing.T) {
 }
 
 func TestCreditedLoopbackRejected(t *testing.T) {
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Credited: true})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeCredited})
 	c.OnRank(0, "s", func(x *Ctx) {
 		if _, err := x.OpenSendChannel(10, Int, 0, 0, x.CommWorld()); err == nil {
 			t.Error("credited loopback accepted")
@@ -116,7 +116,7 @@ func TestCreditedRepeatedMessages(t *testing.T) {
 	// Back-to-back credited messages on the same port: no stale credits
 	// may leak between channels.
 	const n, rounds = 300, 4
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Credited: true, BufferElems: 35})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: 35})
 	c.OnRank(0, "s", func(x *Ctx) {
 		for r := 0; r < rounds; r++ {
 			ch, err := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
@@ -125,7 +125,7 @@ func TestCreditedRepeatedMessages(t *testing.T) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				ch.PushInt(int32(r*n + i))
+				Push(ch, int32(r*n+i))
 			}
 		}
 	})
@@ -137,7 +137,7 @@ func TestCreditedRepeatedMessages(t *testing.T) {
 				return
 			}
 			for i := 0; i < n; i++ {
-				if got := ch.PopInt(); got != int32(r*n+i) {
+				if got := Pop[int32](ch); got != int32(r*n+i) {
 					t.Errorf("round %d element %d = %d", r, i, got)
 					return
 				}
@@ -155,14 +155,14 @@ func TestCreditedRepeatedMessages(t *testing.T) {
 // message jams the CKR pipeline (the run deadlocks, which the engine
 // diagnoses); with credits it completes.
 func TestCreditedProtectsOtherChannels(t *testing.T) {
-	run := func(credited bool) error {
+	run := func(mode Mode) error {
 		topo, _ := topology.Bus(2)
 		c, err := NewCluster(Config{
 			Topology: topo,
 			Program: ProgramSpec{Ports: []PortSpec{
 				// Both ports pinned to one CKS/CKR pair: the worst case,
 				// where bulk and control traffic share every FIFO.
-				{Port: 0, Type: Int, Credited: credited, BufferElems: 28, Iface: 0, PinIface: true},
+				{Port: 0, Type: Int, Mode: mode, BufferElems: 28, Iface: 0, PinIface: true},
 				{Port: 1, Type: Int, BufferElems: 28, Iface: 0, PinIface: true},
 			}},
 		})
@@ -176,7 +176,7 @@ func TestCreditedProtectsOtherChannels(t *testing.T) {
 				panic(err)
 			}
 			for i := 0; i < bulk; i++ {
-				bc.PushInt(int32(i))
+				Push(bc, int32(i))
 			}
 		})
 		c.OnRank(1, "consumer", func(x *Ctx) {
@@ -187,14 +187,14 @@ func TestCreditedProtectsOtherChannels(t *testing.T) {
 				panic(err)
 			}
 			for i := 0; i < 4; i++ {
-				ctl.PopInt()
+				Pop[int32](ctl)
 			}
 			bc, err := x.OpenRecvChannel(bulk, Int, 0, 0, x.CommWorld())
 			if err != nil {
 				panic(err)
 			}
 			for i := 0; i < bulk; i++ {
-				bc.PopInt()
+				Pop[int32](bc)
 			}
 		})
 		c.OnRank(0, "ctl-sender", func(x *Ctx) {
@@ -204,16 +204,16 @@ func TestCreditedProtectsOtherChannels(t *testing.T) {
 				panic(err)
 			}
 			for i := 0; i < 4; i++ {
-				ctl.PushInt(int32(i))
+				Push(ctl, int32(i))
 			}
 		})
 		_, err = c.Run()
 		return err
 	}
-	if err := run(true); err != nil {
+	if err := run(ModeCredited); err != nil {
 		t.Fatalf("credited flow control should keep the control channel alive: %v", err)
 	}
-	if err := run(false); err == nil {
+	if err := run(ModePacket); err == nil {
 		t.Fatal("eager mode with a tiny buffer should jam the shared transport (this documents why §3.3 prescribes credits)")
 	}
 }
@@ -227,7 +227,7 @@ func TestCreditedIntegrityQuick(t *testing.T) {
 		topo, _ := topology.Bus(2)
 		c, err := NewCluster(Config{
 			Topology: topo,
-			Program:  ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Credited: true, BufferElems: buf}}},
+			Program:  ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: buf}}},
 		})
 		if err != nil {
 			return false
@@ -235,14 +235,14 @@ func TestCreditedIntegrityQuick(t *testing.T) {
 		c.OnRank(0, "s", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(count, Int, 1, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		okAll := true
 		c.OnRank(1, "r", func(x *Ctx) {
 			ch, _ := x.OpenRecvChannel(count, Int, 0, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				if ch.PopInt() != int32(i) {
+				if Pop[int32](ch) != int32(i) {
 					okAll = false
 					return
 				}

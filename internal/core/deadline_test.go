@@ -240,7 +240,7 @@ func TestMisusePanicsVsErrors(t *testing.T) {
 	})
 
 	t.Run("credited half duplex violation is an error", func(t *testing.T) {
-		c := twoRankCluster(t, PortSpec{Port: 0, Type: Int, Credited: true, BufferElems: 16})
+		c := twoRankCluster(t, PortSpec{Port: 0, Type: Int, Mode: ModeCredited, BufferElems: 16})
 		c.OnRank(0, "t", func(x *Ctx) {
 			if _, err := x.OpenSend(ChannelOpts{Count: 64, Type: Int, Dst: 1, Port: 0}); err != nil {
 				t.Error(err)

@@ -35,13 +35,13 @@
 //	cluster.OnRank(0, "rank0", func(x *smi.Ctx) {
 //		ch, _ := x.OpenSendChannel(n, smi.Int, 1, 0, x.CommWorld())
 //		for i := 0; i < n; i++ {
-//			ch.PushInt(int32(i))
+//			smi.Push(ch, int32(i))
 //		}
 //	})
 //	cluster.OnRank(1, "rank1", func(x *smi.Ctx) {
 //		ch, _ := x.OpenRecvChannel(n, smi.Int, 0, 0, x.CommWorld())
 //		for i := 0; i < n; i++ {
-//			_ = ch.PopInt()
+//			_ = smi.Pop[int32](ch)
 //		}
 //	})
 //	stats, _ := cluster.Run()

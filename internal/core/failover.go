@@ -31,10 +31,16 @@ type cable struct {
 // exact: everything below the receiver's RxExpected was delivered once,
 // everything at or above it was not — so no packet is lost or duplicated.
 //
-// Rescued packets are re-routed by their headers; headerless OpRaw
-// payloads of an in-flight circuit cannot be re-addressed and are
-// counted as drops (circuit switching trades this robustness away, the
-// same trade-off §4.2 describes for multiplexing).
+// Rescued packets are re-routed by their headers. A stream fragment the
+// dead cable tore — circuit or streaming, it is the same fragment — has
+// no such remedy: its headerless OpRaw words cannot be re-addressed, and
+// the kernels upstream are locked onto the dead exit. Cut-through trades
+// this robustness away (the trade-off §4.2 describes for multiplexing),
+// so the manager declares the cluster failed with a cause naming the
+// lost words, and every blocked operation returns ClusterFailed instead
+// of deadlocking on, or mis-parsing, a stream with a hole in it. A death
+// that lands between fragments or messages tears nothing and fails over
+// like any packet traffic.
 type faultManager struct {
 	c            *Cluster
 	surviving    *topology.Topology
@@ -207,15 +213,14 @@ func (m *faultManager) declareFailed(now int64, err error) {
 	}
 }
 
-// swapAndRescue uploads the regenerated tables through the shared Routes
-// pointer (every CK routes each packet at pop time, so the swap takes
-// effect atomically between cycles), collects the dead cable's loss set,
-// and resumes everything except the two endpoint devices' send sides —
-// those stay quiesced until the rescued (oldest) packets have re-entered
-// the network, preserving per-flow order.
+// swapAndRescue collects the dead cable's loss set, uploads the
+// regenerated tables through the shared Routes pointer (every CK routes
+// each packet at pop time, so the swap takes effect atomically between
+// cycles), and resumes everything except the two endpoint devices' send
+// sides — those stay quiesced until the rescued (oldest) packets have
+// re-entered the network, preserving per-flow order. A loss set that
+// shows a torn stream fragment fails the cluster instead.
 func (m *faultManager) swapAndRescue(now int64) {
-	m.c.routes.CopyFrom(m.newRoutes)
-	m.logEvent(now, "tables-swapped")
 	cb := m.fail
 	devA := m.c.ranks[cb.conn.A.Device].dev
 	devB := m.c.ranks[cb.conn.B.Device].dev
@@ -227,6 +232,15 @@ func (m *faultManager) swapAndRescue(now int64) {
 	qa = append(qa, devA.DrainExit(cb.conn.A.Iface)...)
 	qb := cb.ba.Unacked(cb.ba.RxExpected())
 	qb = append(qb, devB.DrainExit(cb.conn.B.Iface)...)
+	lostRaw := countRaw(qa) + countRaw(qb)
+	locked := devA.LockedOnto(cb.conn.A.Iface) || devB.LockedOnto(cb.conn.B.Iface)
+	if lostRaw > 0 || locked {
+		m.declareFailed(now, fmt.Errorf("smi: failover after %s died: the cable tore a stream fragment (%d headerless raw words in its loss set, a send kernel still locked onto the dead interface: %t); raw words carry no address to re-route them by",
+			cb.ab.Name(), lostRaw, locked))
+		return
+	}
+	m.c.routes.CopyFrom(m.newRoutes)
+	m.logEvent(now, "tables-swapped")
 	m.rescueRank = [2]int{cb.conn.A.Device, cb.conn.B.Device}
 	m.rescueQueue = [2][]packet.Packet{qa, qb}
 	for _, rs := range m.c.ranks {
@@ -238,10 +252,21 @@ func (m *faultManager) swapAndRescue(now int64) {
 	m.logEvent(now, fmt.Sprintf("rescue-start:%d+%d", len(qa), len(qb)))
 }
 
+// countRaw counts the headerless words in a loss set.
+func countRaw(q []packet.Packet) int {
+	n := 0
+	for _, p := range q {
+		if p.Op == packet.OpRaw {
+			n++
+		}
+	}
+	return n
+}
+
 // injectRescues feeds one rescued packet per endpoint device per cycle
 // into the network-port FIFO its new route selects. A full FIFO retries
-// next cycle; an unroutable packet (destination cut off, or a headerless
-// raw payload) is dropped and counted.
+// next cycle; an unroutable packet (destination cut off) is dropped and
+// counted.
 func (m *faultManager) injectRescues(now int64) {
 	for i := 0; i < 2; i++ {
 		q := m.rescueQueue[i]
@@ -252,7 +277,7 @@ func (m *faultManager) injectRescues(now int64) {
 		rank := m.rescueRank[i]
 		dev := m.c.ranks[rank].dev
 		exit := routing.Unreachable
-		if p.Op != packet.OpRaw && int(p.Dst) < m.c.routes.Devices {
+		if int(p.Dst) < m.c.routes.Devices {
 			exit = m.c.routes.At(rank, int(p.Dst))
 		}
 		if exit < 0 {

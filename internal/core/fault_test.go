@@ -2,6 +2,7 @@ package smi
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -25,7 +26,7 @@ func streamRun(t *testing.T, cfg Config, src, dst, n int) (Stats, []int32) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 		}
 	})
 	var got []int32
@@ -36,7 +37,7 @@ func streamRun(t *testing.T, cfg Config, src, dst, n int) (Stats, []int32) {
 			return
 		}
 		for i := 0; i < n; i++ {
-			got = append(got, ch.PopInt())
+			got = append(got, Pop[int32](ch))
 		}
 	})
 	st, err := c.Run()
@@ -314,5 +315,211 @@ func TestFailoverSurvivesOnEveryTorusCable(t *testing.T) {
 				t.Fatalf("dropped packets: %+v", st)
 			}
 		})
+	}
+}
+
+// rawKillCluster builds the scenario of the two tests below: a torus
+// whose 0->1 cable dies at killAt while rank 0 feeds rank 1 over a
+// raw-word port (port 0; port 1 is a plain packet port), under the given
+// scheduler.
+func rawKillCluster(t *testing.T, mode Mode, kind sim.SchedulerKind, shards int, killAt int64) *Cluster {
+	t.Helper()
+	topo, err := topology.Torus2D(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := routing.Compute(topo, routing.UpDown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exit := pre.At(0, 1)
+	nb, ok := topo.Neighbor(0, exit)
+	if !ok || nb.Device != 1 {
+		t.Fatalf("ranks 0 and 1 are not cabled on the routed exit %d", exit)
+	}
+	c, err := NewCluster(Config{
+		Topology: topo,
+		Program: ProgramSpec{Ports: []PortSpec{
+			{Port: 0, Type: Int, Mode: mode, VecWidth: 8, BufferElems: 4096},
+			{Port: 1, Type: Int},
+		}},
+		RoutingPolicy: routing.UpDown,
+		Scheduler:     kind,
+		Shards:        shards,
+		MaxCycles:     200_000,
+		Faults: &fault.Spec{Events: []fault.Event{
+			{Link: fmt.Sprintf("0:%d->1:%d", exit, nb.Iface), Kind: fault.Kill, At: killAt},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// rawKillScheds is the scheduler axis of the raw-fragment kill tests.
+var rawKillScheds = []struct {
+	name   string
+	kind   sim.SchedulerKind
+	shards int
+}{
+	{"dense", sim.SchedDense, 0},
+	{"event", sim.SchedEvent, 0},
+	{"shard-adaptive", sim.SchedShardAdaptive, 4},
+}
+
+// TestKillMidFragmentFailsTyped is the robustness contract for raw-word
+// transfers: a cable that dies with a stream fragment on it — circuit or
+// streaming, it is one data path — cannot be repaired, because the
+// headerless words of the fragment carry no address to re-route them by.
+// Both blocked operations must return ClusterFailed and the cause must
+// name the torn fragment; before the rule existed the circuit run ended
+// in a deadlock report and the streaming run in a protocol panic.
+func TestKillMidFragmentFailsTyped(t *testing.T) {
+	const n, killAt = 65536, 1500
+	for _, mode := range rawModes {
+		for _, s := range rawKillScheds {
+			t.Run(mode.String()+"/"+s.name, func(t *testing.T) {
+				c := rawKillCluster(t, mode, s.kind, s.shards, killAt)
+				var sendErr, recvErr error
+				c.OnRank(0, "tx", func(x *Ctx) {
+					ch, err := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n && sendErr == nil; i++ {
+						sendErr = PushE(ch, int32(i))
+					}
+				})
+				c.OnRank(1, "rx", func(x *Ctx) {
+					ch, err := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n && recvErr == nil; i++ {
+						var v int32
+						if v, recvErr = PopE[int32](ch); recvErr == nil && v != int32(i) {
+							t.Errorf("element %d = %d before the failure", i, v)
+							return
+						}
+					}
+				})
+				st, err := c.Run()
+				if err != nil {
+					t.Fatalf("recovering rank programs must finish cleanly, got %v", err)
+				}
+				if !st.ClusterFailed || st.Failovers != 0 {
+					t.Fatalf("want a failed cluster and no completed failover: %+v", st)
+				}
+				for side, e := range map[string]error{"send": sendErr, "recv": recvErr} {
+					if !IsClusterFailed(e) {
+						t.Errorf("%s: want ClusterFailed, got %v", side, e)
+					}
+				}
+				if cause := c.FailureCause(); cause == nil || !strings.Contains(cause.Error(), "tore a stream fragment") {
+					t.Errorf("FailureCause = %v", cause)
+				}
+			})
+		}
+	}
+}
+
+// TestKillBetweenRawMessagesFailsOver is the other half of the contract:
+// a cable that dies while no fragment is on it tears nothing, so a
+// raw-word port fails over like packet traffic and the messages on both
+// sides of the repair arrive bit-exact, at the same cycle under every
+// scheduler. A dead cable is only found by traffic that goes
+// unacknowledged. Streaming brings its own probe — the rendezvous request
+// of the second message is a headered packet, lost, detected, rescued
+// and answered over the new route before any raw word moves. A circuit's
+// first packet already opens its one fragment, so there a one-packet
+// ping-pong on the plain port finds the dead cable first.
+func TestKillBetweenRawMessagesFailsOver(t *testing.T) {
+	const n, killAt, resumeAt = 8000, 4000, 6000
+	for _, mode := range rawModes {
+		probe := mode == ModeCircuit
+		var ref Stats
+		for i, s := range rawKillScheds {
+			c := rawKillCluster(t, mode, s.kind, s.shards, killAt)
+			c.OnRank(0, "tx", func(x *Ctx) {
+				for msg := 0; msg < 2; msg++ {
+					ch, err := x.OpenSendChannel(n, Int, 1, 0, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n; i++ {
+						Push(ch, int32(msg*n+i))
+					}
+					if msg == 1 {
+						return
+					}
+					if now := x.Now(); now < killAt {
+						x.Sleep(resumeAt - now)
+					} else {
+						t.Errorf("first message still sending at cycle %d; the kill at %d is not between messages", now, killAt)
+					}
+					if probe {
+						pch, err := x.OpenSendChannel(1, Int, 1, 1, x.CommWorld())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						Push(pch, int32(-1))
+						ack, err := x.OpenRecvChannel(1, Int, 1, 1, x.CommWorld())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						Pop[int32](ack)
+					}
+				}
+			})
+			var got []int32
+			c.OnRank(1, "rx", func(x *Ctx) {
+				for msg := 0; msg < 2; msg++ {
+					ch, err := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n; i++ {
+						got = append(got, Pop[int32](ch))
+					}
+					if probe && msg == 0 {
+						pch, err := x.OpenRecvChannel(1, Int, 0, 1, x.CommWorld())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if v := Pop[int32](pch); v != -1 {
+							t.Errorf("probe carried %d", v)
+						}
+						ack, err := x.OpenSendChannel(1, Int, 0, 1, x.CommWorld())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						Push(ack, int32(-2))
+					}
+				}
+			})
+			st, err := c.Run()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", mode, s.name, err)
+			}
+			checkStream(t, got, 2*n)
+			if st.Failovers != 1 || st.RescuedPackets == 0 || st.ClusterFailed || st.PacketsDropped != 0 {
+				t.Fatalf("%s/%s: want one clean failover with a rescued probe: %+v", mode, s.name, st)
+			}
+			if i == 0 {
+				ref = st
+			} else if st.Cycles != ref.Cycles || st.FailoverCycles != ref.FailoverCycles || st.PacketsDelivered != ref.PacketsDelivered {
+				t.Errorf("%s/%s: cycles %d failover %d delivered %d, dense %d/%d/%d", mode, s.name,
+					st.Cycles, st.FailoverCycles, st.PacketsDelivered, ref.Cycles, ref.FailoverCycles, ref.PacketsDelivered)
+			}
+		}
 	}
 }

@@ -44,8 +44,7 @@ func bitsElem[T Element](bits uint64) T {
 }
 
 // Push streams one typed element into a send channel. Go methods cannot
-// be generic, so the typed push is a package-level helper; the legacy
-// PushInt/PushFloat/... methods are aliases of it.
+// be generic, so the typed push is a package-level helper.
 func Push[T Element](ch *SendChannel, v T) { ch.Push(elemBits(v)) }
 
 // PushE is Push with the recoverable error surface of SendChannel.PushE.
@@ -89,33 +88,3 @@ func PopSlice[T Element](ch *RecvChannel, vs []T) (int, error) {
 	}
 	return len(vs), nil
 }
-
-// PushInt pushes an int32 element.
-func (ch *SendChannel) PushInt(v int32) { Push(ch, v) }
-
-// PushFloat pushes a float32 element.
-func (ch *SendChannel) PushFloat(v float32) { Push(ch, v) }
-
-// PushDouble pushes a float64 element.
-func (ch *SendChannel) PushDouble(v float64) { Push(ch, v) }
-
-// PushShort pushes an int16 element.
-func (ch *SendChannel) PushShort(v int16) { Push(ch, v) }
-
-// PushChar pushes a byte element.
-func (ch *SendChannel) PushChar(v byte) { Push(ch, v) }
-
-// PopInt pops an int32 element.
-func (ch *RecvChannel) PopInt() int32 { return Pop[int32](ch) }
-
-// PopFloat pops a float32 element.
-func (ch *RecvChannel) PopFloat() float32 { return Pop[float32](ch) }
-
-// PopDouble pops a float64 element.
-func (ch *RecvChannel) PopDouble() float64 { return Pop[float64](ch) }
-
-// PopShort pops an int16 element.
-func (ch *RecvChannel) PopShort() int16 { return Pop[int16](ch) }
-
-// PopChar pops a byte element.
-func (ch *RecvChannel) PopChar() byte { return Pop[byte](ch) }

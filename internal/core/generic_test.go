@@ -7,8 +7,7 @@ import (
 )
 
 // TestGenericPushPopAllTypes round-trips every supported element type
-// through the generic Push[T]/Pop[T] pair and checks the legacy typed
-// method aliases agree with them.
+// through the generic Push[T]/Pop[T] pair.
 func TestGenericPushPopAllTypes(t *testing.T) {
 	run := func(name string, dt Datatype, send func(*SendChannel, int), recv func(*RecvChannel, int) bool) {
 		t.Run(name, func(t *testing.T) {
@@ -60,11 +59,11 @@ func TestGenericPushPopAllTypes(t *testing.T) {
 		func(ch *SendChannel, i int) { Push(ch, int16(i-25)) },
 		func(ch *RecvChannel, i int) bool { return Pop[int16](ch) == int16(i-25) })
 	run("int", Int,
-		func(ch *SendChannel, i int) { ch.PushInt(int32(i * 3)) }, // legacy alias
+		func(ch *SendChannel, i int) { Push(ch, int32(i*3)) },
 		func(ch *RecvChannel, i int) bool { return Pop[int32](ch) == int32(i*3) })
 	run("float", Float,
 		func(ch *SendChannel, i int) { Push(ch, float32(i)/4) },
-		func(ch *RecvChannel, i int) bool { return ch.PopFloat() == float32(i)/4 }) // legacy alias
+		func(ch *RecvChannel, i int) bool { return Pop[float32](ch) == float32(i)/4 })
 	run("double", Double,
 		func(ch *SendChannel, i int) { Push(ch, float64(i)*1.5) },
 		func(ch *RecvChannel, i int) bool { return Pop[float64](ch) == float64(i)*1.5 })

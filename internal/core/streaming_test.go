@@ -9,12 +9,20 @@ import (
 	"repro/internal/topology"
 )
 
-func TestStreamingChannelDeliversIntact(t *testing.T) {
+// rawModes are the two modes that move headerless raw words behind
+// OpStream fragment headers. They share one data path, so the delivery
+// properties (intact, repeated, quick) are one test body run per mode.
+var rawModes = []Mode{ModeStreaming, ModeCircuit}
+
+func TestStreamingChannelDeliversIntact(t *testing.T) { rawDeliversIntact(t, ModeStreaming) }
+func TestCircuitChannelDeliversIntact(t *testing.T)   { rawDeliversIntact(t, ModeCircuit) }
+
+func rawDeliversIntact(t *testing.T, mode Mode) {
 	const n = 555 // not a multiple of any raw packing factor or batch size
 	for _, dt := range []Datatype{Char, Short, Int, Float, Double} {
 		dt := dt
 		t.Run(dt.String(), func(t *testing.T) {
-			c := busCluster(t, 4, PortSpec{Port: 0, Type: dt, Streaming: true, BufferElems: 64})
+			c := busCluster(t, 4, PortSpec{Port: 0, Type: dt, Mode: mode, BufferElems: 64})
 			mask := uint64(1)<<(8*dt.Size()) - 1
 			if dt.Size() == 8 {
 				mask = ^uint64(0)
@@ -47,7 +55,7 @@ func TestStreamingChannelDeliversIntact(t *testing.T) {
 				t.Fatal(err)
 			}
 			if st.StreamFragments == 0 {
-				t.Fatal("a message larger than the buffer should have streamed")
+				t.Fatal("a message larger than the buffer should have travelled as raw-word fragments")
 			}
 		})
 	}
@@ -57,17 +65,17 @@ func TestStreamingEagerSwitchover(t *testing.T) {
 	// A message that fits the endpoint buffer must ride the plain eager
 	// packet path: no rendezvous round-trip, no fragments.
 	run := func(count int) Stats {
-		c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Streaming: true, BufferElems: 64})
+		c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeStreaming, BufferElems: 64})
 		c.OnRank(0, "s", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(count, Int, 1, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		c.OnRank(1, "r", func(x *Ctx) {
 			ch, _ := x.OpenRecvChannel(count, Int, 0, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				if got := ch.PopInt(); got != int32(i) {
+				if got := Pop[int32](ch); got != int32(i) {
 					t.Errorf("element %d = %d", i, got)
 					return
 				}
@@ -90,7 +98,7 @@ func TestStreamingEagerSwitchover(t *testing.T) {
 func TestStreamingBulkAPI(t *testing.T) {
 	// PushN/PopN and the typed PushSlice/PopSlice move whole buffers.
 	const n = 1000
-	c := busCluster(t, 3, PortSpec{Port: 0, Type: Float, Streaming: true, BufferElems: 64})
+	c := busCluster(t, 3, PortSpec{Port: 0, Type: Float, Mode: ModeStreaming, BufferElems: 64})
 	src := make([]float32, n)
 	for i := range src {
 		src[i] = float32(i) * 0.5
@@ -145,13 +153,13 @@ func TestStreamingBeatsCreditedBandwidth(t *testing.T) {
 		c.OnRank(0, "s", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(n, Int, 3, 0, x.CommWorld())
 			for i := 0; i < n; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		c.OnRank(3, "r", func(x *Ctx) {
 			ch, _ := x.OpenRecvChannel(n, Int, 0, 0, x.CommWorld())
 			for i := 0; i < n; i++ {
-				ch.PopInt()
+				Pop[int32](ch)
 			}
 		})
 		st, err := c.Run()
@@ -160,8 +168,8 @@ func TestStreamingBeatsCreditedBandwidth(t *testing.T) {
 		}
 		return st.Cycles
 	}
-	credited := run(PortSpec{Port: 0, Type: Int, Credited: true, VecWidth: 8, BufferElems: 64})
-	streaming := run(PortSpec{Port: 0, Type: Int, Streaming: true, VecWidth: 8, BufferElems: 64})
+	credited := run(PortSpec{Port: 0, Type: Int, Mode: ModeCredited, VecWidth: 8, BufferElems: 64})
+	streaming := run(PortSpec{Port: 0, Type: Int, Mode: ModeStreaming, VecWidth: 8, BufferElems: 64})
 	if float64(streaming) > 0.5*float64(credited) {
 		t.Fatalf("streaming (%d cycles) should be at least 2x faster than credited (%d) for buffer-dwarfing messages", streaming, credited)
 	}
@@ -187,7 +195,7 @@ func TestStreamingFairerThanCircuit(t *testing.T) {
 		c.OnRank(0, "bulk", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(bulk, Int, 1, 0, x.CommWorld())
 			for i := 0; i < bulk; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		var ctlDone int64
@@ -195,19 +203,19 @@ func TestStreamingFairerThanCircuit(t *testing.T) {
 			x.Sleep(500) // the bulk message is already flowing
 			ch, _ := x.OpenSendChannel(4, Int, 1, 1, x.CommWorld())
 			for i := 0; i < 4; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		c.OnRank(1, "rbulk", func(x *Ctx) {
 			bc, _ := x.OpenRecvChannel(bulk, Int, 0, 0, x.CommWorld())
 			for i := 0; i < bulk; i++ {
-				bc.PopInt()
+				Pop[int32](bc)
 			}
 		})
 		c.OnRank(1, "rctl", func(x *Ctx) {
 			ctl, _ := x.OpenRecvChannel(4, Int, 0, 1, x.CommWorld())
 			for i := 0; i < 4; i++ {
-				ctl.PopInt()
+				Pop[int32](ctl)
 			}
 			ctlDone = x.Now()
 		})
@@ -216,28 +224,20 @@ func TestStreamingFairerThanCircuit(t *testing.T) {
 		}
 		return ctlDone
 	}
-	circ := run(PortSpec{Port: 0, Type: Int, Circuit: true, VecWidth: 8, BufferElems: 1024, Iface: 0, PinIface: true})
-	strm := run(PortSpec{Port: 0, Type: Int, Streaming: true, VecWidth: 8, BufferElems: 1024, Iface: 0, PinIface: true})
+	circ := run(PortSpec{Port: 0, Type: Int, Mode: ModeCircuit, VecWidth: 8, BufferElems: 1024, Iface: 0, PinIface: true})
+	strm := run(PortSpec{Port: 0, Type: Int, Mode: ModeStreaming, VecWidth: 8, BufferElems: 1024, Iface: 0, PinIface: true})
 	if float64(strm) > 0.5*float64(circ) {
 		t.Fatalf("fragment-bounded locks should release the shared kernel: ctl done at %d (streaming) vs %d (circuit)", strm, circ)
 	}
 }
 
 func TestStreamingValidation(t *testing.T) {
-	bad := ProgramSpec{Ports: []PortSpec{{Port: 0, Kind: Bcast, Type: Int, Streaming: true}}}
+	bad := ProgramSpec{Ports: []PortSpec{{Port: 0, Kind: Bcast, Type: Int, Mode: ModeStreaming}}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("streaming collective accepted")
 	}
-	bad = ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Streaming: true, Circuit: true}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("streaming+circuit accepted")
-	}
-	bad = ProgramSpec{Ports: []PortSpec{{Port: 0, Type: Int, Streaming: true, Credited: true}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("streaming+credited accepted")
-	}
 	// Half-duplex: a streaming port cannot loop back to its own rank.
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Streaming: true})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeStreaming})
 	c.OnRank(0, "s", func(x *Ctx) {
 		if _, err := x.OpenSendChannel(10, Int, 0, 0, x.CommWorld()); err == nil {
 			t.Error("self-targeted streaming channel accepted")
@@ -249,12 +249,16 @@ func TestStreamingValidation(t *testing.T) {
 	}
 }
 
-func TestStreamingRepeatedMessages(t *testing.T) {
-	// Back-to-back messages on one port, alternating eager and
-	// rendezvous, reusing the endpoint cleanly each round.
+func TestStreamingRepeatedMessages(t *testing.T) { rawRepeatedMessages(t, ModeStreaming) }
+func TestCircuitRepeatedMessages(t *testing.T)   { rawRepeatedMessages(t, ModeCircuit) }
+
+func rawRepeatedMessages(t *testing.T, mode Mode) {
+	// Back-to-back messages on one port reuse the endpoint cleanly each
+	// round. Under streaming the sizes alternate rendezvous and eager;
+	// under circuit every one is a single fragment.
 	const rounds = 4
 	counts := []int{300, 16, 200, 64} // stream, eager, stream, eager
-	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Streaming: true, BufferElems: 64, StreamBatch: 4})
+	c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: mode, BufferElems: 64, StreamBatch: 4})
 	c.OnRank(0, "s", func(x *Ctx) {
 		for r := 0; r < rounds; r++ {
 			ch, err := x.OpenSendChannel(counts[r], Int, 1, 0, x.CommWorld())
@@ -263,7 +267,7 @@ func TestStreamingRepeatedMessages(t *testing.T) {
 				return
 			}
 			for i := 0; i < counts[r]; i++ {
-				ch.PushInt(int32(r*1000 + i))
+				Push(ch, int32(r*1000+i))
 			}
 		}
 	})
@@ -275,7 +279,7 @@ func TestStreamingRepeatedMessages(t *testing.T) {
 				return
 			}
 			for i := 0; i < counts[r]; i++ {
-				if got := ch.PopInt(); got != int32(r*1000+i) {
+				if got := Pop[int32](ch); got != int32(r*1000+i) {
 					t.Errorf("round %d element %d = %d", r, i, got)
 					return
 				}
@@ -287,9 +291,13 @@ func TestStreamingRepeatedMessages(t *testing.T) {
 	}
 }
 
-// Property: streaming channels preserve arbitrary messages across hop
-// counts, buffer sizes, and batch sizes, eager and rendezvous alike.
-func TestStreamingIntegrityQuick(t *testing.T) {
+func TestStreamingIntegrityQuick(t *testing.T) { rawIntegrityQuick(t, ModeStreaming) }
+func TestCircuitIntegrityQuick(t *testing.T)   { rawIntegrityQuick(t, ModeCircuit) }
+
+// Property: raw-word channels preserve arbitrary messages across hop
+// counts, buffer sizes, and batch sizes — eager and rendezvous alike
+// under streaming, one fragment whatever the batch under circuit.
+func rawIntegrityQuick(t *testing.T, mode Mode) {
 	prop := func(countRaw uint16, bufRaw, batchRaw, dstRaw uint8) bool {
 		count := int(countRaw%600) + 1
 		buf := int(bufRaw%200) + 8
@@ -299,7 +307,7 @@ func TestStreamingIntegrityQuick(t *testing.T) {
 		c, err := NewCluster(Config{
 			Topology: topo,
 			Program: ProgramSpec{Ports: []PortSpec{
-				{Port: 0, Type: Int, Streaming: true, BufferElems: buf, StreamBatch: batch},
+				{Port: 0, Type: Int, Mode: mode, BufferElems: buf, StreamBatch: batch},
 			}},
 		})
 		if err != nil {
@@ -308,14 +316,14 @@ func TestStreamingIntegrityQuick(t *testing.T) {
 		c.OnRank(0, "s", func(x *Ctx) {
 			ch, _ := x.OpenSendChannel(count, Int, dst, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				ch.PushInt(int32(i))
+				Push(ch, int32(i))
 			}
 		})
 		okAll := true
 		c.OnRank(dst, "r", func(x *Ctx) {
 			ch, _ := x.OpenRecvChannel(count, Int, 0, 0, x.CommWorld())
 			for i := 0; i < count; i++ {
-				if ch.PopInt() != int32(i) {
+				if Pop[int32](ch) != int32(i) {
 					okAll = false
 					return
 				}
@@ -334,14 +342,14 @@ func TestStreamingIntegrityQuick(t *testing.T) {
 // streamingParityRun executes one multi-hop streaming transfer plus a
 // concurrent reverse eager message under the given scheduler and fault
 // spec, returning the stats and a digest of everything delivered.
-func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *fault.Spec, circuit bool) (Stats, uint64) {
+func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *fault.Spec, mode Mode) (Stats, uint64) {
 	t.Helper()
 	const n = 2000
 	topo, err := topology.Bus(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := PortSpec{Port: 0, Type: Int, Streaming: !circuit, Circuit: circuit, BufferElems: 64, StreamBatch: 8}
+	port := PortSpec{Port: 0, Type: Int, Mode: mode, BufferElems: 64, StreamBatch: 8}
 	c, err := NewCluster(Config{
 		Topology:  topo,
 		Program:   ProgramSpec{Ports: []PortSpec{port, {Port: 1, Type: Int}}},
@@ -367,7 +375,7 @@ func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *
 			return
 		}
 		for i := 0; i < n; i++ {
-			ch.PushInt(int32(i * 3))
+			Push(ch, int32(i*3))
 		}
 	})
 	c.OnRank(3, "r", func(x *Ctx) {
@@ -377,7 +385,7 @@ func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *
 			return
 		}
 		for i := 0; i < n; i++ {
-			mix(&bulkDig, uint64(uint32(ch.PopInt())))
+			mix(&bulkDig, uint64(uint32(Pop[int32](ch))))
 		}
 		mix(&bulkDig, uint64(x.Now()))
 	})
@@ -386,13 +394,13 @@ func streamingParityRun(t *testing.T, kind sim.SchedulerKind, shards int, spec *
 	c.OnRank(3, "ctl-s", func(x *Ctx) {
 		ch, _ := x.OpenSendChannel(100, Int, 0, 1, x.CommWorld())
 		for i := 0; i < 100; i++ {
-			ch.PushInt(int32(i))
+			Push(ch, int32(i))
 		}
 	})
 	c.OnRank(0, "ctl-r", func(x *Ctx) {
 		ch, _ := x.OpenRecvChannel(100, Int, 3, 1, x.CommWorld())
 		for i := 0; i < 100; i++ {
-			mix(&ctlDig, uint64(uint32(ch.PopInt())))
+			mix(&ctlDig, uint64(uint32(Pop[int32](ch))))
 		}
 		mix(&ctlDig, uint64(x.Now()))
 	})
@@ -416,16 +424,12 @@ func TestStreamingSchedulerParity(t *testing.T) {
 		"pristine": nil,
 		"faulty":   {Seed: 11, DropProb: 0.002},
 	}
-	for _, circuit := range []bool{false, true} {
-		mode := "streaming"
-		if circuit {
-			mode = "circuit"
-		}
+	for _, mode := range rawModes {
 		for name, spec := range specs {
-			t.Run(mode+"/"+name, func(t *testing.T) {
-				refSt, refDig := streamingParityRun(t, sim.SchedDense, 0, spec, circuit)
-				if !circuit && spec == nil && refSt.StreamFragments == 0 {
-					t.Fatal("parity workload did not exercise the streaming path")
+			t.Run(mode.String()+"/"+name, func(t *testing.T) {
+				refSt, refDig := streamingParityRun(t, sim.SchedDense, 0, spec, mode)
+				if refSt.StreamFragments == 0 {
+					t.Fatal("parity workload did not exercise the raw-word path")
 				}
 				if spec != nil && refSt.Retransmits == 0 {
 					t.Fatal("fault spec injected nothing; the parity leg is vacuous")
@@ -439,7 +443,7 @@ func TestStreamingSchedulerParity(t *testing.T) {
 					{"shard2", sim.SchedShardAdaptive, 2},
 					{"shard4", sim.SchedShardAdaptive, 4},
 				} {
-					st, dig := streamingParityRun(t, v.kind, v.shards, spec, circuit)
+					st, dig := streamingParityRun(t, v.kind, v.shards, spec, mode)
 					if dig != refDig {
 						t.Errorf("%s: digest %x, dense %x", v.name, dig, refDig)
 					}

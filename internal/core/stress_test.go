@@ -15,13 +15,12 @@ import (
 // schedule still exercises heavy multiplexing because all ops of a rank
 // run back to back over the shared transport.
 type stressOp struct {
-	port    int
-	kind    PortKind
-	tree    bool
-	cred    bool
-	circuit bool
-	count   int
-	a, b    int // src/dst for p2p, root for collectives (a)
+	port  int
+	kind  PortKind
+	tree  bool
+	mode  Mode
+	count int
+	a, b  int // src/dst for p2p, root for collectives (a)
 }
 
 // TestRandomProgramsAgainstGoldenModel generates random multi-rank
@@ -72,9 +71,11 @@ func stressOnce(t *testing.T, seed int64) {
 			op.b = rng.Intn(ranks)
 			switch rng.Intn(3) {
 			case 0:
-				op.cred = op.a != op.b
+				if op.a != op.b {
+					op.mode = ModeCredited
+				}
 			case 1:
-				op.circuit = true
+				op.mode = ModeCircuit
 			}
 		case 1:
 			op.kind = Bcast
@@ -94,7 +95,7 @@ func stressOnce(t *testing.T, seed int64) {
 		ops[i] = op
 		ports = append(ports, PortSpec{
 			Port: op.port, Kind: op.kind, Type: Int, ReduceOp: Add,
-			Tree: op.tree, Credited: op.cred, Circuit: op.circuit,
+			Tree: op.tree, Mode: op.mode,
 			BufferElems: 14 + rng.Intn(100),
 			CreditElems: 28 + rng.Intn(128),
 		})
@@ -148,7 +149,7 @@ func stressOnce(t *testing.T, seed int64) {
 						return
 					}
 					for i := 0; i < op.count; i++ {
-						ch.PushInt(elem(op, op.a, i))
+						Push(ch, elem(op, op.a, i))
 					}
 				}
 				if me == op.b {
@@ -158,7 +159,7 @@ func stressOnce(t *testing.T, seed int64) {
 						return
 					}
 					for i := 0; i < op.count; i++ {
-						if got := ch.PopInt(); got != elem(op, op.a, i) {
+						if got := Pop[int32](ch); got != elem(op, op.a, i) {
 							t.Errorf("p2p port %d elem %d = %d", op.port, i, got)
 							return
 						}

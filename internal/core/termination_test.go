@@ -38,7 +38,7 @@ func TestTerminationParity(t *testing.T) {
 			program: func(c *Cluster) {
 				c.OnRank(1, "orphan", func(x *Ctx) {
 					ch, _ := x.OpenRecvChannel(4, Int, 0, 0, x.CommWorld())
-					ch.PopInt() // rank 0 never sends
+					Pop[int32](ch) // rank 0 never sends
 				})
 				c.OnRank(2, "done", func(*Ctx) {})
 			},

@@ -78,6 +78,82 @@ func (k PortKind) String() string {
 	}
 }
 
+// Mode selects the point-to-point transfer machinery of a port. The four
+// modes are two orthogonal choices over one data path: whether payload
+// travels as headerless 32-byte raw words behind OpStream fragment
+// headers, and whether a handshake on the port's reverse direction gates
+// the sender.
+type Mode uint8
+
+// Transfer modes.
+const (
+	// ModePacket is the paper's reference path (§3.3 eager, §4.2 packet
+	// switching): every 32-byte packet carries its own 4-byte header and
+	// flow control is buffering plus backpressure.
+	ModePacket Mode = iota
+	// ModeCredited adds the credit-based flow control §3.3 prescribes when
+	// the buffer is smaller than the message, "to guarantee that the
+	// communication occurring on a transient channel will not block the
+	// transmission of other streaming messages": the receiver grants
+	// BufferElems of initial credit and tops it up as it drains, so the
+	// sender never commits more than the receiver can buffer. The reverse
+	// direction of the port carries the credits, so the port is
+	// half-duplex while a channel is open.
+	ModeCredited
+	// ModeCircuit is §4.2's circuit-switching alternative: the message is
+	// one stream fragment — a single OpStream header with all
+	// meta-information, then headerless payload words using the full 32
+	// wire bytes (payload efficiency 32/32 instead of 28/32). Every
+	// communication kernel on the path locks onto the message until it
+	// completes, stalling other channels that share those kernels.
+	ModeCircuit
+	// ModeStreaming is the large-message mode: a message that fits
+	// BufferElems goes eager exactly like ModePacket; a larger one first
+	// completes a rendezvous (request/grant on the reverse direction, so
+	// the port is half-duplex) and then travels as fragments of
+	// StreamBatch raw words, each behind its own OpStream header, so
+	// kernels on the path release the route between fragments.
+	ModeStreaming
+
+	numModes
+)
+
+func (m Mode) String() string {
+	switch m {
+	case ModePacket:
+		return "packet"
+	case ModeCredited:
+		return "credited"
+	case ModeCircuit:
+		return "circuit"
+	case ModeStreaming:
+		return "streaming"
+	default:
+		return fmt.Sprintf("Mode(%d)", uint8(m))
+	}
+}
+
+// ParseMode maps a wire name ("packet", "credited", "circuit",
+// "streaming"; "" means packet) to a Mode.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "packet":
+		return ModePacket, nil
+	case "credited":
+		return ModeCredited, nil
+	case "circuit":
+		return ModeCircuit, nil
+	case "streaming":
+		return ModeStreaming, nil
+	default:
+		return 0, fmt.Errorf("smi: unknown transfer mode %q (want packet, credited, circuit, or streaming)", s)
+	}
+}
+
+// halfDuplex reports whether the port's reverse direction carries the
+// mode's handshake (credits or rendezvous) while a channel is open.
+func (m Mode) halfDuplex() bool { return m == ModeCredited || m == ModeStreaming }
+
 // PortSpec declares one communication endpoint. Ports must be known when
 // the cluster is built — the analog of the paper's requirement that "all
 // ports must be known at compile time" so the code generator can lay
@@ -112,38 +188,10 @@ type PortSpec struct {
 	// log2 of the communicator size. (The paper names tree schemes as
 	// the natural extension its reference implementation lacks.)
 	Tree bool
-	// Circuit selects circuit switching for this point-to-point port
-	// (§4.2's alternative to the reference implementation's packet
-	// switching): each message first transmits a single packet with all
-	// meta-information, then a sequence of headerless payload packets
-	// using the full 32-byte wire word. This raises payload efficiency
-	// from 28/32 to 32/32 of the wire, but every communication kernel on
-	// the path locks onto the message until it completes, stalling other
-	// channels that share those kernels.
-	Circuit bool
-	// Credited selects the credit-based point-to-point flow control of
-	// §3.3 for this port: the paper prescribes it when the buffer size
-	// is smaller than the message size, "to guarantee that the
-	// communication occurring on a transient channel will not block the
-	// transmission of other streaming messages". The receiver grants the
-	// sender BufferElems of initial credit and tops it up as it drains,
-	// so the sender never commits more data than the receiver can
-	// buffer, keeping long messages out of the shared transport.
-	// Credited ports are half-duplex: while a credited channel is open,
-	// the opposite direction of the same port carries its credits.
-	// The default (eager, §3.3) relies on buffering and backpressure.
-	Credited bool
-	// Streaming selects the large-message streaming mode for this
-	// point-to-point port: messages that fit the endpoint buffer go eager
-	// exactly like the default path, while larger messages first complete
-	// a rendezvous handshake (request/grant on the reverse direction) and
-	// then travel as batched stream fragments — one OpStream header
-	// amortized over StreamBatch full 32-byte raw words, cut through
-	// intermediate kernels without store-and-forward. Streaming ports are
-	// half-duplex like Credited ports (the reverse direction carries the
-	// handshake) and mutually exclusive with Circuit and Credited.
-	Streaming bool
-	// StreamBatch is the fragment size in raw wire words for Streaming
+	// Mode selects the point-to-point transfer machinery (default
+	// ModePacket; P2P ports only). See the Mode constants.
+	Mode Mode
+	// StreamBatch is the fragment size in raw wire words for ModeStreaming
 	// ports: each fragment header pins the route for this many words
 	// before competing channels get a polling turn. Larger batches
 	// amortize the header further; smaller ones release shared kernels
@@ -217,17 +265,11 @@ func (p *ProgramSpec) Validate() error {
 		if s.Tree && s.Kind != Bcast && s.Kind != Reduce {
 			return fmt.Errorf("smi: port %d: tree support kernels exist only for bcast and reduce", s.Port)
 		}
-		if s.Circuit && s.Kind != P2P {
-			return fmt.Errorf("smi: port %d: circuit switching applies to point-to-point ports only", s.Port)
+		if s.Mode >= numModes {
+			return fmt.Errorf("smi: port %d has invalid transfer mode %d", s.Port, s.Mode)
 		}
-		if s.Circuit && s.Credited {
-			return fmt.Errorf("smi: port %d: circuit switching and credit-based flow control are mutually exclusive", s.Port)
-		}
-		if s.Streaming && s.Kind != P2P {
-			return fmt.Errorf("smi: port %d: streaming applies to point-to-point ports only", s.Port)
-		}
-		if s.Streaming && (s.Circuit || s.Credited) {
-			return fmt.Errorf("smi: port %d: streaming is mutually exclusive with circuit switching and credit-based flow control", s.Port)
+		if s.Mode != ModePacket && s.Kind != P2P {
+			return fmt.Errorf("smi: port %d: %s mode applies to point-to-point ports only", s.Port, s.Mode)
 		}
 	}
 	return nil

@@ -133,14 +133,10 @@ func encodeWord(p packet.Packet) (word [packet.Size]byte, raw bool, count uint8)
 // decodeWord is the inverse of encodeWord.
 func decodeWord(word [packet.Size]byte, raw bool, count uint8) packet.Packet {
 	if raw {
-		return packet.DecodeRaw(word, raw2count(count))
+		return packet.DecodeRaw(word, count)
 	}
 	return packet.Decode(word)
 }
-
-// raw2count exists only to keep the call above greppable; counts pass
-// through unchanged.
-func raw2count(c uint8) uint8 { return c }
 
 // relTx is the transmit half of one direction, living on the sender
 // rank's engine: retransmit buffer, go-back-N cursor, RTO, and the

@@ -59,21 +59,17 @@ const (
 	// count) from an application endpoint to its collective support
 	// kernel. It never crosses the network.
 	OpConfig
-	// OpOpen establishes a circuit (circuit-switching mode, §4.2): it
-	// carries the meta-information of the whole message — source and
-	// destination rank, port, and the number of raw payload packets that
-	// follow — so those payload packets need no headers of their own.
-	OpOpen
-	// OpRaw is a headerless circuit payload packet: all 32 bytes carry
-	// elements. Its routing is implied by the circuit its OpOpen opened.
+	// OpRaw is a headerless payload word: all 32 bytes carry elements.
+	// Its routing is implied by the OpStream header that precedes it.
 	OpRaw
-	// OpStream is a stream-fragment header (streaming large-message mode):
-	// it carries the fragment's sequence number, the number of headerless
-	// OpRaw payload words that follow, and the element count they hold.
-	// Communication kernels cut a fragment through as soon as this header
-	// resolves the route, pinning the route only for the fragment train —
-	// competing channels interleave at fragment boundaries instead of
-	// waiting out a whole message as they do under circuit switching.
+	// OpStream is a stream-fragment header: it carries the fragment's
+	// sequence number, the number of headerless OpRaw payload words that
+	// follow, and the element count they hold. Communication kernels cut a
+	// fragment through as soon as this header resolves the route, pinning
+	// the route only for the fragment's word train. Streaming mode bounds
+	// the fragment so competing channels interleave at fragment
+	// boundaries; circuit switching (§4.2) is the degenerate case of one
+	// fragment spanning the whole message.
 	OpStream
 	// OpStreamCtl is the streaming rendezvous control packet: a sender
 	// whose message exceeds the endpoint credit asks the receiver for
@@ -94,8 +90,6 @@ func (o Op) String() string {
 		return "CREDIT"
 	case OpConfig:
 		return "CONFIG"
-	case OpOpen:
-		return "OPEN"
 	case OpRaw:
 		return "RAW"
 	case OpStream:
@@ -113,11 +107,11 @@ func (o Op) String() string {
 
 // Packet is one 32-byte network packet.
 //
-// For OpRaw circuit payloads the header bytes are repurposed as four
+// For OpRaw payload words the header bytes are repurposed as four
 // extra payload bytes (Extra), giving the full 32-byte wire word to
 // data; the Op and Count fields then ride out-of-band in the simulator,
-// standing in for the state real circuit-switched hardware keeps per
-// established circuit.
+// standing in for the state real cut-through hardware keeps per
+// route lock.
 type Packet struct {
 	Src     uint16
 	Dst     uint16
@@ -268,7 +262,7 @@ func DecodeCreditElems(p Packet) uint32 {
 }
 
 // RawElemsPerPacket returns how many elements of the datatype fit in a
-// headerless circuit payload packet (32 bytes, capped at 31 by the
+// headerless raw payload word (32 bytes, capped at 31 by the
 // 5-bit count field): 31 chars, 16 shorts, 8 ints/floats, 4 doubles.
 func RawElemsPerPacket(dt Datatype) int {
 	n := Size / dt.Size()
@@ -287,7 +281,7 @@ func (p *Packet) rawByte(off int) *byte {
 	return &p.Payload[off-HeaderSize]
 }
 
-// PutRawElem stores element i of a raw circuit packet.
+// PutRawElem stores element i of a raw word.
 func (p *Packet) PutRawElem(i int, dt Datatype, bits uint64) {
 	s := dt.Size()
 	for b := 0; b < s; b++ {
@@ -295,7 +289,7 @@ func (p *Packet) PutRawElem(i int, dt Datatype, bits uint64) {
 	}
 }
 
-// RawElem loads element i of a raw circuit packet.
+// RawElem loads element i of a raw word.
 func (p *Packet) RawElem(i int, dt Datatype) uint64 {
 	s := dt.Size()
 	var bits uint64
@@ -305,46 +299,27 @@ func (p *Packet) RawElem(i int, dt Datatype) uint64 {
 	return bits
 }
 
-// OpenInfo is the circuit meta-information an OpOpen packet carries.
-type OpenInfo struct {
-	RawPackets uint32 // headerless payload packets that follow
-	Elems      uint32 // total elements in the message
-}
+// wireOps is the size of the 3-bit wire op field. numOps <= wireOps or
+// the constant below overflows and the package does not compile; seven
+// of the eight values are in use.
+const wireOps = 8
 
-// EncodeOpen builds the circuit-establishment packet.
-func EncodeOpen(src, dst uint16, port uint8, info OpenInfo) Packet {
-	p := Packet{Src: src, Dst: dst, Port: port, Op: OpOpen}
-	binary.LittleEndian.PutUint32(p.Payload[0:], info.RawPackets)
-	binary.LittleEndian.PutUint32(p.Payload[4:], info.Elems)
-	return p
-}
+const _ = wireOps - numOps
 
-// DecodeOpen extracts the circuit meta-information.
-func DecodeOpen(p Packet) OpenInfo {
-	return OpenInfo{
-		RawPackets: binary.LittleEndian.Uint32(p.Payload[0:]),
-		Elems:      binary.LittleEndian.Uint32(p.Payload[4:]),
-	}
-}
-
-// The op space is 3 bits wide; OpStream and OpStreamCtl fill it exactly.
-var _ = [1]struct{}{}[numOps-8]
-
-// In-memory control ops. The 3-bit wire op space is full, so the
-// receiver-driven transport's flow-control packets take op values >= 8:
-// they exist only inside the simulator's in-memory packet structs and
-// ride pristine links (which move Packet values without serializing).
-// They must never reach Encode — the reliable link layer is the only
-// path that serializes packets, and clusters combining the
-// receiver-driven transport with reliable links are rejected at build
-// time. A hardware wire format would spend one op (say OpCredit with a
-// kind byte, like OpStreamCtl does) and a sub-kind discriminator; see
-// DESIGN.md §9 for the would-be encoding.
+// In-memory control ops. The receiver-driven transport's flow-control
+// packets have no wire form yet: they take op values >= wireOps, exist only
+// inside the simulator's in-memory packet structs and ride pristine
+// links (which move Packet values without serializing). They must never
+// reach Encode — the reliable link layer is the only path that
+// serializes packets, and clusters combining the receiver-driven
+// transport with reliable links are rejected at build time. A hardware
+// wire format would spend the one free op on them, with a kind byte like
+// OpStreamCtl's; see DESIGN.md §9 for the would-be encoding.
 const (
 	// OpGrantReq announces backlog to a receiver: "src has (cumulative)
 	// N paced data packets to send on this port". Sent by the
 	// receiver-driven pacer when a flow runs out of grant credit.
-	OpGrantReq Op = numOps + iota
+	OpGrantReq Op = wireOps + iota
 	// OpGrant paces a sender: the receiver raises the flow's cumulative
 	// send allowance to N packets. Issued in SRPT order, bounded by the
 	// destination endpoint's free buffer space.
@@ -375,7 +350,7 @@ func EncodeGrant(src, dst uint16, port uint8, grantTotal uint32) Packet {
 // 32-byte wire word: unlike Encode, all four Extra bytes go on the wire
 // and no header is written. The out-of-band Op and Count ride in the
 // link-layer frame sideband (see internal/link), standing in for the
-// per-circuit state real cut-through hardware keeps.
+// per-lock state real cut-through hardware keeps.
 func (p *Packet) EncodeRaw() [Size]byte {
 	var w [Size]byte
 	copy(w[:HeaderSize], p.Extra[:])
@@ -392,16 +367,18 @@ func DecodeRaw(w [Size]byte, count uint8) Packet {
 	return p
 }
 
-// MaxStreamWords bounds the payload words of one stream fragment (the
-// 16-bit Words field of the fragment header).
+// MaxStreamWords is the largest StreamBatch a streaming port accepts:
+// the fragment size at which competing channels still get a polling turn
+// within a bounded wait. (The header's 32-bit Words field itself can span
+// any message — a circuit is one such fragment.)
 const MaxStreamWords = 1 << 16
 
 // StreamFrag is the meta-information an OpStream fragment header
-// carries: like a circuit's OpOpen but scoped to one bounded fragment,
-// so intermediate kernels release the route between fragments.
+// carries. Intermediate kernels hold the route for Words words and
+// release it at the fragment boundary.
 type StreamFrag struct {
 	Seq   uint32 // fragment sequence number within the message, from 0
-	Words uint16 // headerless payload words that follow this header
+	Words uint32 // headerless payload words that follow this header
 	Elems uint32 // elements carried by those words
 	Last  bool   // final fragment of the message
 }
@@ -410,10 +387,10 @@ type StreamFrag struct {
 func EncodeStreamFrag(src, dst uint16, port uint8, f StreamFrag) Packet {
 	p := Packet{Src: src, Dst: dst, Port: port, Op: OpStream}
 	binary.LittleEndian.PutUint32(p.Payload[0:], f.Seq)
-	binary.LittleEndian.PutUint16(p.Payload[4:], f.Words)
-	binary.LittleEndian.PutUint32(p.Payload[6:], f.Elems)
+	binary.LittleEndian.PutUint32(p.Payload[4:], f.Words)
+	binary.LittleEndian.PutUint32(p.Payload[8:], f.Elems)
 	if f.Last {
-		p.Payload[10] = 1
+		p.Payload[12] = 1
 	}
 	return p
 }
@@ -422,9 +399,9 @@ func EncodeStreamFrag(src, dst uint16, port uint8, f StreamFrag) Packet {
 func DecodeStreamFrag(p Packet) StreamFrag {
 	return StreamFrag{
 		Seq:   binary.LittleEndian.Uint32(p.Payload[0:]),
-		Words: binary.LittleEndian.Uint16(p.Payload[4:]),
-		Elems: binary.LittleEndian.Uint32(p.Payload[6:]),
-		Last:  p.Payload[10] != 0,
+		Words: binary.LittleEndian.Uint32(p.Payload[4:]),
+		Elems: binary.LittleEndian.Uint32(p.Payload[8:]),
+		Last:  p.Payload[12] != 0,
 	}
 }
 

@@ -223,22 +223,14 @@ func TestRawElemUsesExtraBytes(t *testing.T) {
 	}
 }
 
-func TestOpenRoundtrip(t *testing.T) {
-	info := OpenInfo{RawPackets: 123456, Elems: 987654}
-	p := EncodeOpen(3, 7, 9, info)
-	if p.Op != OpOpen || p.Src != 3 || p.Dst != 7 || p.Port != 9 {
-		t.Fatalf("bad open header: %v", p)
-	}
-	if got := DecodeOpen(p); got != info {
-		t.Fatalf("open roundtrip: %+v != %+v", got, info)
-	}
-}
-
 func TestStreamFragRoundtrip(t *testing.T) {
 	for _, f := range []StreamFrag{
 		{Seq: 0, Words: 1, Elems: 8},
 		{Seq: 42, Words: 16, Elems: 128, Last: true},
-		{Seq: 0xFFFFFFFF, Words: 0xFFFF, Elems: 0xFFFFFFFF, Last: true},
+		// MaxStreamWords itself: one past what a 16-bit field holds.
+		{Seq: 1, Words: MaxStreamWords, Elems: MaxStreamWords * 8},
+		// A circuit is one fragment spanning the whole message.
+		{Seq: 0xFFFFFFFF, Words: 0xFFFFFFFF, Elems: 0xFFFFFFFF, Last: true},
 	} {
 		p := EncodeStreamFrag(3, 7, 9, f)
 		if p.Op != OpStream || p.Src != 3 || p.Dst != 7 || p.Port != 9 {
@@ -246,6 +238,10 @@ func TestStreamFragRoundtrip(t *testing.T) {
 		}
 		if got := DecodeStreamFrag(p); got != f {
 			t.Fatalf("fragment roundtrip: %+v != %+v", got, f)
+		}
+		// The header crosses reliable links in its 32-byte wire form.
+		if got := DecodeStreamFrag(Decode(p.Encode())); got != f {
+			t.Fatalf("fragment wire roundtrip: %+v != %+v", got, f)
 		}
 	}
 }

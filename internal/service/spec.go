@@ -7,7 +7,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -117,31 +116,16 @@ func (s *JobSpec) resolve() (resolved, error) {
 		return r, errf(InvalidSpec, "%v", err)
 	}
 	r.workload = w
-	if s.Ranks < w.MinRanks {
-		return r, errf(InvalidSpec, "workload %s needs at least %d ranks, got %d", w.Name, w.MinRanks, s.Ranks)
-	}
 	if s.Size < 0 || s.Steps < 0 || s.MaxCycles < 0 {
 		return r, errf(InvalidSpec, "negative size, steps, or max_cycles")
 	}
-	if err := workload.ValidateModeKnobs(w, workload.Params{
-		Mode: s.Mode, BufferElems: s.BufferElems, StreamBatch: s.StreamBatch,
+	// Mode, transport and fault legality is the registry's decision, not
+	// the service's: what Run would reject fails the request here.
+	if err := workload.Validate(w, workload.Params{
+		Ranks: s.Ranks, Mode: s.Mode, BufferElems: s.BufferElems, StreamBatch: s.StreamBatch,
+		Transport: s.Transport, Arbiter: s.Arbiter, Faults: s.Faults,
 	}); err != nil {
 		return r, errf(InvalidSpec, "%v", err)
-	}
-	if err := workload.ValidateTransportKnobs(w, workload.Params{
-		Transport: s.Transport, Arbiter: s.Arbiter,
-	}); err != nil {
-		return r, errf(InvalidSpec, "%v", err)
-	}
-	if kind, _ := transport.Parse(s.Transport); kind == transport.ReceiverDrivenKind {
-		// Reject at admission what the cluster would reject at build
-		// time, so the combination fails the request, not the worker.
-		if s.Faults != nil && !s.Faults.Zero() {
-			return r, errf(InvalidSpec, "the receiver-driven transport does not compose with fault injection (its pacing ops have no wire encoding)")
-		}
-		if s.Mode == "circuit" || s.Mode == "streaming" {
-			return r, errf(InvalidSpec, "the receiver-driven transport does not compose with mode %q (circuit and streaming bypass pacing)", s.Mode)
-		}
 	}
 	if r.policy, err = parsePolicy(s.RoutingPolicy); err != nil {
 		return r, errf(InvalidSpec, "%v", err)
@@ -176,9 +160,6 @@ func (s *JobSpec) resolve() (resolved, error) {
 		}
 	}
 	if s.Faults != nil {
-		if !r.workload.SupportsFaults && !s.Faults.Zero() {
-			return r, errf(InvalidSpec, "workload %s does not support fault injection", w.Name)
-		}
 		if err := s.Faults.Validate(); err != nil {
 			return r, errf(InvalidSpec, "%v", err)
 		}

@@ -22,7 +22,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -58,7 +57,6 @@ type Engine struct {
 	fifos   []*fifoCore
 
 	maxCycles int64
-	trace     io.Writer
 	recorder  Recorder
 
 	procState  []procStatus // last state reported to the recorder
@@ -137,10 +135,6 @@ func NewEngine() *Engine {
 
 // SetMaxCycles bounds the simulation; Run returns ErrMaxCycles beyond it.
 func (e *Engine) SetMaxCycles(n int64) { e.maxCycles = n }
-
-// SetTrace directs a per-event text trace to w. Tracing is expensive and
-// intended for tests and debugging; pass nil to disable.
-func (e *Engine) SetTrace(w io.Writer) { e.trace = w }
 
 // SetRecorder attaches an activity recorder (see Recorder). Recording
 // costs a scan over procs and kernels per simulated cycle.
@@ -250,15 +244,6 @@ func (e *Engine) AddKernel(k Kernel) KernelID {
 	e.kernIdle = append(e.kernIdle, iu)
 	e.kernWhen = append(e.kernWhen, kernUnscheduled)
 	return id
-}
-
-// Tracef writes a trace line if tracing is enabled.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace != nil {
-		fmt.Fprintf(e.trace, "[%8d] ", e.now)
-		fmt.Fprintf(e.trace, format, args...)
-		fmt.Fprintln(e.trace)
-	}
 }
 
 // maxCyclesErr wraps ErrMaxCycles with the configured limit.
@@ -496,6 +481,13 @@ func (e *Engine) CancelWaitsAt(at int64) int {
 			e.scheduleProc(p, p.runAt)
 			n++
 		}
+	}
+	if n > 0 && at < e.windowIdleUntil {
+		// A group engine that was quiescent when its window ended would
+		// otherwise be jumped past the wake: nothing else may ever
+		// schedule it again (the cluster the caller is aborting is
+		// frozen), and its procs would stay parked until the cycle limit.
+		e.windowIdleUntil = at
 	}
 	return n
 }

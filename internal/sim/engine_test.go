@@ -457,21 +457,6 @@ func TestPopProcPairedBlocksWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestTraceDoesNotBreakRuns(t *testing.T) {
-	e := NewEngine()
-	var buf strings.Builder
-	e.SetTrace(&buf)
-	f := NewFifo[int](e, "f", 2)
-	NewProc(e, "w", func(p *Proc) { f.PushProc(p, 1); e.Tracef("pushed %d", 1) })
-	NewProc(e, "r", func(p *Proc) { f.PopProc(p) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pushed 1") {
-		t.Fatal("trace output missing")
-	}
-}
-
 func TestFifoStats(t *testing.T) {
 	e := NewEngine()
 	f := NewFifo[int](e, "f", 4)

@@ -26,24 +26,22 @@ type ck struct {
 	cur     int   // input currently polled
 	reads   int   // consecutive reads from cur
 	lastNow int64 // cycle of the previous Tick (-1 before the first)
-	pinned  bool  // last Tick ended held/circuit/frozen: pointer does not free-run
+	pinned  bool  // last Tick ended held/locked/frozen: pointer does not free-run
 
 	held      packet.Packet
 	heldOut   *sim.Fifo[packet.Packet]
 	hasHeld   bool
 	heldSince int64 // cycle the held register was loaded
 
-	// Circuit switching state (§4.2, the multiplexing-free alternative):
-	// after forwarding an OpOpen the kernel locks onto its input and
-	// routes the announced number of headerless OpRaw packets to the same
-	// output, ignoring every other input until the circuit closes.
-	//
-	// Stream cut-through reuses the same lock with a bounded horizon: an
-	// OpStream fragment header pins the route only for its announced word
-	// train, so the kernel returns to fair polling at every fragment
-	// boundary instead of holding the path for the whole message.
-	circuitOut  *sim.Fifo[packet.Packet]
-	circuitLeft int
+	// Route lock: after forwarding an OpStream fragment header the kernel
+	// locks onto its input and routes the announced number of headerless
+	// OpRaw words to the same output, ignoring every other input until the
+	// fragment ends. A streaming fragment bounds the lock, so the kernel
+	// returns to fair polling at every fragment boundary; a circuit (§4.2,
+	// the multiplexing-free alternative) is one fragment spanning the
+	// whole message.
+	lockOut  *sim.Fifo[packet.Packet]
+	lockLeft int
 
 	forwarded uint64
 	stalls    uint64
@@ -66,7 +64,7 @@ func (c *ck) Name() string { return c.name }
 //     k cycles — the behaviour Table 4 measures.
 func (c *ck) Tick(now int64) bool {
 	active := c.tick(now)
-	c.pinned = c.hasHeld || c.circuitLeft > 0 || (c.frozen != nil && c.frozen())
+	c.pinned = c.hasHeld || c.lockLeft > 0 || (c.frozen != nil && c.frozen())
 	return active
 }
 
@@ -76,7 +74,7 @@ func (c *ck) tick(now int64) bool {
 	}
 	// The polling multiplexer is free-running hardware: it advances every
 	// clock cycle whether or not the simulator executed the cycle, except
-	// in the states that pin it (held packet, open circuit, host reset).
+	// in the states that pin it (held packet, route lock, host reset).
 	// Cycles this kernel did not tick (parked, or skipped by a
 	// fast-forward) from an unpinned state were by construction empty
 	// polls, so catch up with one modular jump. This makes the polling
@@ -110,8 +108,8 @@ func (c *ck) tick(now int64) bool {
 		// spinning.
 		return false
 	}
-	if c.circuitLeft > 0 {
-		return c.tickCircuit(now)
+	if c.lockLeft > 0 {
+		return c.tickLocked(now)
 	}
 	in := c.inputs[c.cur]
 	if c.skipIdle && !in.CanPop() {
@@ -138,29 +136,19 @@ func (c *ck) tick(now int64) bool {
 			// Undeliverable packet: dropped (counted by the device).
 			return true
 		}
-		switch p.Op {
-		case packet.OpOpen:
-			// Establish the circuit: the announced raw packets follow on
-			// this same input and go to this same output, exclusively.
-			c.circuitOut = out
-			c.circuitLeft = int(packet.DecodeOpen(p).RawPackets)
+		if p.Op == packet.OpStream {
+			// Cut a stream fragment through: the header resolved the
+			// route, so its word train follows on this same input and goes
+			// to this same output, exclusively — but only until the
+			// fragment ends, when polling resumes and competing channels
+			// get their turn (fair release).
+			c.lockOut = out
+			c.lockLeft = int(packet.DecodeStreamFrag(p).Words)
+			c.fragments++
 			// Stay locked on this input (undo any pointer advance).
 			c.cur, c.reads = indexOf(c.inputs, in), 0
-		case packet.OpStream:
-			// Cut a stream fragment through: the header resolved the
-			// route, so its word train follows on the locked path — but
-			// only until the fragment ends, when polling resumes and
-			// competing channels get their turn (fair release).
-			c.circuitOut = out
-			c.circuitLeft = int(packet.DecodeStreamFrag(p).Words)
-			c.fragments++
-			c.cur, c.reads = indexOf(c.inputs, in), 0
 		}
-		if !out.TryPush(p) {
-			c.hold(p, out, now)
-		} else {
-			c.forwarded++
-		}
+		c.forward(p, out, now)
 		return true
 	}
 	// Empty input: advancing to the next connection consumes the cycle.
@@ -178,7 +166,7 @@ func (c *ck) tick(now int64) bool {
 
 // IdleUntil parks the kernel whenever its next action depends on an
 // external event rather than time: a held packet waits for a pop on its
-// jammed output, an idle circuit waits for a commit on its locked input,
+// jammed output, an idle route lock waits for a commit on its locked input,
 // and the plain polling state with every input empty waits for any input
 // commit (the free-running pointer is reconstructed on wake from the
 // elapsed time). Parking instead of polling is what lets the engine
@@ -192,7 +180,7 @@ func (c *ck) IdleUntil(now int64) int64 {
 	if c.frozen != nil && c.frozen() {
 		return now + 1
 	}
-	if c.hasHeld || c.circuitLeft > 0 {
+	if c.hasHeld || c.lockLeft > 0 {
 		return sim.Never
 	}
 	for _, f := range c.inputs {
@@ -208,55 +196,46 @@ func (c *ck) advance() {
 	c.reads = 0
 }
 
-// hold loads the stall register with a packet whose output was full and
-// opens its stall window: one stall is credited up front so an open
-// window is visible in the stats, the remainder when the retry succeeds.
-func (c *ck) hold(p packet.Packet, out *sim.Fifo[packet.Packet], now int64) {
+// forward pushes p to out. If out is full it loads the stall register
+// instead and opens the stall window: one stall is credited up front so
+// an open window is visible in the stats, the remainder when the retry
+// succeeds.
+func (c *ck) forward(p packet.Packet, out *sim.Fifo[packet.Packet], now int64) {
+	if out.TryPush(p) {
+		c.forwarded++
+		return
+	}
 	c.held, c.heldOut, c.hasHeld = p, out, true
 	c.heldSince = now
 	c.stalls++
 }
 
-// tickCircuit services an established circuit: one raw packet per cycle
-// from the locked input to the locked output, blind to every other
-// input — the multiplexing cost of circuit switching.
-func (c *ck) tickCircuit(now int64) bool {
+// tickLocked services a route lock: one raw word per cycle from the
+// locked input to the locked output, blind to every other input — the
+// multiplexing cost of cut-through.
+func (c *ck) tickLocked(now int64) bool {
 	in := c.inputs[c.cur]
 	p, ok := in.TryPop()
 	if !ok {
-		// The circuit is idle until its sender provides data; other
-		// inputs stay blocked behind the lock either way.
+		// The lock is idle until its sender provides data; other inputs
+		// stay blocked behind it either way.
 		return false
 	}
 	if p.Op != packet.OpRaw {
-		// Protocol violation: close the circuit and fall back to normal
+		// Protocol violation: drop the lock and fall back to normal
 		// routing next cycle rather than misroute data.
-		c.circuitLeft = 0
-		out := c.route(p)
-		if out == nil {
-			return true
-		}
-		if !out.TryPush(p) {
-			c.hold(p, out, now)
-		} else {
-			c.forwarded++
+		c.lockLeft = 0
+		if out := c.route(p); out != nil {
+			c.forward(p, out, now)
 		}
 		return true
 	}
-	if !c.circuitOut.TryPush(p) {
-		c.hold(p, c.circuitOut, now)
-		c.circuitLeft--
-		if c.circuitLeft == 0 {
-			c.advance()
-		}
-		return true
-	}
-	c.forwarded++
-	c.circuitLeft--
-	if c.circuitLeft == 0 {
-		// Fair release: the lock expired (for a stream, at the fragment
-		// boundary), so move the polling pointer on — a competing channel
-		// gets served before the next header can re-lock this input.
+	c.forward(p, c.lockOut, now)
+	c.lockLeft--
+	if c.lockLeft == 0 {
+		// Fair release: the lock expired at the fragment boundary, so move
+		// the polling pointer on — a competing channel gets served before
+		// the next header can re-lock this input.
 		c.advance()
 	}
 	return true

@@ -347,6 +347,22 @@ func (d *device) DrainExit(exit int) []packet.Packet {
 	return out
 }
 
+// LockedOnto reports whether a CKS of the device holds a route lock whose
+// remaining raw words leave through the given exit interface — straight
+// into its network port or via the crossbar column feeding it. The fault
+// manager asks after that interface's cable died: the words still to come
+// have no header to re-route them by, so the fragment is lost. (The
+// receiving side needs no such check: whatever its CKR is still waiting
+// for is either in the dead link's loss set or behind such a CKS lock.)
+func (d *device) LockedOnto(exit int) bool {
+	for a, k := range d.cks {
+		if k.lockLeft > 0 && (k.lockOut == d.netOut[exit] || a != exit && k.lockOut == d.interCKS[a][exit]) {
+			return true
+		}
+	}
+	return false
+}
+
 // Forwarded returns the total packets forwarded by all CKS and CKR
 // kernels of this device.
 func (d *device) Forwarded() (cks, ckr uint64) {

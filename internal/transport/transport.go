@@ -66,7 +66,7 @@ func (k Kind) String() string {
 
 // Parse maps a wire name ("sender-driven", "receiver-driven"; "" means
 // sender-driven) to a transport kind — the transport analog of
-// apps.ParseTransferMode.
+// smi.ParseMode.
 func Parse(s string) (Kind, error) {
 	switch s {
 	case "", "sender-driven":
@@ -217,8 +217,11 @@ type Transport interface {
 	Dropped() uint64
 	CountDropped(n uint64)
 	// DrainExit empties and returns, oldest first, every packet already
-	// routed toward the given exit interface (failover rescue).
+	// routed toward the given exit interface (failover rescue);
+	// LockedOnto reports whether a send kernel still holds a route lock
+	// toward it (a fragment the dead cable tore).
 	DrainExit(exit int) []packet.Packet
+	LockedOnto(exit int) bool
 	// Forwarded returns total packets forwarded by the CKS and CKR
 	// kernels; StreamFragments the stream fragments cut through; Grants
 	// the pacing grants issued (0 for sender-driven).

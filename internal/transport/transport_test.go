@@ -289,16 +289,17 @@ func TestSkipIdleArbiterInjection(t *testing.T) {
 }
 
 func TestCircuitLockAtTransportLevel(t *testing.T) {
-	// An OpOpen followed by raw packets must arrive intact and in order
-	// across an intermediate hop (two CK lockings along the path).
+	// A whole-message fragment — an OpStream header with Words = N, i.e.
+	// a circuit — followed by its raw words must arrive intact and in
+	// order across an intermediate hop (every CK on the path locks once).
 	topo, _ := topology.Bus(3)
 	n := buildNet(t, topo, []int{0}, DefaultConfig(), 10)
 	sf := n.send[[2]int{0, 0}]
 	rf := n.recv[[2]int{2, 0}]
 	const raws = 40
 	sim.NewProc(n.eng, "sender", func(p *sim.Proc) {
-		open := packet.EncodeOpen(0, 2, 0, packet.OpenInfo{RawPackets: raws, Elems: raws * 8})
-		sf.PushProc(p, open)
+		hdr := packet.EncodeStreamFrag(0, 2, 0, packet.StreamFrag{Words: raws, Elems: raws * 8, Last: true})
+		sf.PushProc(p, hdr)
 		for i := 0; i < raws; i++ {
 			raw := packet.Packet{Op: packet.OpRaw, Count: 8}
 			raw.PutRawElem(0, packet.Int, packet.IntBits(int32(i)))
@@ -307,8 +308,8 @@ func TestCircuitLockAtTransportLevel(t *testing.T) {
 	})
 	sim.NewProc(n.eng, "receiver", func(p *sim.Proc) {
 		first := rf.PopProc(p)
-		if first.Op != packet.OpOpen {
-			t.Errorf("expected OPEN first, got %v", first.Op)
+		if first.Op != packet.OpStream {
+			t.Errorf("expected the STREAM header first, got %v", first.Op)
 			return
 		}
 		for i := 0; i < raws; i++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -177,6 +178,26 @@ func TestRunModeKnobs(t *testing.T) {
 		if _, err := Run(wl, p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestStreamBatchUpperBound runs the largest stream_batch Validate
+// accepts against a message long enough to fill such a fragment: 65536
+// words did not fit the fragment header's former 16-bit Words field, so
+// the receiver saw Words 0 and the job died on a protocol panic.
+func TestStreamBatchUpperBound(t *testing.T) {
+	const size = 600_000 // 75000 raw words: one full fragment and a tail
+	res, err := Run("bandwidth", Params{Ranks: 2, Size: size, Mode: "streaming", StreamBatch: packet.MaxStreamWords})
+	if err != nil {
+		t.Fatalf("stream_batch %d: %v", packet.MaxStreamWords, err)
+	}
+	// Two fragments, each cut through four kernels (two CKS on the
+	// sender, two CKR on the receiver).
+	if frags := res.Metrics["stream_fragments"]; frags != 8 {
+		t.Errorf("stream_fragments = %v, want 8", frags)
+	}
+	if _, err := Run("bandwidth", Params{Ranks: 2, Size: size, Mode: "streaming", StreamBatch: packet.MaxStreamWords + 1}); err == nil {
+		t.Error("a stream_batch one past the bound was accepted")
 	}
 }
 

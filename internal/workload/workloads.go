@@ -43,6 +43,8 @@ func (d *digest) grid(g [][]float32) {
 func (d *digest) hex() string { return fmt.Sprintf("%016x", d.h.Sum64()) }
 
 // netConfig translates Params into the shared microbenchmark config.
+// Run has validated the knobs, so the parse errors below are unreachable
+// from it; they are still returned for a Workload.Run called directly.
 func netConfig(p Params) (apps.NetConfig, error) {
 	topo := p.Topology
 	if topo == nil {
@@ -59,11 +61,18 @@ func netConfig(p Params) (apps.NetConfig, error) {
 	if tc.Arbiter, err = transport.ParseArbiter(p.Arbiter); err != nil {
 		return apps.NetConfig{}, fmt.Errorf("workload: %v", err)
 	}
+	mode, err := smi.ParseMode(p.Mode)
+	if err != nil {
+		return apps.NetConfig{}, fmt.Errorf("workload: %v", err)
+	}
 	return apps.NetConfig{
 		Topology:      topo,
 		Transport:     tc,
 		RoutingPolicy: p.RoutingPolicy,
 		Routes:        p.Routes,
+		Mode:          mode,
+		BufferElems:   p.BufferElems,
+		StreamBatch:   p.StreamBatch,
 		Faults:        p.Faults,
 		Scheduler:     p.Scheduler,
 		Shards:        p.Shards,
@@ -73,18 +82,23 @@ func netConfig(p Params) (apps.NetConfig, error) {
 	}, nil
 }
 
-// ValidateModeKnobs type-checks the transfer-mode knobs against a
-// workload. smid's admission path and Run share it, so a malformed
-// combination is rejected identically whether it arrives over HTTP or
-// through the Go API.
-func ValidateModeKnobs(w Workload, p Params) error {
-	if p.Mode == "" && p.BufferElems == 0 && p.StreamBatch == 0 {
-		return nil
+// Validate decides whether workload w can run with the rank count and
+// the mode, buffer, batch, transport, arbiter and fault knobs of p — the
+// one legality check smid's admission path and Run share, so a bad
+// combination is rejected with the same words whether it arrives over
+// HTTP or through the Go API, and never reaches a worker. A knob a
+// workload would ignore is rejected rather than dropped: silently
+// measuring the default machinery is the fallback the ablations exist to
+// rule out. (The arbiter is accepted everywhere; it only reorders CK
+// polling.)
+func Validate(w Workload, p Params) error {
+	if p.Ranks < w.MinRanks {
+		return fmt.Errorf("workload: %s needs at least %d ranks, got %d", w.Name, w.MinRanks, p.Ranks)
 	}
-	if !w.SupportsModes {
+	if !w.SupportsModes && (p.Mode != "" || p.BufferElems != 0 || p.StreamBatch != 0) {
 		return fmt.Errorf("workload: %s does not accept transfer-mode knobs (mode, buffer_elems, stream_batch)", w.Name)
 	}
-	mode, err := apps.ParseTransferMode(p.Mode)
+	mode, err := smi.ParseMode(p.Mode)
 	if err != nil {
 		return fmt.Errorf("workload: %v", err)
 	}
@@ -94,22 +108,9 @@ func ValidateModeKnobs(w Workload, p Params) error {
 	if p.StreamBatch < 0 || p.StreamBatch > packet.MaxStreamWords {
 		return fmt.Errorf("workload: stream_batch %d outside [0, %d]", p.StreamBatch, packet.MaxStreamWords)
 	}
-	if p.StreamBatch != 0 && mode != apps.ModeStreaming {
+	if p.StreamBatch != 0 && mode != smi.ModeStreaming {
 		return fmt.Errorf("workload: stream_batch is only valid with mode \"streaming\", got mode %q", p.Mode)
 	}
-	return nil
-}
-
-// ValidateTransportKnobs type-checks the transport selection against a
-// workload. Like ValidateModeKnobs it is shared between smid's
-// admission path and Run, so a bad combination is rejected identically
-// over HTTP and through the Go API. The arbiter knob is accepted by
-// every workload (it only reorders CK polling); a non-default transport
-// is rejected unless the workload declares SupportsTransport, because a
-// workload that ignores the knob would silently measure the wrong
-// machinery — the exact fallback the transport ablation exists to rule
-// out.
-func ValidateTransportKnobs(w Workload, p Params) error {
 	kind, err := transport.Parse(p.Transport)
 	if err != nil {
 		return fmt.Errorf("workload: %v", err)
@@ -119,6 +120,13 @@ func ValidateTransportKnobs(w Workload, p Params) error {
 	}
 	if kind != transport.SenderDrivenKind && !w.SupportsTransport {
 		return fmt.Errorf("workload: %s does not accept a transport selection (got %q)", w.Name, p.Transport)
+	}
+	if p.Faults != nil && !p.Faults.Zero() && !w.SupportsFaults {
+		return fmt.Errorf("workload: %s does not support fault injection", w.Name)
+	}
+	// Any fault spec, even an empty one, builds the reliable link layer.
+	if err := smi.TransportCarries(kind, mode, p.Faults != nil); err != nil {
+		return fmt.Errorf("workload: %v", err)
 	}
 	return nil
 }
@@ -147,10 +155,6 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			if cfg.Mode, err = apps.ParseTransferMode(p.Mode); err != nil {
-				return Result{}, fmt.Errorf("workload: %v", err)
-			}
-			cfg.BufferElems, cfg.StreamBatch = p.BufferElems, p.StreamBatch
 			elems := p.Size
 			res, err := apps.Bandwidth(cfg, 0, p.Ranks-1, elems)
 			if err != nil {
@@ -159,7 +163,7 @@ func init() {
 			out := result("bandwidth", p, elems, 0, res.Cycles, res.Micros, res.Net)
 			out.Metrics["gbps"] = res.Gbps
 			out.Metrics["hops"] = float64(res.Hops)
-			if cfg.Mode == apps.ModeStreaming {
+			if cfg.Mode == smi.ModeStreaming {
 				out.Metrics["stream_fragments"] = float64(res.Net.StreamFragments)
 			}
 			d := newDigest()
@@ -314,17 +318,13 @@ func init() {
 			if err != nil {
 				return Result{}, err
 			}
-			if cfg.Mode, err = apps.ParseTransferMode(p.Mode); err != nil {
-				return Result{}, fmt.Errorf("workload: %v", err)
-			}
 			if p.Mode == "" && cfg.Transport.Kind == transport.SenderDrivenKind {
 				// Eager sender-driven incast deadlocks on sequential drain
 				// (§3.3); the safe default baseline is credited. Receiver-
 				// driven pacing keeps the eager default safe, so it stays
 				// on ModePacket and an explicit mode always wins.
-				cfg.Mode = apps.ModeCredited
+				cfg.Mode = smi.ModeCredited
 			}
-			cfg.BufferElems, cfg.StreamBatch = p.BufferElems, p.StreamBatch
 			senders := p.Ranks - 1
 			res, err := apps.Incast(cfg, senders, p.Size)
 			if err != nil {
@@ -384,25 +384,16 @@ func Run(name string, p Params) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if p.Ranks < w.MinRanks {
-		return Result{}, fmt.Errorf("workload: %s needs at least %d ranks, got %d", w.Name, w.MinRanks, p.Ranks)
-	}
 	if p.Size == 0 {
 		p.Size = w.DefaultSize
 	}
 	if p.Steps == 0 {
 		p.Steps = w.DefaultSteps
 	}
-	if p.Faults != nil && !p.Faults.Zero() && !w.SupportsFaults {
-		return Result{}, fmt.Errorf("workload: %s does not support fault injection", w.Name)
-	}
 	if p.Routes != nil && !w.SupportsRoutes {
 		return Result{}, fmt.Errorf("workload: %s does not accept precomputed routes", w.Name)
 	}
-	if err := ValidateModeKnobs(w, p); err != nil {
-		return Result{}, err
-	}
-	if err := ValidateTransportKnobs(w, p); err != nil {
+	if err := Validate(w, p); err != nil {
 		return Result{}, err
 	}
 	return w.Run(p)
