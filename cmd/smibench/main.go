@@ -1,12 +1,15 @@
 // Command smibench regenerates the paper's evaluation tables and
-// figures on the simulated cluster.
+// figures on the simulated cluster. Stdout carries only the reports —
+// pure functions of the simulator — so `smibench all > results_full.txt`
+// regenerates the committed golden file (and the BENCH_*.json copies in
+// the working directory); timing and file notices go to stderr.
 //
 // Usage:
 //
 //	smibench -list
-//	smibench [-quick] all
-//	smibench [-quick] table3 fig9 ...
-//	smibench -ranks 8,64 -workload stencil scaling
+//	smibench all > results_full.txt
+//	smibench table3 fig9 ...
+//	smibench -ranks 256,1024 -workload stencil scaling
 package main
 
 import (
@@ -24,7 +27,6 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "trim sweeps for a fast run")
 	list := flag.Bool("list", false, "list available experiments")
 	jsonOut := flag.Bool("json", false, "write machine-readable JSON to stdout instead of tables (the stats schema matches what smid serves)")
 	ranks := flag.String("ranks", "", "comma-separated rank counts for rank sweeps (e.g. 8,16,32,64)")
@@ -34,7 +36,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: smibench [-quick] [-list] <experiment>... | all\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "usage: smibench [-list] <experiment>... | all\n\nexperiments:\n")
 		for _, e := range bench.Experiments() {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -67,7 +69,7 @@ func main() {
 		}
 	}
 
-	opts := bench.Options{Quick: *quick, Workload: *workload, Shards: *shards, Transport: *transportFlag}
+	opts := bench.Options{Workload: *workload, Shards: *shards, Transport: *transportFlag}
 	if *ranks != "" {
 		for _, part := range strings.Split(*ranks, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -111,7 +113,6 @@ func main() {
 	type jsonReport struct {
 		ID      string             `json:"id"`
 		Title   string             `json:"title"`
-		WallSec float64            `json:"wall_sec"`
 		Metrics map[string]float64 `json:"metrics,omitempty"`
 		// Data is the experiment's machine-readable document — for
 		// workload-level experiments, the same Result/Stats schema the
@@ -127,27 +128,22 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
+		fmt.Fprintf(os.Stderr, "%s regenerated in %.1fs wall time\n", e.ID, time.Since(start).Seconds())
 		if *jsonOut {
 			jsonDoc = append(jsonDoc, jsonReport{
 				ID: e.ID, Title: report.Title,
-				WallSec: time.Since(start).Seconds(),
 				Metrics: report.Metrics,
 				Data:    json.RawMessage(report.JSON),
 			})
 			continue
 		}
 		report.Print(os.Stdout)
-		fmt.Printf("  (%s regenerated in %.1fs wall time)\n\n", e.ID, time.Since(start).Seconds())
 		if report.JSON != nil {
-			path := "BENCH_" + e.ID + ".json"
-			if report.JSONName != "" {
-				path = report.JSONName
-			}
-			if err := os.WriteFile(path, report.JSON, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: writing %s: %v\n", e.ID, path, err)
+			if err := os.WriteFile(e.JSONFile, report.JSON, 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: writing %s: %v\n", e.ID, e.JSONFile, err)
 				os.Exit(1)
 			}
-			fmt.Printf("  (machine-readable copy written to %s)\n\n", path)
+			fmt.Fprintf(os.Stderr, "%s: machine-readable copy written to %s\n", e.ID, e.JSONFile)
 		}
 	}
 	if *jsonOut {

@@ -3,10 +3,13 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // runTool runs one of the repository's commands via `go run`, feeding it
@@ -60,28 +63,47 @@ func TestSmigenPlan(t *testing.T) {
 	}
 }
 
+// TestSmibenchQuickTable drives one cheap experiment through the CLI:
+// stdout is the report and nothing else (timing goes to stderr, so `all
+// > results_full.txt` regenerates the golden), and the removed -quick
+// flag is rejected rather than silently ignored.
 func TestSmibenchQuickTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	out := runTool(t, "", "./cmd/smibench", "-quick", "table4")
-	if !strings.Contains(out, "== table4") || !strings.Contains(out, "cycles/msg") {
-		t.Fatalf("smibench output unexpected:\n%s", out)
+	out := runTool(t, "", "./cmd/smibench", "table4")
+	e, err := bench.ByID("table4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run(bench.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	r.Print(&want)
+	if out != want.String() {
+		t.Fatalf("smibench table4 stdout is not exactly the report:\n%s\nwant:\n%s", out, want.String())
+	}
+	cmd := exec.Command("go", "run", "./cmd/smibench", "-quick", "table4")
+	if msg, err := cmd.CombinedOutput(); err == nil || !strings.Contains(string(msg), "flag provided but not defined: -quick") {
+		t.Fatalf("smibench -quick should be rejected as an unknown flag, got err=%v:\n%s", err, msg)
 	}
 }
 
+// TestSmibenchList holds `smibench -list` to the registry, whose IDs
+// internal/bench's TestRegistryComplete in turn holds to the committed
+// goldens — no hand-kept experiment list anywhere.
 func TestSmibenchList(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	out := runTool(t, "", "./cmd/smibench", "-list")
-	for _, id := range []string{"table1", "table2", "table3", "table4",
-		"fig9", "fig10", "fig11", "fig13", "fig15", "fig16",
-		"ablate-r", "ablate-credit", "ablate-routing", "ablate-buffer",
-		"scaling", "service", "workloads"} {
-		if !strings.Contains(out, id) {
-			t.Fatalf("experiment %s missing from list:\n%s", id, out)
-		}
+	var want strings.Builder
+	for _, e := range bench.Experiments() {
+		fmt.Fprintf(&want, "%-8s %s\n", e.ID, e.Title)
+	}
+	if out := runTool(t, "", "./cmd/smibench", "-list"); out != want.String() {
+		t.Fatalf("smibench -list:\n%s\nwant the registry:\n%s", out, want.String())
 	}
 }
 
@@ -91,7 +113,7 @@ func TestSmibenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	out := runTool(t, "", "./cmd/smibench", "-json", "-quick", "workloads")
+	out := runTool(t, "", "./cmd/smibench", "-json", "workloads")
 	var doc []struct {
 		ID   string `json:"id"`
 		Data []struct {

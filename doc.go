@@ -4,8 +4,9 @@
 //
 // The SMI library itself lives in internal/core; the cycle-driven
 // multi-FPGA simulator it runs on is internal/sim with its substrates
-// (packet, topology, routing, link, transport, fpga). The benchmark
-// harness regenerating every table and figure of the paper's evaluation
-// is internal/bench, driven by cmd/smibench and by the benchmarks in
-// bench_test.go. See README.md, DESIGN.md and EXPERIMENTS.md.
+// (packet, topology, routing, link, transport, fpga). The harness
+// regenerating every table and figure of the paper's evaluation is
+// internal/bench, driven by cmd/smibench and pinned byte for byte to
+// results_full.txt by its golden test; wall-clock measurement is
+// `go run ./benchmark`. See README.md, DESIGN.md and EXPERIMENTS.md.
 package repro

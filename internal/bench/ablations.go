@@ -16,21 +16,23 @@ func init() {
 	register("ablate-credit", "Ablation: Reduce flow-control tile size C", ablateCredit)
 	register("ablate-routing", "Ablation: shortest-path vs up*/down* routing", ablateRouting)
 	register("ablate-buffer", "Ablation: endpoint buffer size (asynchronicity degree k)", ablateBuffer)
+	register("ablate-flowcontrol", "Ablation: eager vs credit-based point-to-point flow control", ablateFlowControl)
+	register("ablate-tree", "Ablation: linear vs binomial-tree collectives", ablateTree)
+	register("ablate-arbiter", "Ablation: round-robin poller vs skip-idle arbiter", ablateArbiter)
+	register("ablate-switching", "Ablation: packet switching vs circuit switching", ablateSwitching)
+	register("ext-scattergather", "Extension: Scatter/Gather timing (collectives the paper defines but does not evaluate)", extScatterGather)
 }
 
 // ablateR sweeps the CK polling factor and reports both the dense-stream
 // bandwidth and the injection latency: higher R favors a single busy
 // connection, lower R favors fairness across many (§4.3).
-func ablateR(opts Options) (*Report, error) {
+func ablateR(Options) (*Report, error) {
 	topo, err := topology.Bus(8)
 	if err != nil {
 		return nil, err
 	}
 	elems := 200_000
 	msgs := 4000
-	if opts.Quick {
-		elems, msgs = 40_000, 1000
-	}
 	r := &Report{
 		ID:     "ablate-r",
 		Title:  "Polling factor R: single-stream bandwidth vs injection latency",
@@ -60,16 +62,13 @@ func ablateR(opts Options) (*Report, error) {
 // ablateCredit sweeps the Reduce credit tile size C: larger tiles
 // amortize the credit round trip but cost proportional on-chip buffer at
 // the root (§4.4).
-func ablateCredit(opts Options) (*Report, error) {
+func ablateCredit(Options) (*Report, error) {
 	topo, err := topology.Torus2D(2, 4)
 	if err != nil {
 		return nil, err
 	}
 	cfg := apps.NetConfig{Topology: topo, Transport: transport.DefaultConfig()}
 	elems := 65536
-	if opts.Quick {
-		elems = 8192
-	}
 	r := &Report{
 		ID:     "ablate-credit",
 		Title:  fmt.Sprintf("Reduce time vs credit tile size C (%d float32 elements, 8 ranks)", elems),
@@ -93,15 +92,12 @@ func ablateCredit(opts Options) (*Report, error) {
 // ablateRouting compares the two route generators on the torus: path
 // dilation and end-to-end latency, plus the deadlock-freedom verdict of
 // the channel dependency graph.
-func ablateRouting(opts Options) (*Report, error) {
+func ablateRouting(Options) (*Report, error) {
 	topo, err := topology.Torus2D(2, 4)
 	if err != nil {
 		return nil, err
 	}
 	rounds := 8
-	if opts.Quick {
-		rounds = 3
-	}
 	r := &Report{
 		ID:     "ablate-routing",
 		Title:  "Routing policy on the 2x4 torus",
@@ -154,15 +150,12 @@ func ablateRouting(opts Options) (*Report, error) {
 // the network while continuing computations" (§4.2). With small k every
 // consumer pause backpressures the sender; once k covers a pause,
 // throughput recovers to the steady rate.
-func ablateBuffer(opts Options) (*Report, error) {
+func ablateBuffer(Options) (*Report, error) {
 	topo, err := topology.Bus(2)
 	if err != nil {
 		return nil, err
 	}
 	elems := 100_000
-	if opts.Quick {
-		elems = 20_000
-	}
 	const pauseEvery, pauseCycles = 512, 512
 	r := &Report{
 		ID: "ablate-buffer",
@@ -232,10 +225,6 @@ func burstyTransfer(topo *topology.Topology, k, elems, pauseEvery, pauseCycles i
 	return senderDone, nil
 }
 
-func init() {
-	register("ablate-flowcontrol", "Ablation: eager vs credit-based point-to-point flow control", ablateFlowControl)
-}
-
 // ablateFlowControl reproduces the motivating scenario of §3.3: a bulk
 // message whose buffer is far smaller than the message shares one
 // CKS/CKR pair with a latency-sensitive control channel. Under the eager
@@ -243,11 +232,8 @@ func init() {
 // buffer the run deadlocks); under credit-based flow control the sender
 // never commits more than the receiver can buffer, and the control
 // exchange stays fast.
-func ablateFlowControl(opts Options) (*Report, error) {
+func ablateFlowControl(Options) (*Report, error) {
 	bulk := 20000
-	if opts.Quick {
-		bulk = 4000
-	}
 	r := &Report{
 		ID:     "ablate-flowcontrol",
 		Title:  fmt.Sprintf("Shared-transport interference: %d-element bulk message + 4-element control exchange", bulk),
@@ -344,24 +330,17 @@ func contendedTransfer(mode smi.Mode, buffer, bulk int) (ctlDone, bulkDone int64
 	return ctlDone, bulkDone, err
 }
 
-func init() {
-	register("ablate-tree", "Ablation: linear vs binomial-tree collectives", ablateTree)
-}
-
 // ablateTree compares the paper's linear collective scheme against the
 // binomial-tree support kernels (the extension the paper names but does
 // not implement). The tree bounds each node's fan-out/fan-in by
 // log2(ranks), relieving the root congestion that makes the linear
 // Reduce lose to the host baseline at large sizes (§5.3.4).
-func ablateTree(opts Options) (*Report, error) {
+func ablateTree(Options) (*Report, error) {
 	topo, err := topology.Torus2D(2, 4)
 	if err != nil {
 		return nil, err
 	}
 	elems := 65536
-	if opts.Quick {
-		elems = 8192
-	}
 	r := &Report{
 		ID:     "ablate-tree",
 		Title:  fmt.Sprintf("Collective scheme comparison (%d float32 elements, 8 ranks, torus)", elems),
@@ -424,25 +403,18 @@ func ablateTree(opts Options) (*Report, error) {
 	return r, nil
 }
 
-func init() {
-	register("ablate-arbiter", "Ablation: round-robin poller vs skip-idle arbiter", ablateArbiter)
-}
-
 // ablateArbiter compares the two CK input arbiters: the literal
 // round-robin poller (which reproduces Table 4's injection numbers) and
 // a priority encoder that skips idle inputs (which reproduces Fig 9's
 // 91%-of-peak bandwidth). The published RTL behaves between the two;
 // this is deviation D1 of EXPERIMENTS.md made explicit.
-func ablateArbiter(opts Options) (*Report, error) {
+func ablateArbiter(Options) (*Report, error) {
 	topo, err := topology.Bus(8)
 	if err != nil {
 		return nil, err
 	}
 	elems := 400_000
 	msgs := 4000
-	if opts.Quick {
-		elems, msgs = 50_000, 1000
-	}
 	r := &Report{
 		ID:     "ablate-arbiter",
 		Title:  "CK input arbiter: bandwidth vs injection trade-off (R=8)",
@@ -476,20 +448,13 @@ func ablateArbiter(opts Options) (*Report, error) {
 	return r, nil
 }
 
-func init() {
-	register("ablate-switching", "Ablation: packet switching vs circuit switching", ablateSwitching)
-}
-
 // ablateSwitching quantifies the §4.2 design decision. Packet switching
 // spends 4 of every 32 bytes on headers but multiplexes freely; circuit
 // switching sends one meta-information packet then headerless payload,
 // recovering the full wire for data at the price of locking every
 // communication kernel on the path until the message completes.
-func ablateSwitching(opts Options) (*Report, error) {
+func ablateSwitching(Options) (*Report, error) {
 	bulk := 56000
-	if opts.Quick {
-		bulk = 14000
-	}
 	r := &Report{
 		ID:     "ablate-switching",
 		Title:  fmt.Sprintf("Switching mode: %d-element bulk transfer + concurrent 4-element message", bulk),
@@ -585,14 +550,10 @@ func switchingRun(mode smi.Mode, bulk int) (gbps float64, ctlDone int64, err err
 	return gbps, ctlDone, nil
 }
 
-func init() {
-	register("ext-scattergather", "Extension: Scatter/Gather timing (collectives the paper defines but does not evaluate)", extScatterGather)
-}
-
 // extScatterGather times the two collectives SMI specifies (§3.2) whose
 // performance the paper leaves unevaluated, against the host baseline,
 // completing the collective coverage of Figs 10-11.
-func extScatterGather(opts Options) (*Report, error) {
+func extScatterGather(Options) (*Report, error) {
 	topo, err := topology.Torus2D(2, 4)
 	if err != nil {
 		return nil, err
@@ -600,9 +561,6 @@ func extScatterGather(opts Options) (*Report, error) {
 	cfg := apps.NetConfig{Topology: topo, Transport: transport.DefaultConfig()}
 	host := hostcomm.Default()
 	sizes := []int{16, 1 << 10, 16 << 10}
-	if opts.Quick {
-		sizes = []int{16, 1 << 10}
-	}
 	r := &Report{
 		ID:     "ext-scattergather",
 		Title:  "Scatter/Gather time [us] per rank chunk, 8 ranks, torus",

@@ -6,6 +6,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -14,8 +15,6 @@ import (
 
 // Options control an experiment run.
 type Options struct {
-	// Quick trims sweeps for fast runs (unit tests, -short benches).
-	Quick bool
 	// Ranks restricts rank-count sweeps (the scaling experiment) to the
 	// listed sizes; empty means the experiment's default sweep.
 	Ranks []int
@@ -37,19 +36,16 @@ type Report struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// Metrics carries headline numbers for benchmark reporting
-	// (go test -bench surfaces them via b.ReportMetric).
+	// Metrics carries headline numbers (smibench -json emits them).
 	Metrics map[string]float64
 	// JSON, when non-nil, is a machine-readable form of the report;
-	// smibench writes it next to the working directory as
-	// BENCH_<id>.json, or as JSONName when set. Tests never write it.
+	// smibench writes it into the working directory under the
+	// experiment's JSONFile name. Tests never write it.
 	JSON []byte
-	// JSONName overrides the file name smibench writes JSON to.
-	JSONName string
 }
 
-// metric records a headline number. Names are sanitized to be legal
-// benchmark metric units (no whitespace).
+// metric records a headline number. Names are sanitized to carry no
+// whitespace or slashes.
 func (r *Report) metric(name string, v float64) {
 	if r.Metrics == nil {
 		r.Metrics = make(map[string]float64)
@@ -103,17 +99,39 @@ func (r *Report) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// Experiment is one regenerable table or figure.
+// Experiment is one regenerable table or figure. Its report is a pure
+// function of the simulator: no experiment reads a clock or the host, so
+// the committed results_full.txt section (and JSONFile) must reproduce
+// byte for byte on any machine.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Options) (*Report, error)
+	// JSONFile names the committed machine-readable copy of the report
+	// at the repository root ("" when the experiment emits none).
+	JSONFile string
+	Run      func(Options) (*Report, error)
 }
 
 var registry = map[string]Experiment{}
 
 func register(id, title string, run func(Options) (*Report, error)) {
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
+}
+
+// registerJSON registers an experiment whose report carries a JSON
+// document committed as jsonFile.
+func registerJSON(id, jsonFile, title string, run func(Options) (*Report, error)) {
+	registry[id] = Experiment{ID: id, Title: title, JSONFile: jsonFile, Run: run}
+}
+
+// marshalDoc renders a report's JSON document the way it is committed:
+// indented, newline-terminated.
+func marshalDoc(doc any) ([]byte, error) {
+	js, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(js, '\n'), nil
 }
 
 // Experiments lists all registered experiments sorted by ID.
@@ -131,10 +149,9 @@ func ByID(id string) (Experiment, error) {
 	e, ok := registry[id]
 	if !ok {
 		var ids []string
-		for k := range registry {
-			ids = append(ids, k)
+		for _, e := range Experiments() {
+			ids = append(ids, e.ID)
 		}
-		sort.Strings(ids)
 		return Experiment{}, fmt.Errorf("bench: unknown experiment %q (have: %s)", id, strings.Join(ids, ", "))
 	}
 	return e, nil

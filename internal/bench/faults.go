@@ -43,9 +43,6 @@ func ablateFaults(opts Options) (*Report, error) {
 	elems := 100_000
 	bcastElems := 4000
 	stencilN := 32
-	if opts.Quick {
-		elems, bcastElems = 20_000, 1000
-	}
 	// -shards: run the 8-rank scenarios on the parallel scheduler.
 	// shardedStats verifies the simulator honored the request instead of
 	// silently falling back to a single engine.

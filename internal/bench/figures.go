@@ -22,16 +22,13 @@ func init() {
 // SMI at three hop distances and for the host baseline. The sweep is
 // capped at 16 MiB (the paper goes to 256 MiB, but both curves are flat
 // well before 16 MiB).
-func fig9(opts Options) (*Report, error) {
+func fig9(Options) (*Report, error) {
 	topo, err := topology.Bus(8)
 	if err != nil {
 		return nil, err
 	}
 	cfg := apps.NetConfig{Topology: topo, Transport: transport.DefaultConfig()}
 	sizes := []int64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-	if opts.Quick {
-		sizes = []int64{256, 4 << 10, 64 << 10, 256 << 10}
-	}
 	host := hostcomm.Default()
 	r := &Report{
 		ID:     "fig9",
@@ -64,7 +61,7 @@ func fig9(opts Options) (*Report, error) {
 
 // collectiveSweep produces the Fig 10 / Fig 11 series: SMI on a torus
 // and a bus with 4 and 8 ranks, plus the host baseline at 8 ranks.
-func collectiveSweep(id, title string, opts Options,
+func collectiveSweep(id, title string,
 	smiTime func(cfg apps.NetConfig, ranks, elems int) (apps.CollectiveResult, error),
 	hostTime func(n int, bytes int64) float64) (*Report, error) {
 
@@ -80,9 +77,6 @@ func collectiveSweep(id, title string, opts Options,
 	bcfg := apps.NetConfig{Topology: bus, Transport: transport.DefaultConfig()}
 
 	sizes := []int{1, 16, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10}
-	if opts.Quick {
-		sizes = []int{1, 256, 4 << 10}
-	}
 	r := &Report{
 		ID:     id,
 		Title:  title,
@@ -109,8 +103,6 @@ func collectiveSweep(id, title string, opts Options,
 		row = append(row, f1(hostTime(8, int64(elems)*4)))
 		r.Rows = append(r.Rows, row)
 		if elems == sizes[len(sizes)-1] {
-			last := len(r.Rows) - 1
-			_ = last
 			r.metric("smi_torus8_large_us", parseF(row[1]))
 			r.metric("host8_large_us", parseF(row[5]))
 		}
@@ -118,26 +110,21 @@ func collectiveSweep(id, title string, opts Options,
 	return r, nil
 }
 
-func fig10(opts Options) (*Report, error) {
-	host := hostcomm.Default()
-	return collectiveSweep("fig10", "Bcast time [us] vs message size [elements]", opts,
-		func(cfg apps.NetConfig, ranks, elems int) (apps.CollectiveResult, error) {
-			return apps.BcastTime(cfg, ranks, elems)
-		},
-		host.BcastUs)
+func fig10(Options) (*Report, error) {
+	return collectiveSweep("fig10", "Bcast time [us] vs message size [elements]",
+		apps.BcastTime, hostcomm.Default().BcastUs)
 }
 
-func fig11(opts Options) (*Report, error) {
-	host := hostcomm.Default()
-	return collectiveSweep("fig11", "Reduce time [us] vs message size [elements]", opts,
+func fig11(Options) (*Report, error) {
+	return collectiveSweep("fig11", "Reduce time [us] vs message size [elements]",
 		func(cfg apps.NetConfig, ranks, elems int) (apps.CollectiveResult, error) {
 			return apps.ReduceTime(cfg, ranks, elems, 0)
 		},
-		host.ReduceUs)
+		hostcomm.Default().ReduceUs)
 }
 
 // fig13 reports GESUMMV speedups for square and rectangular matrices.
-func fig13(opts Options) (*Report, error) {
+func fig13(Options) (*Report, error) {
 	type shape struct {
 		label      string
 		rows, cols int
@@ -153,9 +140,6 @@ func fig13(opts Options) (*Report, error) {
 		{"4096x2048", 4096, 2048},
 		{"8192x2048", 8192, 2048},
 		{"16384x2048", 16384, 2048},
-	}
-	if opts.Quick {
-		shapes = shapes[:2]
 	}
 	r := &Report{
 		ID:     "fig13",
@@ -180,11 +164,8 @@ func fig13(opts Options) (*Report, error) {
 
 // fig15 reports strong scaling of the stencil at a fixed 4096^2 domain
 // (32 timesteps) across bank and FPGA counts.
-func fig15(opts Options) (*Report, error) {
+func fig15(Options) (*Report, error) {
 	n, steps := 4096, 32
-	if opts.Quick {
-		n, steps = 1024, 8
-	}
 	type config struct {
 		label        string
 		banks        int
@@ -225,13 +206,9 @@ func fig15(opts Options) (*Report, error) {
 
 // fig16 reports weak scaling: time per grid point for growing domains
 // on 4 and 8 FPGAs (the paper sweeps to 16384^2; capped at 8192^2).
-func fig16(opts Options) (*Report, error) {
+func fig16(Options) (*Report, error) {
 	steps := 32
 	grids := []int{1024, 2048, 4096, 8192}
-	if opts.Quick {
-		steps = 8
-		grids = []int{512, 1024}
-	}
 	r := &Report{
 		ID:     "fig16",
 		Title:  fmt.Sprintf("Stencil time per point [ns], %d timesteps, 4 banks per FPGA", steps),

@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
-	"time"
 
 	"repro/internal/apps"
 	smi "repro/internal/core"
@@ -12,7 +9,8 @@ import (
 )
 
 func init() {
-	register("streaming", "Large-message ablation: packet vs circuit vs streaming across message sizes", runStreaming)
+	registerJSON("streaming", "BENCH_streaming.json",
+		"Large-message ablation: packet vs circuit vs streaming across message sizes", runStreaming)
 }
 
 // streamingModes are the transfer machineries the ablation compares on
@@ -35,11 +33,8 @@ type streamingRow struct {
 	Mode            string  `json:"mode"`
 	Bytes           int64   `json:"bytes"`
 	Elems           int     `json:"elems"`
-	HostCPUs        int     `json:"host_cpus"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
 	Cycles          int64   `json:"cycles"`
 	Gbps            float64 `json:"gbps"`
-	WallMs          float64 `json:"wall_ms"`
 	SpeedupVsPacket float64 `json:"speedup_vs_packet"`
 	StreamFragments uint64  `json:"stream_fragments,omitempty"`
 }
@@ -48,17 +43,14 @@ type streamingRow struct {
 // 3: three hops, two intermediate cut-through kernels) with a
 // 64-element endpoint buffer, so every size beyond 256 B dwarfs the
 // buffer — the large-message regime the streaming path exists for.
-func runStreaming(o Options) (*Report, error) {
+func runStreaming(Options) (*Report, error) {
 	sizes := []int{256, 1024, 8192, 65536} // ints: 1 KiB .. 256 KiB
-	if o.Quick {
-		sizes = []int{256, 1024, 8192}
-	}
 	const bufferElems = 64
 
 	r := &Report{
 		ID:     "streaming",
 		Title:  "Large-message transfer ablation (bus of 4, rank 0 -> rank 3, 64-element buffer)",
-		Header: []string{"mode", "size", "cycles", "Gbit/s", "wall ms", "speedup"},
+		Header: []string{"mode", "size", "cycles", "Gbit/s", "speedup"},
 	}
 
 	doc := struct {
@@ -82,12 +74,10 @@ func runStreaming(o Options) (*Report, error) {
 				BufferElems: bufferElems,
 				Mode:        m.mode,
 			}
-			start := time.Now()
 			res, err := apps.Bandwidth(cfg, 0, 3, elems)
 			if err != nil {
 				return nil, fmt.Errorf("streaming: %s/%d: %w", m.name, elems, err)
 			}
-			wall := time.Since(start)
 			if m.name == "packet" {
 				packetCycles = res.Cycles
 			}
@@ -96,11 +86,8 @@ func runStreaming(o Options) (*Report, error) {
 				Mode:            m.name,
 				Bytes:           res.Bytes,
 				Elems:           elems,
-				HostCPUs:        runtime.NumCPU(),
-				GoMaxProcs:      runtime.GOMAXPROCS(0),
 				Cycles:          res.Cycles,
 				Gbps:            res.Gbps,
-				WallMs:          float64(wall.Microseconds()) / 1e3,
 				SpeedupVsPacket: speedup,
 				StreamFragments: res.Net.StreamFragments,
 			}
@@ -108,7 +95,7 @@ func runStreaming(o Options) (*Report, error) {
 			doc.Hops = res.Hops
 			r.Rows = append(r.Rows, []string{
 				m.name, human(res.Bytes), fmt.Sprint(res.Cycles),
-				f2(res.Gbps), f3(row.WallMs), f2(speedup) + "x",
+				f2(res.Gbps), f2(speedup) + "x",
 			})
 			if m.name == "streaming" {
 				r.metric(fmt.Sprintf("streaming_speedup_%s", human(res.Bytes)), speedup)
@@ -127,10 +114,7 @@ func runStreaming(o Options) (*Report, error) {
 		"streaming pays one rendezvous round-trip up front, so its advantage grows with message size.",
 	)
 
-	js, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	r.JSON = append(js, '\n')
-	return r, nil
+	var err error
+	r.JSON, err = marshalDoc(&doc)
+	return r, err
 }

@@ -101,16 +101,13 @@ func table2(Options) (*Report, error) {
 
 // table3 measures ping-pong latency at 1, 4 and 7 hops over a linear
 // bus, plus the host-based baseline.
-func table3(opts Options) (*Report, error) {
+func table3(Options) (*Report, error) {
 	topo, err := topology.Bus(8)
 	if err != nil {
 		return nil, err
 	}
 	cfg := apps.NetConfig{Topology: topo, Transport: transport.DefaultConfig()}
 	rounds := 16
-	if opts.Quick {
-		rounds = 4
-	}
 	r := &Report{
 		ID:     "table3",
 		Title:  "Measured latency in microseconds",
@@ -132,15 +129,12 @@ func table3(opts Options) (*Report, error) {
 }
 
 // table4 measures the injection latency for R in {1, 4, 8, 16}.
-func table4(opts Options) (*Report, error) {
+func table4(Options) (*Report, error) {
 	topo, err := topology.Bus(2)
 	if err != nil {
 		return nil, err
 	}
 	msgs := 5000
-	if opts.Quick {
-		msgs = 1000
-	}
 	r := &Report{
 		ID:     "table4",
 		Title:  "Average injection rate in cycles per message",

@@ -2,10 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-
-	"encoding/json"
 
 	"repro/internal/fault"
 	"repro/internal/topology"
@@ -14,7 +11,8 @@ import (
 )
 
 func init() {
-	register("ablate-transport", "Ablation: sender-driven vs receiver-driven (Homa-style) transport under incast", ablateTransport)
+	registerJSON("ablate-transport", "BENCH_transport.json",
+		"Ablation: sender-driven vs receiver-driven (Homa-style) transport under incast", ablateTransport)
 }
 
 // TransportRow is one (workload, senders, transport) measurement of the
@@ -24,8 +22,7 @@ type TransportRow struct {
 	Senders   int    `json:"senders,omitempty"`
 	Transport string `json:"transport"`
 	Mode      string `json:"mode"`
-	// Elems is the problem size in elements (per flow for incast) — the
-	// regression guard re-runs rows with exactly these parameters.
+	// Elems is the problem size in elements (per flow for incast).
 	Elems  int   `json:"elems"`
 	Cycles int64 `json:"cycles"`
 	// TailCycles/MeanCycles are the incast per-flow completion spread —
@@ -34,17 +31,11 @@ type TransportRow struct {
 	MeanCycles float64 `json:"mean_cycles,omitempty"`
 	Grants     uint64  `json:"grants"`
 	Delivered  uint64  `json:"packets_delivered"`
-	// HostCPUs and GoMaxProcs record the machine behind the measurement,
-	// as in BENCH_scaling.json. The numbers here are simulated cycles
-	// (host-independent), so these fields are provenance, not a caveat.
-	HostCPUs   int `json:"host_cpus"`
-	GoMaxProcs int `json:"gomaxprocs"`
 }
 
 // transportJSON is the BENCH_transport.json document.
 type transportJSON struct {
 	Description string         `json:"description"`
-	HostCPUs    int            `json:"host_cpus"`
 	Rows        []TransportRow `json:"rows"`
 	// TailSpeedup maps the sender count to sender-driven-credited tail
 	// cycles / receiver-driven tail cycles on the N:1 incast — the
@@ -75,11 +66,7 @@ type transportJSON struct {
 // silently downgraded.
 func ablateTransport(opts Options) (*Report, error) {
 	sendersSet := []int{4, 8, 16}
-	elems := 3000
-	if opts.Quick {
-		sendersSet = []int{8}
-		elems = 2000
-	}
+	const elems = 3000
 	kinds := []transport.Kind{transport.SenderDrivenKind, transport.ReceiverDrivenKind}
 	if opts.Transport != "" {
 		k, err := transport.Parse(opts.Transport)
@@ -91,10 +78,9 @@ func ablateTransport(opts Options) (*Report, error) {
 	both := len(kinds) == 2
 
 	r := &Report{
-		ID:       "ablate-transport",
-		JSONName: "BENCH_transport.json",
-		Title:    "Transport ablation: sender-driven (credited) vs receiver-driven (Homa-style grants)",
-		Header:   []string{"workload", "senders", "transport", "mode", "cycles", "tail", "mean", "grants", "delivered"},
+		ID:     "ablate-transport",
+		Title:  "Transport ablation: sender-driven (credited) vs receiver-driven (Homa-style grants)",
+		Header: []string{"workload", "senders", "transport", "mode", "cycles", "tail", "mean", "grants", "delivered"},
 		Notes: []string{
 			"incast drains flows sequentially: eager sender-driven traffic deadlocks on it,",
 			"credited traffic pays a round-trip per tile, receiver-driven grants (SRPT order,",
@@ -105,7 +91,6 @@ func ablateTransport(opts Options) (*Report, error) {
 	}
 	doc := transportJSON{
 		Description: "smibench transport ablation: N:1 incast, deep single-flow bandwidth, and unpaced broadcast under the sender-driven and receiver-driven transports; tail/mean are per-flow completion cycles at the sequentially-draining aggregator",
-		HostCPUs:    runtime.NumCPU(),
 		TailSpeedup: map[string]float64{},
 	}
 
@@ -140,8 +125,6 @@ func ablateTransport(opts Options) (*Report, error) {
 			MeanCycles: res.Metrics["mean_cycles"],
 			Grants:     res.Stats.Grants,
 			Delivered:  res.Stats.PacketsDelivered,
-			HostCPUs:   runtime.NumCPU(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
 		}
 		doc.Rows = append(doc.Rows, tr)
 		sd := "-"
@@ -194,10 +177,7 @@ func ablateTransport(opts Options) (*Report, error) {
 	// trade-off. Pacing a solo flow buys nothing (there is no incast to
 	// defuse) and the grant round-trips throttle it — the cycle ratio
 	// metric records how much.
-	bwElems := 20000
-	if opts.Quick {
-		bwElems = 8000
-	}
+	const bwElems = 20000
 	bwCycles := map[transport.Kind]int64{}
 	for _, kind := range kinds {
 		p := workload.Params{Ranks: 4, Size: bwElems, BufferElems: 256}
@@ -251,8 +231,6 @@ func ablateTransport(opts Options) (*Report, error) {
 		"receiver-driven + faults is rejected at admission (pacing ops have no wire",
 		"encoding to protect); the sender-driven fault leg ran in its place")
 
-	if r.JSON, err = json.MarshalIndent(doc, "", "  "); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.JSON, err = marshalDoc(doc)
+	return r, err
 }

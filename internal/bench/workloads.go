@@ -1,14 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/workload"
 )
 
 func init() {
-	register("workloads", "Registry sweep: every registered workload once, emitting smid's Result schema", workloadSweep)
+	registerJSON("workloads", "BENCH_workloads.json", "Registry sweep: every registered workload once, emitting smid's Result schema", workloadSweep)
 }
 
 // workloadSweep runs every registered workload once at its default
@@ -37,11 +36,7 @@ func workloadSweep(opts Options) (*Report, error) {
 	}
 	var results []workload.Result
 	for _, name := range names {
-		p := workload.Params{Ranks: ranks, Verify: true}
-		if opts.Quick {
-			p.Size = quickSize(name)
-		}
-		res, err := workload.Run(name, p)
+		res, err := workload.Run(name, workload.Params{Ranks: ranks, Verify: true})
 		if err != nil {
 			return nil, fmt.Errorf("workloads %s: %w", name, err)
 		}
@@ -52,28 +47,7 @@ func workloadSweep(opts Options) (*Report, error) {
 		})
 		r.metric(name+"_cycles", float64(res.Cycles))
 	}
-	js, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	r.JSON = append(js, '\n')
-	return r, nil
-}
-
-// quickSize trims a workload's problem size for fast runs.
-func quickSize(name string) int {
-	switch name {
-	case "bandwidth":
-		return 2048
-	case "pingpong":
-		return 16
-	case "bcast", "reduce":
-		return 512
-	case "stencil":
-		return 16
-	case "summa":
-		return 16
-	default:
-		return 0
-	}
+	var err error
+	r.JSON, err = marshalDoc(results)
+	return r, err
 }
