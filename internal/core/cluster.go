@@ -336,13 +336,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				supRecv := sim.NewFifo[packet.Packet](eng, name("sup.recv"), depth)
 				sup := newSupportKernel(fmt.Sprintf("r%d.p%d.%s", r, spec.Port, spec.Kind),
 					r, spec, ep.appSend, ep.appRecv, supSend, supRecv)
-				supID := eng.AddKernel(sup)
-				// Commits on the inbound FIFOs and pops on the outbound
-				// ones are the only events that can unpark the kernel.
-				ep.appSend.WakesKernel(supID)
-				ep.appRecv.WakesKernel(supID)
-				supSend.WakesKernel(supID)
-				supRecv.WakesKernel(supID)
+				sup.id = eng.AddKernel(sup)
+				// Commits on the inbound FIFOs and pops on a full outbound
+				// one (see supportKernel.Tick) are the only events that can
+				// unpark the kernel.
+				ep.appSend.WakesKernel(sup.id)
+				supRecv.WakesKernel(sup.id)
 				rs.supports = append(rs.supports, sup)
 				bindings = append(bindings, transport.PortBinding{
 					Port: spec.Port, Iface: spec.Iface, Send: supSend, Recv: supRecv,

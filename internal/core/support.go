@@ -28,6 +28,7 @@ import (
 // completes, ready for the next round.
 type supportKernel struct {
 	name string
+	id   sim.KernelID
 	rank int
 	spec PortSpec
 	epp  int
@@ -72,6 +73,7 @@ type supportKernel struct {
 	sendAllow int      // non-root reduce: elements allowed to send
 
 	absorbed bool // a protocol packet was consumed this cycle
+	busy     bool // the last tick made progress
 
 	bad uint64 // protocol violations observed
 }
@@ -177,14 +179,29 @@ func (s *supportKernel) memberRank(i int) int { return s.base + i }
 // the absorbed credit or sync may enable progress next cycle.
 func (s *supportKernel) Tick(now int64) bool {
 	s.absorbed = false
-	return s.tickState() || s.absorbed
+	s.busy = s.tickState() || s.absorbed
+	// A full output stalls the kernel until the application or the CKS
+	// pops it.
+	if !s.appOut.CanPush() {
+		s.appOut.WakeOnSpace(s.id)
+	}
+	if !s.netOut.CanPush() {
+		s.netOut.WakeOnSpace(s.id)
+	}
+	return s.busy
 }
 
-// IdleUntil parks the kernel until one of its four FIFOs changes: the
-// state machine is a pure function of their contents — it owns no timers
-// — so an inactive tick repeats forever until an endpoint push/pop or a
-// CKS/CKR transfer arrives, all of which wake it (see NewCluster).
-func (s *supportKernel) IdleUntil(now int64) int64 { return sim.Never }
+// IdleUntil keeps the kernel hot while it makes progress and parks it
+// after an inactive tick: the state machine is a pure function of its
+// four FIFOs — it owns no timers — so an inactive tick repeats until a
+// commit on an inbound FIFO (see NewCluster) or a pop of a full outbound
+// one (armed in Tick) wakes it.
+func (s *supportKernel) IdleUntil(now int64) int64 {
+	if s.busy {
+		return now
+	}
+	return sim.Never
+}
 
 func (s *supportKernel) tickState() bool {
 	switch s.state {

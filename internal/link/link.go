@@ -60,6 +60,7 @@ type linkTx struct {
 // the transport's network-in FIFO and returns one credit per delivery.
 type linkRx struct {
 	name    string
+	id      sim.KernelID
 	out     *sim.Fifo[packet.Packet] // receive side (CKR "network port")
 	wire    *sim.Boundary[packet.Packet]
 	credits *sim.Boundary[struct{}]
@@ -81,17 +82,17 @@ func New(src, dst *sim.Engine, name string, in, out *sim.Fifo[packet.Packet], la
 	tx := &linkTx{name: name, in: in, window: 2 * latency}
 	// The receive half registers before the transmit half, mirroring the
 	// deliver-then-accept order of a single-kernel link.
-	rxID := dst.AddKernel(rx)
+	rx.id = dst.AddKernel(rx)
 	txID := src.AddKernel(tx)
-	wire := sim.NewBoundary[packet.Packet](src, dst, rxID, latency)
+	wire := sim.NewBoundary[packet.Packet](src, dst, rx.id, latency)
 	credits := sim.NewBoundary[struct{}](dst, src, txID, latency)
 	tx.wire, tx.credits = wire, credits
 	rx.wire, rx.credits = wire, credits
-	// Commits on the transmit FIFO and pops on the receive FIFO are the
-	// only external events (besides boundary arrivals, which wake the
-	// halves directly) that can give a parked half work.
+	// Commits on the transmit FIFO and, while the receive half is stalled,
+	// a pop of the receive FIFO are the only external events (besides
+	// boundary arrivals, which wake the halves directly) that can give a
+	// parked half work.
 	in.WakesKernel(txID)
-	out.WakesKernel(rxID)
 	return &Link{name: name, latency: latency, tx: tx, rx: rx}
 }
 
@@ -133,14 +134,18 @@ func (t *linkTx) Tick(now int64) bool {
 	return false
 }
 
-// IdleUntil parks the transmit half until the next credit matures when
-// it is window-blocked with data waiting; everything else that can give
-// it work arrives as a wake (transmit-FIFO commit, credit flush).
+// IdleUntil keeps the transmit half hot while it has data and an open
+// window, and parks it until the next credit matures when it is
+// window-blocked with data waiting; everything else that can give it work
+// arrives as a wake (transmit-FIFO commit, credit flush).
 func (t *linkTx) IdleUntil(now int64) int64 {
-	if t.in.CanPop() && t.outstanding >= t.window {
-		return t.credits.NextReadyAt()
+	switch {
+	case !t.in.CanPop():
+		return sim.Never
+	case t.outstanding < t.window:
+		return now
 	}
-	return sim.Never
+	return t.credits.NextReadyAt()
 }
 
 func (r *linkRx) Name() string { return r.name + ".rx" }
@@ -153,6 +158,7 @@ func (r *linkRx) Tick(now int64) bool {
 		return false
 	}
 	if !r.out.TryPush(p) {
+		r.out.WakeOnSpace(r.id)
 		if r.stallSince < 0 {
 			r.stallSince = now
 			r.stalls++
@@ -172,11 +178,15 @@ func (r *linkRx) Tick(now int64) bool {
 }
 
 // IdleUntil promises the receive half does nothing before its oldest
-// in-flight packet finishes serializing. Head-ready-but-blocked and
-// empty states park until a wake (receive-FIFO pop or wire arrival).
+// in-flight packet finishes serializing, and keeps it hot while matured
+// packets wait. A head blocked on a full receive FIFO parks until its pop
+// (armed in Tick), an empty wire until the next arrival.
 func (r *linkRx) IdleUntil(now int64) int64 {
+	if r.stallSince >= 0 {
+		return sim.Never
+	}
 	if next := r.wire.NextReadyAt(); next > now {
 		return next // Never when the wire is empty
 	}
-	return sim.Never
+	return now
 }

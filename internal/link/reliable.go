@@ -261,13 +261,12 @@ func NewReliablePair(engA, engB *sim.Engine, nameAB, nameBA string,
 	txAB.wire, txAB.credits, rxAB.wire, rxAB.credits = wireAB, creditsAB, wireAB, creditsAB
 	txBA.wire, txBA.credits, rxBA.wire, rxBA.credits = wireBA, creditsBA, wireBA, creditsBA
 	// A parked transmit half resumes on new transmit data (in commit) or
-	// maturing credits; a parked receive half on freed receiver space
-	// (out pop) or wire arrivals. Ack-driven transmit state changes
-	// arrive via explicit engine-local wakes from the receive halves.
+	// maturing credits; a parked receive half on wire arrivals or, while
+	// it holds a frame, freed receiver space (out pop, armed in Tick).
+	// Ack-driven transmit state changes arrive via explicit engine-local
+	// wakes from the receive halves.
 	inAB.WakesKernel(txAB.id)
-	outAB.WakesKernel(rxAB.id)
 	inBA.WakesKernel(txBA.id)
-	outBA.WakesKernel(rxBA.id)
 	ab := &ReliableLink{name: nameAB, latency: latency, par: par, tx: txAB, rx: rxAB}
 	ba := &ReliableLink{name: nameBA, latency: latency, par: par, tx: txBA, rx: rxBA}
 	return ab, ba
@@ -419,6 +418,7 @@ func (r *relRx) Tick(now int64) bool {
 			}
 			return true
 		}
+		r.out.WakeOnSpace(r.id)
 		return false
 	}
 	f, ok := r.wire.PopReady(now)
@@ -454,6 +454,7 @@ func (r *relRx) Tick(now int64) bool {
 			// not nack — backpressure is not loss.
 			held := f
 			r.held = &held
+			r.out.WakeOnSpace(r.id)
 			if r.stallSince < 0 {
 				r.stallSince = now
 				r.stalls++
@@ -473,16 +474,17 @@ func (r *relRx) Tick(now int64) bool {
 }
 
 // IdleUntil promises the receive half does nothing before its oldest
-// in-flight frame finishes serializing. Head-ready-but-blocked and
-// empty states park until a wake (receive-FIFO pop or wire arrival).
+// in-flight frame finishes serializing, and keeps it hot while matured
+// frames wait. A held frame parks until the receive FIFO's pop (armed in
+// Tick), an empty wire until the next arrival.
 func (r *relRx) IdleUntil(now int64) int64 {
-	if r.parked {
+	if r.parked || r.held != nil {
 		return sim.Never
 	}
 	if next := r.wire.NextReadyAt(); next > now {
 		return next // Never when the wire is empty
 	}
-	return sim.Never
+	return now
 }
 
 // oweAck flags acknowledgement state for this receiver and wakes the
@@ -578,14 +580,19 @@ func (t *relTx) Tick(now int64) bool {
 	return false
 }
 
-// IdleUntil promises the transmit half does nothing before its next
-// scheduled event: a credit maturing (which can reopen the admission
-// window; harmless extra wake otherwise) or the retransmit timeout
-// firing. Everything else arrives as a wake — transmit-FIFO commits and
-// ack/nack state changes applied by the engine-local receive halves.
+// IdleUntil keeps the transmit half hot while its window is open and a
+// frame is waiting for the wire, and otherwise promises it does nothing
+// before its next scheduled event: a credit maturing (which can reopen the
+// admission window; harmless extra wake otherwise) or the retransmit
+// timeout firing. Everything else arrives as a wake — transmit-FIFO
+// commits and ack/nack state changes applied by the engine-local receive
+// halves.
 func (t *relTx) IdleUntil(now int64) int64 {
 	if t.parked {
 		return sim.Never
+	}
+	if !t.dead && t.outstanding < 2*t.latency && t.hasFrame() {
+		return now
 	}
 	next := sim.Never
 	if c := t.credits.NextReadyAt(); c > now && c < next {
@@ -597,6 +604,13 @@ func (t *relTx) IdleUntil(now int64) int64 {
 		}
 	}
 	return next
+}
+
+// hasFrame reports whether an open window would put a frame on the wire
+// this tick: backlog, fresh data, or owed acknowledgement state.
+func (t *relTx) hasFrame() bool {
+	return t.cursor < len(t.buf) || len(t.buf) < t.par.Window && t.in.CanPop() ||
+		t.peerRx.ackOwed || t.peerRx.nackOwed
 }
 
 // sendData places one data frame on the wire with the current

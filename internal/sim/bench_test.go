@@ -19,8 +19,9 @@ func (busyKernel) Name() string    { return "busy" }
 func (busyKernel) Tick(int64) bool { return true }
 
 // pulseTx pushes one element every `period` cycles and parks in between
-// (the next set for period 2, the far queue beyond); pulseRx parks until
-// the FIFO commit wakes it and pops.
+// (the next set for period 2, the timing wheel or, beyond its span, the
+// heap for longer periods); pulseRx parks until the FIFO commit wakes it
+// and pops.
 type pulseTx struct {
 	f            *Fifo[uint64]
 	period, next int64
@@ -43,15 +44,20 @@ func (k *pulseRx) Tick(int64) bool {
 	_, ok := k.f.TryPop()
 	return ok
 }
-func (k *pulseRx) IdleUntil(int64) int64 { return Never }
+func (k *pulseRx) IdleUntil(now int64) int64 {
+	if k.f.CanPop() {
+		return now
+	}
+	return Never
+}
 
 // parkWakeEngine builds `pairs` tx/rx pairs, each over its own FIFO, with
-// periods of 2, 3 and 4 cycles.
-func parkWakeEngine(pairs int) *Engine {
+// periods of base, base+1 and base+2 cycles.
+func parkWakeEngine(pairs int, base int64) *Engine {
 	e := NewEngine()
 	for i := 0; i < pairs; i++ {
 		f := NewFifo[uint64](e, "f", 4)
-		e.AddKernel(&pulseTx{f: f, period: 2 + int64(i%3)})
+		e.AddKernel(&pulseTx{f: f, period: base + int64(i%3)})
 		f.WakesKernel(e.AddKernel(&pulseRx{f: f}))
 	}
 	return e
@@ -77,7 +83,7 @@ func BenchmarkEngineCycleHot(b *testing.B) {
 }
 
 func BenchmarkEngineCycleParkWake(b *testing.B) {
-	e := parkWakeEngine(64)
+	e := parkWakeEngine(64, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	runCycles(b, e, b.N)
@@ -143,9 +149,10 @@ func BenchmarkProcTick(b *testing.B) {
 
 // The steady state of every sim primitive allocates nothing: FIFO
 // elements live in the ring from push to pop, boundary rings only grow
-// to their peak occupancy, and parking and waking a kernel is bit
-// arithmetic plus far-queue slots that are reused, and a proc step is a
-// coroutine switch.
+// to their peak occupancy, parking and waking a kernel is bit arithmetic
+// in the tick sets and the timing wheel (allocated once per engine) plus,
+// beyond the wheel's span, heap slots that are reused, and a proc step is
+// a coroutine switch.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	check := func(name string, f func()) {
 		t.Helper()
@@ -186,18 +193,38 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		}
 	})
 
-	pw := parkWakeEngine(70) // 140 kernels: three words
-	pw.startAll()
-	horizon := int64(8)
-	if err := pw.runWindow(horizon); err != nil {
-		t.Fatal(err)
-	}
-	check("engine cycle that parks and re-wakes kernels", func() {
-		horizon += 12 // one round of every period
+	// Periods of 2-4 cycles park kernels in the next set and the wheel,
+	// periods just past the wheel's span in the heap; each run covers one
+	// round of every period.
+	var horizon int64
+	for _, c := range []struct {
+		name string
+		base int64
+		heap bool
+	}{
+		{"inside the wheel span", 2, false},
+		{"beyond the wheel span", wheelSpan, true},
+	} {
+		pw := parkWakeEngine(70, c.base) // 140 kernels: three words
+		pw.startAll()
+		round := 3 * (c.base + 2)
+		horizon = round
 		if err := pw.runWindow(horizon); err != nil {
 			t.Fatal(err)
 		}
-	})
+		check("engine cycle that parks and re-wakes kernels "+c.name, func() {
+			horizon += round
+			if err := pw.runWindow(horizon); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st := pw.SchedStats(); st.KernelTicks >= int64(140)*st.CyclesExecuted || st.FifoCommits == 0 {
+			t.Errorf("%s: park/wake engine never parked: %d ticks over %d cycles, %d commits", c.name, st.KernelTicks, st.CyclesExecuted, st.FifoCommits)
+		}
+		if used := pw.kq.len() > 0; used != c.heap {
+			t.Errorf("%s: kernel heap in use = %v, want %v", c.name, used, c.heap)
+		}
+	}
 
 	pe := NewEngine()
 	NewProc(pe, "ticker", func(p *Proc) {
@@ -216,9 +243,5 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	})
 	if st := pe.SchedStats(); st.ProcSteps != st.CyclesExecuted {
 		t.Errorf("ticker proc stepped %d times over %d cycles", st.ProcSteps, st.CyclesExecuted)
-	}
-
-	if st := pw.SchedStats(); st.KernelTicks >= int64(140)*st.CyclesExecuted || st.FifoCommits == 0 {
-		t.Errorf("park/wake engine never parked: %d ticks over %d cycles, %d commits", st.KernelTicks, st.CyclesExecuted, st.FifoCommits)
 	}
 }

@@ -78,7 +78,8 @@ type Engine struct {
 	pDue       tickSet       // procs to step this cycle
 	pNext      tickSet       // procs to step next cycle
 	pq         schedHeap     // far proc wakes: (wakeAt, proc index)
-	kq         schedHeap     // far kernel wakes: (wakeAt, kernel index)
+	kWheel     timingWheel   // far kernel wakes within wheelSpan cycles
+	kq         schedHeap     // far kernel wakes beyond the wheel: (wakeAt, kernel index)
 	kernWhen   []int64       // per-kernel live far wake (or kernUnscheduled)
 	kernIdle   []IdleUntiler // cached IdleUntiler, nil if not implemented
 	dirtyFifos []int32       // FIFOs touched this cycle, by registration index
@@ -99,9 +100,10 @@ type Engine struct {
 	boundaries   []boundaryFlusher // outbound: flushed by the Group at barriers
 	inBoundaries []boundaryInlet   // inbound: merged into earliestEvent
 	// windowIdleUntil is the event loop's own quiescence estimate,
-	// maintained every executed cycle: now+1 after an active cycle, the
-	// phase-4 fast-forward target (pre horizon clamp) after an inactive
-	// one, and Never when nothing is scheduled at all. It is what the
+	// maintained every executed cycle: the phase-4 fast-forward target
+	// (pre horizon clamp) after a cycle that fast-forwards, Never when
+	// nothing is scheduled at all, and now+1 otherwise; a wake issued
+	// between windows lowers it (see expectWake). It is what the
 	// engine knows about its own future at a window boundary — hot
 	// kernels and due-this-cycle work included, which the far queues
 	// alone are not.
@@ -232,17 +234,14 @@ func (e *Engine) Now() int64 { return e.now }
 
 // AddKernel registers a state-machine kernel and returns its ID. Kernels
 // tick in registration order, after procs run and before FIFO writes
-// commit. The ID is used to attach wake sources (Fifo.WakesKernel) and
-// for explicit wakes (Engine.WakeKernel).
+// commit. The ID is used to attach wake sources (Fifo.WakesKernel,
+// Fifo.WakeOnSpace) and for explicit wakes (Engine.WakeKernel).
 func (e *Engine) AddKernel(k Kernel) KernelID {
 	if e.started {
 		panic("sim: AddKernel after Run")
 	}
 	id := KernelID(len(e.kernels))
 	e.kernels = append(e.kernels, k)
-	iu, _ := k.(IdleUntiler)
-	e.kernIdle = append(e.kernIdle, iu)
-	e.kernWhen = append(e.kernWhen, kernUnscheduled)
 	return id
 }
 
@@ -390,8 +389,9 @@ func (e *Engine) runDense() error {
 // to query.
 func (e *Engine) denseKernelDeadline() (int64, bool) {
 	at, ok := Never, false
-	for _, iu := range e.kernIdle {
-		if iu == nil {
+	for _, k := range e.kernels {
+		iu, has := k.(IdleUntiler)
+		if !has {
 			continue
 		}
 		w := iu.IdleUntil(e.now)
@@ -482,13 +482,6 @@ func (e *Engine) CancelWaitsAt(at int64) int {
 			n++
 		}
 	}
-	if n > 0 && at < e.windowIdleUntil {
-		// A group engine that was quiescent when its window ended would
-		// otherwise be jumped past the wake: nothing else may ever
-		// schedule it again (the cluster the caller is aborting is
-		// frozen), and its procs would stay parked until the cycle limit.
-		e.windowIdleUntil = at
-	}
 	return n
 }
 
@@ -565,6 +558,9 @@ func (e *Engine) earliestEvent() int64 {
 func (e *Engine) jumpTo(at int64) {
 	if at > e.now {
 		e.skipped += at - e.now
+		for c := e.now; c < at && c < e.now+wheelSpan; c++ {
+			e.kWheel.drainInto(c, e.kDue)
+		}
 		e.advance(at)
 	}
 }

@@ -5,7 +5,8 @@ package sim
 type fifoCore struct {
 	name      string
 	eng       *Engine
-	index     int32 // registration index in the engine's FIFO list
+	index     int32    // registration index in the engine's FIFO list
+	spaceKern KernelID // writer kernel to wake on the next pop (see WakeOnSpace), or noKernel
 	capacity  int
 	size      int // committed (reader-visible) occupancy
 	pendingIn int // writes performed this cycle, not yet visible
@@ -92,7 +93,7 @@ func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
 		capacity = 1
 	}
 	f := &Fifo[T]{
-		fifoCore: fifoCore{name: name, eng: e, index: int32(len(e.fifos)), capacity: capacity},
+		fifoCore: fifoCore{name: name, eng: e, index: int32(len(e.fifos)), spaceKern: noKernel, capacity: capacity},
 		buf:      make([]T, capacity),
 	}
 	e.fifos = append(e.fifos, &f.fifoCore)
@@ -101,11 +102,19 @@ func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
 
 // WakesKernel attaches a kernel as a wake target of this FIFO: commits
 // and pops on the FIFO wake the kernel if it is parked (see IdleUntiler).
-// Attach every kernel that reads from or writes to the FIFO and may park
-// while waiting for its state to change.
+// Attach the kernel that reads the FIFO, and any kernel that watches its
+// fill level, if it may park while waiting for data. A writer does not
+// attach: its own pushes would wake it for nothing (see WakeOnSpace).
 func (f *Fifo[T]) WakesKernel(id KernelID) {
 	f.kernWaiters = append(f.kernWaiters, id)
 }
+
+// WakeOnSpace arms a one-shot wake of kernel id, the FIFO's writer, on
+// the next pop: the kernel mirror of a proc blocked in PushProc. A kernel
+// that parks because this FIFO is full arms it, typically from the tick
+// whose push failed; re-arming is harmless. A FIFO has one writer, so
+// the slot holds one kernel.
+func (f *Fifo[T]) WakeOnSpace(id KernelID) { f.spaceKern = id }
 
 // Stalls returns the number of blocked-push windows observed: a window
 // opens on the first failed push attempt and closes on the next success,
@@ -174,8 +183,12 @@ func (f *Fifo[T]) TryPop() (T, bool) {
 	f.head = f.slot(1)
 	f.size--
 	// A pop frees space immediately, so the end-of-cycle wake pass must
-	// visit this FIFO, and parked producer kernels may resume.
+	// visit this FIFO, and a writer kernel blocked on it may resume.
 	f.markDirty()
+	if k := f.spaceKern; k != noKernel {
+		f.spaceKern = noKernel
+		f.eng.WakeKernel(k)
+	}
 	if len(f.kernWaiters) > 0 {
 		f.wakeKernels()
 	}

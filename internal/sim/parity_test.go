@@ -107,12 +107,18 @@ func (k *relay) forward() bool {
 	return k.sys.relays[next].in.TryPush(v)
 }
 
+// IdleUntil is queried after every tick, so pending work must keep the
+// relay hot: mail (a relay may poke itself, and the tick supersedes its
+// own wake), or input to read. Otherwise it waits for its release cycle,
+// or for the attached FIFOs or mail to wake it — empty-handed, or blocked
+// on a full output.
 func (k *relay) IdleUntil(now int64) int64 {
-	if k.holding && k.releaseAt > now {
+	switch {
+	case k.mail > 0 || !k.holding && k.in.CanPop():
+		return now
+	case k.holding && k.releaseAt > now:
 		return k.releaseAt
 	}
-	// Empty-handed with nothing to read, or blocked on a full output:
-	// the attached FIFOs (or mail) wake the relay.
 	return Never
 }
 

@@ -10,19 +10,21 @@ import "math/bits"
 //   - SchedEvent visits only components with work. Activity is kept in
 //     index-ordered bitsets (tickSet): kernels have a hot set (tick every
 //     executed cycle), a due set (tick this cycle) and a next set (tick
-//     the cycle after); procs have the same due/next pair. Nearly every
-//     wake is for this cycle or the next, so it is one bit; only wakes
-//     further out (link-latency arrivals, retransmit timers, Sleep(n>=2),
-//     wait deadlines, IdleUntil horizons) go through the far queues, a
-//     binary heap per component kind. FIFO commits are driven by a dirty
-//     list.
+//     the cycle after); procs have the same due/next pair. A wake for
+//     this cycle or the next is one bit. Kernel wakes further out
+//     (link-latency arrivals, poll-pointer and IdleUntil horizons) land in
+//     a bitset timing wheel of wheelSpan cycles; kernel wakes beyond it
+//     (retransmit timers) and far proc wakes (Sleep(n>=2), wait deadlines)
+//     go through a binary heap per component kind. FIFO commits are
+//     driven by a dirty list.
 //
 // Determinism contract (see DESIGN.md): whenever several components are
 // due on the same cycle, they run in registration-index order, which is
 // exactly the order the dense scan visits them — and the order a bitset
-// walk yields. Parked kernels promise via IdleUntil that ticking them
-// before their horizon would observe no state change and perform none,
-// so skipping those ticks is unobservable.
+// walk yields. Every commit-phase effect (a kernel or proc wake) lands in
+// a bitset, so the order FIFOs commit in is unobservable. Kernels promise
+// via IdleUntil that ticking them before their horizon would observe no
+// state change and perform none, so skipping those ticks is unobservable.
 
 // SchedulerKind selects the engine's scheduling mode.
 type SchedulerKind uint8
@@ -61,21 +63,28 @@ func (k SchedulerKind) String() string {
 // an attached FIFO or an explicit WakeKernel call wakes it.
 const Never = int64(1<<63 - 1)
 
-// kernUnscheduled marks a kernel with no live far-queue entry.
+// kernUnscheduled marks a kernel with no live far wake.
 const kernUnscheduled = int64(-1)
 
 // KernelID identifies a registered kernel; AddKernel returns it and
-// WakeKernel / Fifo.WakesKernel accept it.
+// WakeKernel, Fifo.WakesKernel and Fifo.WakeOnSpace accept it.
 type KernelID int32
 
-// IdleUntiler is optionally implemented by kernels. After Tick returns
-// false, the engine may call IdleUntil(now); the returned cycle w is a
-// promise that every Tick in (now, w) would return false without
-// changing any observable state, so the engine may skip those ticks.
-// Returning now+1 (or smaller) keeps the kernel in the every-cycle tick
-// set; returning Never parks it until an external wake. A parked kernel
-// is woken early by commits and pops on FIFOs attached via WakesKernel,
-// and by WakeKernel; early or duplicate ticks must be harmless.
+// noKernel is the empty Fifo.WakeOnSpace slot.
+const noKernel = KernelID(-1)
+
+// IdleUntiler is optionally implemented by kernels; a kernel without it
+// is ticked every cycle. The event engine calls IdleUntil(now) after
+// every Tick(now), active or not, and ticks the kernel next at the
+// returned cycle w: a promise that every Tick in (now, w) would return
+// false without changing any observable state. Returning now keeps the
+// kernel hot (ticked every cycle), now+1 ticks it once more next cycle,
+// and Never parks it until an external wake. A parked kernel is woken
+// early by commits on FIFOs attached via WakesKernel (its inputs), by the
+// next pop of a FIFO it armed with WakeOnSpace (an output it is blocked
+// on), by boundary arrivals and by WakeKernel; early or duplicate ticks
+// must be harmless. The dense scan calls IdleUntil only on globally
+// inactive cycles, to bound its fast-forward.
 type IdleUntiler interface {
 	IdleUntil(now int64) int64
 }
@@ -141,7 +150,8 @@ const (
 )
 
 // schedEntry is a far-queue element: a component index due at cycle
-// `at`, two or more cycles out when it was pushed.
+// `at`, two or more cycles out (for a kernel, wheelSpan or more) when it
+// was pushed.
 type schedEntry struct {
 	at  int64
 	idx int32
@@ -227,6 +237,72 @@ func (s tickSet) drainInto(dst tickSet) {
 	}
 }
 
+// wheelSpan is the kernel timing wheel's span in cycles, a power of two.
+// It covers a link's one-way latency (link.DefaultLatency, 110 cycles:
+// wire arrivals and credit returns) plus a full poll round of a CK with up
+// to 18 inputs; a kernel wake further out goes to the heap.
+const wheelSpan = 128
+
+// timingWheel holds the kernel wakes due 2 to wheelSpan-1 cycles after
+// the cycle that scheduled them: row r is the tickSet of the kernels due
+// at the one cycle of [now, now+wheelSpan) congruent to r. A kernel has
+// at most one live far wake (Engine.kernWhen) and its tick clears that
+// wake's bit, so a row never holds a stale entry; occ marks the rows that
+// may be non-empty.
+type timingWheel struct {
+	rows []uint64 // wheelSpan rows of kw words, allocated once per engine
+	kw   int
+	occ  [wheelSpan / 64]uint64
+}
+
+func (t *timingWheel) row(at int64) tickSet {
+	r := int(at & (wheelSpan - 1))
+	return t.rows[r*t.kw : (r+1)*t.kw]
+}
+
+func (t *timingWheel) add(at int64, j int32) {
+	t.row(at).set(j)
+	r := at & (wheelSpan - 1)
+	t.occ[r>>6] |= 1 << (r & 63)
+}
+
+func (t *timingWheel) remove(at int64, j int32) {
+	t.row(at)[j>>6] &^= 1 << (uint(j) & 63)
+}
+
+// drainInto moves the wakes for cycle `at` into due.
+func (t *timingWheel) drainInto(at int64, due tickSet) {
+	r := at & (wheelSpan - 1)
+	if t.occ[r>>6]&(1<<(r&63)) == 0 {
+		return
+	}
+	t.occ[r>>6] &^= 1 << (r & 63)
+	t.row(at).drainInto(due)
+}
+
+// next returns the earliest cycle after now with a wake, or Never.
+func (t *timingWheel) next(now int64) int64 {
+	for d := int64(1); d < wheelSpan; {
+		r := (now + d) & (wheelSpan - 1)
+		word := t.occ[r>>6] >> (r & 63)
+		if word == 0 {
+			d += 64 - (r & 63)
+			continue
+		}
+		d += int64(bits.TrailingZeros64(word))
+		if d >= wheelSpan {
+			break
+		}
+		if t.row(now + d).any() {
+			return now + d
+		}
+		r = (now + d) & (wheelSpan - 1)
+		t.occ[r>>6] &^= 1 << (r & 63) // every wake in the row was cancelled
+		d++
+	}
+	return Never
+}
+
 // SetScheduler selects the scheduling mode. Must be called before Run.
 func (e *Engine) SetScheduler(k SchedulerKind) {
 	if e.started {
@@ -237,12 +313,6 @@ func (e *Engine) SetScheduler(k SchedulerKind) {
 
 // Scheduler returns the selected scheduling mode.
 func (e *Engine) Scheduler() SchedulerKind { return e.sched }
-
-// ExecutedCycles returns the number of cycles the engine has iterated
-// (excluding fast-forwarded spans). Kernels that mirror per-cycle side
-// effects of the dense scan (e.g. round-robin poll pointers) use this to
-// catch up after being parked.
-func (e *Engine) ExecutedCycles() int64 { return e.executed }
 
 // SchedStats returns scheduler effort counters for the run so far.
 func (e *Engine) SchedStats() SchedStats {
@@ -263,16 +333,19 @@ func (e *Engine) SchedStats() SchedStats {
 // ticks after the currently ticking kernel, else the next cycle; at a
 // group barrier (engine stopped, current cycle not yet executed), the
 // same cycle; during commits (and outside Run), the next cycle. Waking a
-// kernel that is not parked is a no-op, so callers need not track
-// parking state.
+// kernel that is not parked, or the kernel that is ticking (its IdleUntil
+// is asked next), is a no-op, so callers need not track parking state.
 func (e *Engine) WakeKernel(id KernelID) {
 	at := e.now + 1
 	switch e.phase {
 	case phaseProcs, phaseBarrier:
 		at = e.now
 	case phaseKernels:
-		if int32(id) > e.curKernel {
+		switch {
+		case int32(id) > e.curKernel:
 			at = e.now
+		case int32(id) == e.curKernel:
+			return
 		}
 	}
 	e.wakeKernelAt(id, at)
@@ -285,6 +358,7 @@ func (e *Engine) WakeKernel(id KernelID) {
 // (see advance), so a now+1 wake issued while stopped still lands a cycle
 // after the one the engine has yet to run.
 func (e *Engine) wakeKernelAt(id KernelID, at int64) {
+	e.expectWake(at)
 	j := int32(id)
 	w, m := int(j>>6), uint64(1)<<(uint(j)&63)
 	if w >= len(e.kHot) || e.kHot[w]&m != 0 {
@@ -299,9 +373,41 @@ func (e *Engine) wakeKernelAt(id KernelID, at int64) {
 		// already ticking sooner than any far wake
 	default:
 		if have := e.kernWhen[j]; have == kernUnscheduled || have > at {
-			e.kernWhen[j] = at
-			e.kq.push(at, j)
+			e.unparkKernel(j)
+			e.parkKernel(j, at)
 		}
+	}
+}
+
+// parkKernel schedules kernel j's one live far wake, at >= now+2: in the
+// timing wheel if it falls within its span, else in the heap.
+func (e *Engine) parkKernel(j int32, at int64) {
+	e.kernWhen[j] = at
+	if at-e.now < wheelSpan {
+		e.kWheel.add(at, j)
+	} else {
+		e.kq.push(at, j)
+	}
+}
+
+// unparkKernel cancels kernel j's far wake, if any. A wheel wake has its
+// bit cleared; a heap entry goes stale, which maturation and
+// kernNextDeadline discard.
+func (e *Engine) unparkKernel(j int32) {
+	if at := e.kernWhen[j]; at != kernUnscheduled {
+		e.kWheel.remove(at, j)
+		e.kernWhen[j] = kernUnscheduled
+	}
+}
+
+// expectWake lowers the engine's quiescence estimate (windowIdleUntil) to
+// a wake at cycle `at`. Inside a cycle phase 4 recomputes the estimate
+// anyway; a wake issued at a group barrier — a coordinator's action, a
+// boundary flush, a rescued packet — must not be jumped over by an engine
+// whose last executed cycle saw nothing scheduled.
+func (e *Engine) expectWake(at int64) {
+	if at < e.windowIdleUntil {
+		e.windowIdleUntil = at
 	}
 }
 
@@ -323,6 +429,7 @@ func (e *Engine) scheduleProc(p *Proc, at int64) {
 		return
 	}
 	p.schedAt = at
+	e.expectWake(at)
 	switch {
 	case at <= e.now:
 		e.pDue.set(p.idx)
@@ -333,18 +440,22 @@ func (e *Engine) scheduleProc(p *Proc, at int64) {
 	}
 }
 
-// kernNextDeadline returns the earliest live far kernel wake, discarding
-// stale entries.
-func (e *Engine) kernNextDeadline() (int64, bool) {
+// kernNextDeadline returns the earliest live far kernel wake (Never if
+// none), discarding stale heap entries.
+func (e *Engine) kernNextDeadline() int64 {
+	next := e.kWheel.next(e.now)
 	for e.kq.len() > 0 {
 		top := e.kq.top()
 		if e.kernWhen[top.idx] != top.at {
 			e.kq.pop() // stale: the kernel ticked or was rescheduled since
 			continue
 		}
-		return top.at, true
+		if top.at < next {
+			next = top.at
+		}
+		break
 	}
-	return 0, false
+	return next
 }
 
 // markDirty registers FIFO c for end-of-cycle processing on its first
@@ -358,26 +469,33 @@ func (c *fifoCore) markDirty() {
 	c.eng.dirtyFifos = append(c.eng.dirtyFifos, c.index)
 }
 
-// wakeKernels wakes the kernels attached to this FIFO. Attached kernels
-// are consumers or producers parked while the FIFO had no data (or no
-// space) for them; a pop or commit may flip that condition.
+// wakeKernels wakes the kernels attached to this FIFO with WakesKernel:
+// its consumer, parked while the FIFO had no data, and any watcher of its
+// fill level; a pop or commit may flip what they wait for.
 func (c *fifoCore) wakeKernels() {
 	for _, id := range c.kernWaiters {
 		c.eng.WakeKernel(id)
 	}
 }
 
-// ensureEventInit sizes the tick sets from the registered counts and
-// seeds them, once per run. Windowed runs (see Group) call runEvent once
-// per window, so the seeding is guarded rather than inlined in the loop
-// entry.
+// ensureEventInit sizes the per-kernel state, the tick sets and the
+// timing wheel from the registered counts and seeds them, once per run.
+// Windowed runs (see Group) call runEvent once per window, so the seeding
+// is guarded rather than inlined in the loop entry.
 func (e *Engine) ensureEventInit() {
 	if e.eventInit {
 		return
 	}
 	e.eventInit = true
+	e.kernIdle = make([]IdleUntiler, len(e.kernels))
+	e.kernWhen = make([]int64, len(e.kernels))
+	for j, k := range e.kernels {
+		e.kernIdle[j], _ = k.(IdleUntiler)
+		e.kernWhen[j] = kernUnscheduled
+	}
 	kw, pw := (len(e.kernels)+63)/64, (len(e.procs)+63)/64
 	e.kHot, e.kDue, e.kNext = make(tickSet, kw), make(tickSet, kw), make(tickSet, kw)
+	e.kWheel = timingWheel{rows: make([]uint64, wheelSpan*kw), kw: kw}
 	e.pDue, e.pNext = make(tickSet, pw), make(tickSet, pw)
 	// All procs start runnable at cycle 0 and every kernel starts hot.
 	e.pDue.fill(len(e.procs))
@@ -451,9 +569,10 @@ func (e *Engine) runEvent() error {
 			}
 		}
 
-		// Phase 2: tick hot and due kernels in index order. hot|due is
-		// re-read above the last ticked bit after every tick, so a
-		// same-cycle wake of a later kernel joins the pass.
+		// Phase 2: far kernel wakes that matured join the due set, then hot
+		// and due kernels tick in index order. hot|due is re-read above
+		// the last ticked bit after every tick, so a same-cycle wake of a
+		// later kernel joins the pass.
 		e.phase = phaseKernels
 		if e.recorder != nil {
 			if cap(e.kernWasBuf) < len(e.kernels) {
@@ -464,6 +583,7 @@ func (e *Engine) runEvent() error {
 				e.kernWasBuf[i] = false
 			}
 		}
+		e.kWheel.drainInto(e.now, e.kDue)
 		for e.kq.len() > 0 && e.kq.top().at <= e.now {
 			if ent := e.kq.pop(); e.kernWhen[ent.idx] == ent.at {
 				e.kDue.set(ent.idx)
@@ -484,23 +604,25 @@ func (e *Engine) runEvent() error {
 				e.curKernel = j
 				did := e.kernels[j].Tick(e.now)
 				e.kernelTicks++
-				// The tick supersedes every wake the kernel held (or sent
-				// itself by popping its own input); a next bit left
-				// standing would tick it twice.
+				if did {
+					active = true
+				}
+				if e.recorder != nil {
+					e.kernWasBuf[j] = did
+				}
+				iu := e.kernIdle[j]
+				if iu == nil {
+					continue // hot for good, so never woken or parked
+				}
+				// The tick supersedes every wake the kernel held: IdleUntil
+				// names its next cycle from the state the tick left, and a
+				// bit left standing would tick it twice.
 				if (due[w]|nxt[w])&m != 0 {
 					due[w] &^= m
 					nxt[w] &^= m
 				}
-				e.kernWhen[j] = kernUnscheduled
-				if e.recorder != nil {
-					e.kernWasBuf[j] = did
-				}
-				until := e.now // stay hot unless the kernel declares a horizon
-				if did {
-					active = true
-				} else if iu := e.kernIdle[j]; iu != nil {
-					until = iu.IdleUntil(e.now)
-				}
+				e.unparkKernel(j)
+				until := iu.IdleUntil(e.now)
 				// Any future horizon becomes a scheduled park — even
 				// now+1 — so phase 4 sees every pending wake and never
 				// mistakes a waiting kernel for quiescence.
@@ -513,32 +635,27 @@ func (e *Engine) runEvent() error {
 				default:
 					hot[w] &^= m
 					if until < Never {
-						e.kernWhen[j] = until
-						e.kq.push(until, j)
+						e.parkKernel(j, until)
 					}
 				}
 			}
 		}
 		e.curKernel = int32(len(e.kernels))
 
-		// Phase 3: commit dirty FIFOs in registration order, wake their
-		// attached kernels, then wake blocked procs.
+		// Phase 3: commit each dirty FIFO, wake its attached kernels and
+		// its blocked procs. A FIFO's wakes depend on its own state alone
+		// and every wake lands in a bitset, so the order of the dirty list
+		// does not matter.
 		e.phase = phaseCommit
-		if len(e.dirtyFifos) > 1 {
-			sortInt32(e.dirtyFifos)
-		}
 		for _, fi := range e.dirtyFifos {
-			if f := e.fifos[fi]; f.commit() {
+			f := e.fifos[fi]
+			f.dirty = false
+			if f.commit() {
 				active = true
 				e.fifoCommits++
 				f.wakeKernels()
 			}
-		}
-		for _, fi := range e.dirtyFifos {
-			e.fifos[fi].wake(e)
-		}
-		for _, fi := range e.dirtyFifos {
-			e.fifos[fi].dirty = false
+			f.wake(e)
 		}
 		e.dirtyFifos = e.dirtyFifos[:0]
 		if e.recorder != nil {
@@ -547,13 +664,25 @@ func (e *Engine) runEvent() error {
 
 		// Phase 4: termination and fast-forward. A next bit is an event
 		// at now+1; hot kernels alone schedule nothing, so an inactive
-		// cycle with only hot kernels still fast-forwards.
+		// cycle with only hot kernels still fast-forwards. An active cycle
+		// fast-forwards too once no kernel is hot: every effect it had is
+		// a scheduled wake by now. Three kinds of active cycle still end
+		// at now+1, as the dense scan's do: the one the last proc finishes
+		// on (the run ends there), one that leaves nothing scheduled at
+		// all (the empty cycle after it ends the run or reports the
+		// deadlock, and a group's coordinator sees the effect first), and
+		// every traced one (the recorder closes activity intervals at the
+		// next executed cycle).
 		e.phase = phaseIdle
 		e.windowIdleUntil = e.now + 1
-		if !active && !e.kNext.any() && !e.pNext.any() {
+		leap := !active || e.recorder == nil && (e.windowed || e.finished < len(e.procs)) && !e.kHot.any()
+		if leap && !e.kNext.any() && !e.pNext.any() {
 			next := e.nextProcEvent()
-			if kd, ok := e.kernNextDeadline(); ok && kd < next {
+			if kd := e.kernNextDeadline(); kd < next {
 				next = kd
+			}
+			if next == Never && active {
+				next = e.now + 1
 			}
 			e.windowIdleUntil = next
 			if next == Never && !e.windowed {
@@ -583,19 +712,5 @@ func (e *Engine) runEvent() error {
 			}
 		}
 		e.advance(e.now + 1)
-	}
-}
-
-// sortInt32 is an insertion sort: dirty lists are short and nearly
-// sorted (components touch FIFOs roughly in registration order).
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }

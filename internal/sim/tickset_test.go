@@ -145,11 +145,12 @@ func TestBarrierWakesLandOnTheirCycle(t *testing.T) {
 }
 
 // The same for a proc released for now+1 at a barrier, and for a jump:
-// an engine the group fast-forwards keeps the wakes it was handed and
-// runs them at the first cycle it executes.
+// an engine the group fast-forwards keeps the wakes it was handed — in
+// the next set or the timing wheel — and runs them at the first cycle it
+// executes.
 func TestBarrierProcWakeNextCycleAndJump(t *testing.T) {
 	e := NewEngine()
-	ks, ids := addProbes(e, 1)
+	ks, ids := addProbes(e, 2)
 	never := NewFifo[int](e, "never", 1)
 	var resumed int64
 	NewProc(e, "waiter", func(p *Proc) {
@@ -178,6 +179,7 @@ func TestBarrierProcWakeNextCycleAndJump(t *testing.T) {
 	}
 	e.CancelWaitsAt(13)
 	e.WakeKernelAt(ids[0], 13)
+	e.WakeKernelAt(ids[1], 20)
 	e.jumpTo(30)
 	if err := e.runWindow(31); err != nil {
 		t.Fatal(err)
@@ -186,6 +188,44 @@ func TestBarrierProcWakeNextCycleAndJump(t *testing.T) {
 		t.Errorf("proc jumped over resumed at %d, want 30", resumed)
 	}
 	wantTicks(t, ks[0], 0, 30)
+	wantTicks(t, ks[1], 0, 30)
+}
+
+// wakeAt is a coordinator that wakes one kernel at a barrier, once.
+type wakeAt struct {
+	e     *Engine
+	id    KernelID
+	at    int64
+	acted bool
+}
+
+func (c *wakeAt) NextAction(int64) int64 {
+	if c.acted {
+		return Never
+	}
+	return c.at
+}
+
+func (c *wakeAt) AtBarrier(int64) {
+	c.acted = true
+	c.e.WakeKernel(c.id)
+}
+
+func (c *wakeAt) Quiescent() bool { return true }
+
+// A group must not jump an engine over a wake handed to it at a barrier,
+// however quiet the engine's own last cycle was.
+func TestGroupBarrierWakeIsAnEvent(t *testing.T) {
+	es := []*Engine{NewEngine(), NewEngine()}
+	ks, ids := addProbes(es[1], 1)
+	NewBoundary[int](es[0], es[1], es[1].AddKernel(&probe{name: "inlet"}), 4)
+	NewProc(es[0], "keepalive", func(p *Proc) { p.Sleep(100) })
+	g := NewGroup(es, 1000, 2)
+	g.SetCoordinator(&wakeAt{e: es[1], id: ids[0], at: 50})
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wantTicks(t, ks[0], 0, 50)
 }
 
 // next is merged into due when the clock advances, not when the kernel
@@ -216,7 +256,71 @@ func TestProcPhasePutLatencyOne(t *testing.T) {
 	if !reflect.DeepEqual(got, []int64{6}) {
 		t.Errorf("entry put at cycle 5 with latency 1 consumed at %v, want [6]", got)
 	}
-	wantTicks(t, k, 0, 6, 7)
+	// IdleUntil is asked after the consuming tick too: with nothing left
+	// in flight the consumer parks at once instead of idling through 7.
+	wantTicks(t, k, 0, 6)
+}
+
+// An active cycle fast-forwards once no kernel is hot, except where the
+// dense scan's clock would tell: the cycle the last proc finishes on ends
+// the run at now+1 even with a far wake pending (a credit in flight), and
+// a cycle that leaves nothing scheduled hands the verdict — clean end or
+// deadlock — to the empty cycle after it. Fast-forwarding there moved the
+// final clock by the far wake's distance, or by one.
+func TestActiveCycleEndsWhereDenseDoes(t *testing.T) {
+	scenarios := []struct {
+		name  string
+		build func(e *Engine)
+	}{
+		{"last proc finishes with a credit in flight", func(e *Engine) {
+			var b *Boundary[int]
+			k := &probe{name: "credit-sink"}
+			k.act = func(now int64) bool {
+				_, ok := b.PopReady(now)
+				return ok
+			}
+			k.until = func(int64) int64 { return b.NextReadyAt() }
+			b = NewBoundary[int](e, e, e.AddKernel(k), 12)
+			NewProc(e, "sender", func(p *Proc) {
+				p.Sleep(5)
+				b.Put(p.Now(), 1)
+			})
+		}},
+		{"kernel-only run goes quiet", func(e *Engine) {
+			e.AddKernel(&probe{
+				name: "worker",
+				act:  func(now int64) bool { return now < 3 },
+				until: func(now int64) int64 {
+					if now < 2 {
+						return now + 1
+					}
+					return Never
+				},
+			})
+		}},
+		{"last proc action leaves nothing scheduled", func(e *Engine) {
+			never := NewFifo[int](e, "never", 1)
+			NewProc(e, "stuck", func(p *Proc) {
+				p.Sleep(3)
+				never.PopProc(p)
+			})
+		}},
+	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			var ends [2]string
+			for i, sched := range []SchedulerKind{SchedDense, SchedEvent} {
+				e := NewEngine()
+				e.SetScheduler(sched)
+				sc.build(e)
+				err := e.Run()
+				ends[i] = fmt.Sprintf("cycle %d, %v", e.Now(), err)
+			}
+			if ends[0] != ends[1] {
+				t.Errorf("dense run ended at %s; event run at %s", ends[0], ends[1])
+			}
+		})
+	}
 }
 
 // A kernel whose IdleUntil is now+1 sits in the next set; that is a

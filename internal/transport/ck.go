@@ -23,6 +23,8 @@ type ck struct {
 
 	nOut int // output FIFO count (structural metadata for resources)
 
+	id sim.KernelID // set by attach
+
 	cur     int   // input currently polled
 	reads   int   // consecutive reads from cur
 	lastNow int64 // cycle of the previous Tick (-1 before the first)
@@ -54,6 +56,17 @@ func newCK(name string, inputs []*sim.Fifo[packet.Packet], inNames []string, nOu
 
 func (c *ck) Name() string { return c.name }
 
+// attach registers the kernel with the engine and has commits on its
+// inputs wake it. Its outputs wake it only while it is blocked on one
+// (see Tick).
+func (c *ck) attach(e *sim.Engine) sim.KernelID {
+	c.id = e.AddKernel(c)
+	for _, in := range c.inputs {
+		in.WakesKernel(c.id)
+	}
+	return c.id
+}
+
 // Tick performs one cycle of the polling state machine:
 //
 //   - If a packet is held (output was full), retry the push.
@@ -64,6 +77,10 @@ func (c *ck) Name() string { return c.name }
 //     k cycles — the behaviour Table 4 measures.
 func (c *ck) Tick(now int64) bool {
 	active := c.tick(now)
+	if c.hasHeld {
+		// The held packet waits for its consumer to pop the jammed output.
+		c.heldOut.WakeOnSpace(c.id)
+	}
 	c.pinned = c.hasHeld || c.lockLeft > 0 || (c.frozen != nil && c.frozen())
 	return active
 }
@@ -81,8 +98,10 @@ func (c *ck) tick(now int64) bool {
 	// schedule a function of simulated time alone, identical under the
 	// dense and event schedulers.
 	if c.lastNow >= 0 && now > c.lastNow+1 && !c.pinned {
-		gap := int((now - c.lastNow - 1) % int64(len(c.inputs)))
-		c.cur = (c.cur + gap) % len(c.inputs)
+		n := len(c.inputs)
+		if c.cur += int((now - c.lastNow - 1) % int64(n)); c.cur >= n {
+			c.cur -= n
+		}
 		c.reads = 0
 	}
 	c.lastNow = now
@@ -164,35 +183,53 @@ func (c *ck) tick(now int64) bool {
 	return false
 }
 
-// IdleUntil parks the kernel whenever its next action depends on an
-// external event rather than time: a held packet waits for a pop on its
-// jammed output, an idle route lock waits for a commit on its locked input,
-// and the plain polling state with every input empty waits for any input
-// commit (the free-running pointer is reconstructed on wake from the
-// elapsed time). Parking instead of polling is what lets the engine
-// diagnose a jammed transport as a deadlock. A host reset is the one
-// state held hot: the fault manager that resolves it runs every cycle
-// anyway, and the pinned pointer must observe the span tick by tick.
+// IdleUntil names the cycle the kernel next moves a packet. While
+// polling, that is the cycle its free-running pointer reaches an input
+// holding data: now (hot) if the current input has data — or, under the
+// skip-idle arbiter, if any input does — and now+1+k if the first one is
+// k inputs further on, every tick in between being an empty poll. A route
+// lock acts while its input has data. The kernel parks whenever its next
+// action depends on an external event rather than time: a held packet
+// waits for a pop on its jammed output, an idle route lock for a commit
+// on its locked input, and empty inputs for any input commit (the
+// free-running pointer is reconstructed on wake from the elapsed time).
+// Parking instead of polling is what lets the engine diagnose a jammed
+// transport as a deadlock. A host reset is the one state held hot: the
+// fault manager that resolves it runs every cycle anyway, and the pinned
+// pointer must observe the span tick by tick.
 func (c *ck) IdleUntil(now int64) int64 {
-	if len(c.inputs) == 0 {
+	n := len(c.inputs)
+	switch {
+	case n == 0:
 		return sim.Never
-	}
-	if c.frozen != nil && c.frozen() {
+	case c.frozen != nil && c.frozen():
 		return now + 1
-	}
-	if c.hasHeld || c.lockLeft > 0 {
+	case c.hasHeld:
+		return sim.Never
+	case c.lockLeft > 0:
+		if c.inputs[c.cur].CanPop() {
+			return now
+		}
 		return sim.Never
 	}
-	for _, f := range c.inputs {
-		if f.CanPop() {
-			return now
+	for k, i := 0, c.cur; k < n; k++ {
+		if c.inputs[i].CanPop() {
+			if k == 0 || c.skipIdle {
+				return now
+			}
+			return now + 1 + int64(k)
+		}
+		if i++; i == n {
+			i = 0
 		}
 	}
 	return sim.Never
 }
 
 func (c *ck) advance() {
-	c.cur = (c.cur + 1) % len(c.inputs)
+	if c.cur++; c.cur == len(c.inputs) {
+		c.cur = 0
+	}
 	c.reads = 0
 }
 

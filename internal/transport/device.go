@@ -219,19 +219,7 @@ func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 		k := newCK(fmt.Sprintf("dev%d.cks%d", rank, q), inputs, names, 1+1+(ifaces-1), cfg.R, skipIdle, route)
 		k.frozen = func() bool { return d.paused || d.sendPaused }
 		d.cks = append(d.cks, k)
-		id := e.AddKernel(k)
-		d.cksIDs = append(d.cksIDs, id)
-		for _, in := range inputs {
-			in.WakesKernel(id)
-		}
-		// Pops on the output FIFOs resume a parked held-packet retry.
-		d.netOut[q].WakesKernel(id)
-		cksToCkr[q].WakesKernel(id)
-		for j := 0; j < ifaces; j++ {
-			if j != q {
-				interCKS[q][j].WakesKernel(id)
-			}
-		}
+		d.cksIDs = append(d.cksIDs, k.attach(e))
 	}
 
 	// Build the CKR kernels.
@@ -281,23 +269,7 @@ func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 		k := newCK(fmt.Sprintf("dev%d.ckr%d", rank, q), inputs, names, nApps+1+(ifaces-1), cfg.R, skipIdle, route)
 		k.frozen = func() bool { return d.paused }
 		d.ckr = append(d.ckr, k)
-		id := e.AddKernel(k)
-		d.ckrIDs = append(d.ckrIDs, id)
-		for _, in := range inputs {
-			in.WakesKernel(id)
-		}
-		// Pops on the output FIFOs resume a parked held-packet retry.
-		ckrToCks[q].WakesKernel(id)
-		for _, b := range bindings {
-			if b.Iface == q && b.Recv != nil {
-				b.Recv.WakesKernel(id)
-			}
-		}
-		for j := 0; j < ifaces; j++ {
-			if j != q {
-				interCKR[q][j].WakesKernel(id)
-			}
-		}
+		d.ckrIDs = append(d.ckrIDs, k.attach(e))
 	}
 	return nil
 }

@@ -144,13 +144,6 @@ func NewReceiverDriven(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 	}
 	d.numFifos += extraFifos
 
-	// The control queues are popped by the pacer/granter; a pop must
-	// resume a CKR parked on a full control queue (held-packet retry).
-	for q := 0; q < ifaces; q++ {
-		reqIn[q].WakesKernel(d.ckrIDs[q])
-		grantIn[q].WakesKernel(d.ckrIDs[q])
-	}
-
 	d.pacer = &rdPacer{
 		rank:        rank,
 		ports:       ports,
@@ -158,13 +151,12 @@ func NewReceiverDriven(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 		unscheduled: uint64(cfg.Unscheduled),
 		reqInterval: cfg.ReqInterval,
 	}
-	pacerID := e.AddKernel(d.pacer)
+	d.pacer.id = e.AddKernel(d.pacer)
 	for _, pp := range ports {
-		pp.app.WakesKernel(pacerID)  // new application packets
-		pp.gate.WakesKernel(pacerID) // CKS drained the gate: space freed
+		pp.app.WakesKernel(d.pacer.id) // new application packets
 	}
 	for q := 0; q < ifaces; q++ {
-		grantIn[q].WakesKernel(pacerID)
+		grantIn[q].WakesKernel(d.pacer.id)
 	}
 
 	d.granter = &rdGranter{
@@ -176,13 +168,12 @@ func NewReceiverDriven(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 		batch:       uint64(cfg.GrantBatch),
 		unscheduled: uint64(cfg.Unscheduled),
 	}
-	granterID := e.AddKernel(d.granter)
+	d.granter.id = e.AddKernel(d.granter)
 	for q := 0; q < ifaces; q++ {
-		reqIn[q].WakesKernel(granterID)
+		reqIn[q].WakesKernel(d.granter.id)
 	}
-	grantOut.WakesKernel(granterID) // CKS drained a grant: slot freed
 	for _, rf := range recvOf {
-		rf.WakesKernel(granterID) // app pops free endpoint buffer space
+		rf.WakesKernel(d.granter.id) // arrivals and app pops move the free endpoint space
 	}
 	return d, nil
 }
@@ -224,6 +215,7 @@ func (pp *rdPacerPort) flow(dst uint16) *rdFlow {
 // so every scheduler sees identical behaviour.
 type rdPacer struct {
 	rank        int
+	id          sim.KernelID
 	ports       []*rdPacerPort
 	grantIn     []*sim.Fifo[packet.Packet]
 	unscheduled uint64
@@ -318,7 +310,8 @@ func (k *rdPacer) IdleUntil(now int64) int64 {
 			continue
 		}
 		if !pp.gate.CanPush() {
-			continue // gate pops wake us
+			pp.gate.WakeOnSpace(k.id) // the CKS draining the gate wakes us
+			continue
 		}
 		if head.Op != packet.OpData {
 			return now
@@ -362,6 +355,7 @@ type rdDemand struct {
 // PushesCommitted, which is phase-stable across schedulers).
 type rdGranter struct {
 	rank        int
+	id          sim.KernelID
 	reqIn       []*sim.Fifo[packet.Packet]
 	grantOut    *sim.Fifo[packet.Packet]
 	recvOf      map[int]*sim.Fifo[packet.Packet]
@@ -481,12 +475,14 @@ func (g *rdGranter) IdleUntil(now int64) int64 {
 			return now
 		}
 	}
-	if g.grantOut.CanPush() {
-		for _, key := range g.order {
-			f := g.flows[key]
-			if f.need > f.granted && g.space(key.port) > 0 {
+	for _, key := range g.order {
+		f := g.flows[key]
+		if f.need > f.granted && g.space(key.port) > 0 {
+			if g.grantOut.CanPush() {
 				return now
 			}
+			g.grantOut.WakeOnSpace(g.id) // the CKS draining a grant wakes us
+			break
 		}
 	}
 	return sim.Never
