@@ -216,9 +216,6 @@ func (ch *SendChannel) PushN(bits []uint64) (int, error) {
 	return len(bits), nil
 }
 
-// Remaining returns how many elements may still be pushed.
-func (ch *SendChannel) Remaining() int { return ch.count - ch.sent }
-
 // flushE emits the staged packet or raw word: credit gate, then the
 // fragment header if one is due, then the payload, charging the cycles
 // the application pipeline spent producing its elements — a kernel
@@ -485,9 +482,6 @@ func (ch *RecvChannel) sendCreditE(deadline int64) error {
 	ch.freed = 0
 	return nil
 }
-
-// Remaining returns how many elements are still to be popped.
-func (ch *RecvChannel) Remaining() int { return ch.count - ch.received }
 
 // fetchE pops the next data packet or raw word from the endpoint. The
 // first call on a rendezvous message completes the receiver half of the

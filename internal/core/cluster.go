@@ -335,7 +335,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				supSend := sim.NewFifo[packet.Packet](eng, name("sup.send"), depth)
 				supRecv := sim.NewFifo[packet.Packet](eng, name("sup.recv"), depth)
 				sup := newSupportKernel(fmt.Sprintf("r%d.p%d.%s", r, spec.Port, spec.Kind),
-					r, spec, ep.appSend, ep.appRecv, supSend, supRecv)
+					r, cfg.Topology.Devices, spec, ep.appSend, ep.appRecv, supSend, supRecv)
 				sup.id = eng.AddKernel(sup)
 				// Commits on the inbound FIFOs and pops on a full outbound
 				// one (see supportKernel.Tick) are the only events that can
@@ -680,8 +680,10 @@ func (c *Cluster) Run() (Stats, error) {
 	}
 	for _, rs := range c.ranks {
 		for _, sup := range rs.supports {
-			if sup.bad > 0 {
-				return st, fmt.Errorf("smi: support kernel %s saw %d protocol violations", sup.name, sup.bad)
+			// A contribution still set aside at the end had no round to
+			// join: it is a violation too.
+			if bad := sup.bad + uint64(len(sup.early)); bad > 0 {
+				return st, fmt.Errorf("smi: support kernel %s saw %d protocol violations", sup.name, bad)
 			}
 		}
 	}

@@ -22,15 +22,10 @@ func WithDeadline(cycles int64) ChannelOption {
 	return func(o *chanOpts) { o.patience = cycles }
 }
 
-// WithNoDeadline removes any deadline, including a Ctx-level default.
-func WithNoDeadline() ChannelOption {
-	return func(o *chanOpts) { o.patience = 0 }
-}
-
 // SetDefaultDeadline sets a default per-operation deadline (in cycles)
 // for every channel subsequently opened through this Ctx. Individual
-// opens override it with WithDeadline or WithNoDeadline. cycles <= 0
-// clears the default.
+// opens override it with WithDeadline; WithDeadline(0) removes it.
+// cycles <= 0 clears the default.
 func (x *Ctx) SetDefaultDeadline(cycles int64) {
 	if cycles < 0 {
 		cycles = 0

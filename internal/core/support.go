@@ -2,6 +2,7 @@ package smi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -9,17 +10,25 @@ import (
 
 // supportKernel coordinates one collective port at one rank (paper
 // §4.4). It sits between the application endpoint FIFOs and the
-// CKS/CKR pair the port is bound to, and implements the linear
-// collective schemes with their synchronization protocols:
+// CKS/CKR pair the port is bound to, and runs each collective's
+// synchronization protocol once per edge of the round's shape: this
+// rank's parent and children (tree.go). The paper's linear scheme is the
+// star shape, every other member under the root; PortSpec.Tree selects
+// the binomial shape, the "tree-based schema" the paper says the support
+// kernels can offer.
 //
-//   - Bcast/Scatter (one-to-all): receiving ranks signal readiness with
-//     a SYNC packet before the root streams data toward them, once per
-//     rank and round.
-//   - Gather (all-to-one): the root grants each source rank its turn in
-//     rank order.
-//   - Reduce (all-to-one): credit-based flow control with a C-element
-//     accumulation buffer at the root; contributors may run one tile
-//     ahead and receive a new credit each time the root flushes a tile.
+//   - Bcast/Scatter (one-to-all): a node sends a SYNC to its parent once
+//     every child has sent it one, so the root's stream never meets an
+//     unready subtree; every node then copies each packet it receives to
+//     its children.
+//   - Gather (all-to-one, star only): the root grants each source rank
+//     its turn in rank order.
+//   - Reduce (all-to-one): credit-based flow control. A node with
+//     children combines their contributions and its own in a C-element
+//     tile buffer, streams the result up (to the application at the
+//     root), and grants each child one further tile of credit per tile.
+//     A childless node streams its contribution up and may run one tile
+//     ahead of its parent.
 //
 // Both root and non-root behavior is instantiated at every rank so the
 // root can be chosen dynamically; the kernel learns root, count, and
@@ -39,38 +48,37 @@ type supportKernel struct {
 	netIn  *sim.Fifo[packet.Packet] // CKR -> support
 
 	state supState
-	cfg   packet.Config
 	root  int // global root rank of the current round
 	base  int // communicator base
 	size  int // communicator size
 	count int // elements (per rank) in the current round
 
+	// This rank's place in the round's shape, in global ranks.
+	parent   int // -1 at the root
+	children []int
+
 	// Protocol counters, persistent across rounds: early SYNCs/credits
 	// for the next round are absorbed here instead of clogging CKR.
-	syncCount [packet.MaxRanks]int
+	syncCount []int // per cluster rank
 	credits   int
 
 	// Streaming state.
 	remaining int           // elements left in the current phase
-	member    int           // member index being served (root-serve states)
-	granted   bool          // gather root: grant sent to current member
-	dup       packet.Packet // bcast root: packet being replicated
+	member    int           // member index being served (scatter/gather root)
+	granted   bool          // gather: the current turn is granted
+	dup       packet.Packet // bcast: packet being copied to the children
 	dupValid  bool
-	dupNext   int // next member index to copy dup to
-
-	// Tree collective state.
-	parentG   int   // parent global rank (-1 at the root)
-	childrenG []int // child global ranks
-	upGranted int   // elements the parent has allowed upward (tree reduce)
+	dupNext   int // next child to copy dup to
 
 	// Reduce state.
-	tile      []uint64 // accumulation buffer (C elements)
-	pos       []int    // per-member elements contributed to current tile
-	tileElems int      // size of the current tile
-	done      int      // elements fully reduced so far
-	flushPos  int      // elements flushed from the current tile
-	creditTo  int      // member index to send the next credit to
-	sendAllow int      // non-root reduce: elements allowed to send
+	early     []packet.Packet // contributions ahead of this node's round (ingest)
+	tile      []uint64        // accumulation buffer (C elements)
+	pos       []int           // per-slot elements contributed to the current tile
+	tileElems int             // size of the current tile
+	done      int             // elements fully reduced so far
+	flushPos  int             // elements flushed from the current tile
+	creditTo  int             // next child to send a credit to
+	upGranted int             // elements the parent has allowed upward so far
 
 	absorbed bool // a protocol packet was consumed this cycle
 	busy     bool // the last tick made progress
@@ -81,65 +89,51 @@ type supportKernel struct {
 type supState uint8
 
 const (
-	supIdle supState = iota
-
-	supBcastWaitReady
-	supBcastStream
-	supBcastSendSync
-	supBcastForward
-
-	supReduceCollect
-	supReduceCredit
-	supReduceSend
-
-	supScatterRoot
-	supScatterSendSync
-	supScatterForward
-
-	supGatherRoot
-	supGatherWaitGrant
-	supGatherSend
-
-	supTBcastSync
-	supTBcastStream
-	supTBcastForward
-	supTReduceCollect
-	supTReduceCredit
+	supIdle        supState = iota
+	supSync                 // bcast/scatter: children's SYNCs in, own SYNC up
+	supStream               // bcast root: copy application data to the children
+	supForward              // bcast/scatter non-root: deliver, then copy down
+	supCollect              // reduce with children: combine tiles, flush up
+	supCredit               // reduce with children: one credit per child
+	supSend                 // reduce without children: stream up under credits
+	supScatterRoot          // scatter root: stream each member's chunk
+	supGatherRoot           // gather root: grant and collect each member in turn
+	supGatherSend           // gather non-root: await the grant, then stream
 )
 
-func newSupportKernel(name string, rank int, spec PortSpec, appIn, appOut, netOut, netIn *sim.Fifo[packet.Packet]) *supportKernel {
+func newSupportKernel(name string, rank, ranks int, spec PortSpec, appIn, appOut, netOut, netIn *sim.Fifo[packet.Packet]) *supportKernel {
 	return &supportKernel{
 		name: name, rank: rank, spec: spec, epp: spec.Type.ElemsPerPacket(),
 		appIn: appIn, appOut: appOut, netOut: netOut, netIn: netIn,
+		syncCount: make([]int, ranks),
 	}
 }
 
 func (s *supportKernel) Name() string { return s.name }
 
-// popNet pops one packet from the network side, absorbing protocol
-// packets (SYNC, CREDIT) into their counters. It returns a data packet,
-// or ok=false if none was consumed this cycle.
-func (s *supportKernel) popNet() (packet.Packet, bool) {
-	p, ok := s.netIn.TryPop()
-	if !ok {
-		return packet.Packet{}, false
-	}
+// absorb counts a protocol packet (SYNC, CREDIT) into its counter.
+func (s *supportKernel) absorb(p packet.Packet) {
+	s.absorbed = true
 	switch p.Op {
 	case packet.OpSyncReady:
 		s.syncCount[p.Src]++
-		s.absorbed = true
-		return packet.Packet{}, false
 	case packet.OpCredit:
 		s.credits++
-		s.absorbed = true
-		return packet.Packet{}, false
-	case packet.OpData:
-		return p, true
 	default:
 		s.bad++
-		s.absorbed = true
-		return packet.Packet{}, false
 	}
+}
+
+// popNet pops one packet from the network side, absorbing protocol
+// packets. It returns a data packet, or ok=false if none was consumed
+// this cycle.
+func (s *supportKernel) popNet() (packet.Packet, bool) {
+	p, ok := s.netIn.TryPop()
+	if !ok || p.Op == packet.OpData {
+		return p, ok
+	}
+	s.absorb(p)
+	return packet.Packet{}, false
 }
 
 // drainProtocol absorbs any waiting SYNC/CREDIT packet without consuming
@@ -150,15 +144,7 @@ func (s *supportKernel) drainProtocol() bool {
 		return false
 	}
 	s.netIn.TryPop()
-	s.absorbed = true
-	switch p.Op {
-	case packet.OpSyncReady:
-		s.syncCount[p.Src]++
-	case packet.OpCredit:
-		s.credits++
-	default:
-		s.bad++
-	}
+	s.absorb(p)
 	return true
 }
 
@@ -171,6 +157,10 @@ func (s *supportKernel) protocolPacket(op packet.Op, dst int) packet.Packet {
 
 // memberRank maps a member index (0..size-1) to a global rank.
 func (s *supportKernel) memberRank(i int) int { return s.base + i }
+
+// leaf reports whether this rank has a parent and no children: it waits
+// on nobody and talks only to its parent.
+func (s *supportKernel) leaf() bool { return s.parent >= 0 && len(s.children) == 0 }
 
 // Tick advances the support kernel one cycle. At most one packet is
 // consumed and one produced per cycle, matching a hardware kernel with
@@ -207,38 +197,24 @@ func (s *supportKernel) tickState() bool {
 	switch s.state {
 	case supIdle:
 		return s.tickIdle()
-	case supBcastWaitReady:
-		return s.tickBcastWaitReady()
-	case supBcastStream:
-		return s.tickBcastStream()
-	case supBcastSendSync, supScatterSendSync:
-		return s.tickSendSync()
-	case supBcastForward, supScatterForward:
-		return s.tickForwardNetToApp()
-	case supReduceCollect:
-		return s.tickReduceCollect()
-	case supReduceCredit:
-		return s.tickReduceCredit()
-	case supReduceSend:
-		return s.tickReduceSend()
+	case supSync:
+		return s.tickSync()
+	case supStream:
+		return s.tickStream()
+	case supForward:
+		return s.tickForward()
+	case supCollect:
+		return s.tickCollect()
+	case supCredit:
+		return s.tickCredit()
+	case supSend:
+		return s.tickSend()
 	case supScatterRoot:
 		return s.tickScatterRoot()
 	case supGatherRoot:
 		return s.tickGatherRoot()
-	case supGatherWaitGrant:
-		return s.tickGatherWaitGrant()
 	case supGatherSend:
 		return s.tickGatherSend()
-	case supTBcastSync:
-		return s.tickTBcastSync()
-	case supTBcastStream:
-		return s.tickTBcastStream()
-	case supTBcastForward:
-		return s.tickTBcastForward()
-	case supTReduceCollect:
-		return s.tickTReduceCollect()
-	case supTReduceCredit:
-		return s.tickTReduceCredit()
 	default:
 		panic(fmt.Sprintf("smi: support kernel %s in invalid state %d", s.name, s.state))
 	}
@@ -259,71 +235,42 @@ func (s *supportKernel) tickIdle() bool {
 		return true
 	}
 	cfg := packet.DecodeConfig(p)
-	s.cfg = cfg
-	s.root = int(cfg.Root)
-	s.base = int(cfg.Base)
-	s.size = int(cfg.Size)
-	s.count = int(cfg.Count)
+	s.root, s.base, s.size, s.count = int(cfg.Root), int(cfg.Base), int(cfg.Size), int(cfg.Count)
 	s.remaining = s.count
-	isRoot := s.rank == s.root
+	shape := star
+	if s.spec.Tree {
+		shape = binomial
+	}
+	s.parent, s.children = shape(s.base, s.size, s.root, s.rank, s.children[:0])
+	isRoot := s.parent < 0
 
 	switch s.spec.Kind {
 	case Bcast:
-		if s.spec.Tree {
-			s.setupTree()
-			s.state = supTBcastSync
-			break
-		}
+		s.state = supSync
+	case Scatter:
+		s.state = supSync
 		if isRoot {
-			s.state = supBcastWaitReady
-		} else {
-			s.state = supBcastSendSync
+			s.member, s.granted = 0, false
+			s.state = supScatterRoot
+		}
+	case Gather:
+		s.member, s.granted = 0, false
+		s.state = supGatherSend
+		if isRoot {
+			s.state = supGatherRoot
 		}
 	case Reduce:
 		s.done = 0
-		if s.spec.Tree {
-			s.setupTree()
-			if cap(s.tile) < s.spec.CreditElems {
-				s.tile = make([]uint64, s.spec.CreditElems)
-			}
-			s.upGranted = s.nextTileSize(0)
-			s.startTreeReduceTile()
-			s.state = supTReduceCollect
+		s.upGranted = s.nextTileSize(0) // the first tile needs no credit
+		if s.leaf() {
+			s.state = supSend
 			break
 		}
-		if isRoot {
-			if cap(s.tile) < s.spec.CreditElems {
-				s.tile = make([]uint64, s.spec.CreditElems)
-				s.pos = make([]int, s.size)
-			}
-			s.pos = s.pos[:0]
-			for i := 0; i < s.size; i++ {
-				s.pos = append(s.pos, 0)
-			}
-			s.startReduceTile()
-			s.state = supReduceCollect
-		} else {
-			s.sendAllow = s.nextTileSize(0)
-			s.state = supReduceSend
+		if cap(s.tile) < s.spec.CreditElems {
+			s.tile = make([]uint64, s.spec.CreditElems)
 		}
-	case Scatter:
-		if isRoot {
-			s.member = 0
-			s.granted = false
-			s.remaining = s.count
-			s.state = supScatterRoot
-		} else {
-			s.state = supScatterSendSync
-		}
-	case Gather:
-		if isRoot {
-			s.member = 0
-			s.granted = false
-			s.remaining = s.count
-			s.state = supGatherRoot
-		} else {
-			s.state = supGatherWaitGrant
-		}
+		s.startTile()
+		s.state = supCollect
 	default:
 		s.bad++
 		s.state = supIdle
@@ -331,33 +278,40 @@ func (s *supportKernel) tickIdle() bool {
 	return true
 }
 
-// --- Bcast ---
+// --- Bcast (and the non-root leg of Scatter) ---
 
-func (s *supportKernel) tickBcastWaitReady() bool {
-	if s.drainProtocol() {
+// tickSync is the readiness rendezvous: a node waits for a SYNC from
+// every child, then sends its own to its parent; the root then starts
+// streaming. A leaf waits on nobody and sends its SYNC at once.
+func (s *supportKernel) tickSync() bool {
+	if !s.leaf() {
+		if s.drainProtocol() {
+			return true
+		}
+		for _, c := range s.children {
+			if s.syncCount[c] < 1 {
+				return false // still waiting for a ready notification
+			}
+		}
+	}
+	if s.parent >= 0 && !s.netOut.TryPush(s.protocolPacket(packet.OpSyncReady, s.parent)) {
 		return true
 	}
-	for i := 0; i < s.size; i++ {
-		m := s.memberRank(i)
-		if m != s.root && s.syncCount[m] < 1 {
-			return false // still waiting for a ready notification
-		}
-	}
-	for i := 0; i < s.size; i++ {
-		m := s.memberRank(i)
-		if m != s.root {
-			s.syncCount[m]--
-		}
+	for _, c := range s.children {
+		s.syncCount[c]--
 	}
 	s.dupValid = false
-	s.state = supBcastStream
+	s.state = supForward
+	if s.parent < 0 {
+		s.state = supStream
+	}
 	return true
 }
 
-// tickBcastStream replicates each data packet from the root application
-// to every other member, one copy per cycle (the linear scheme: root
-// egress bandwidth divides by the member count).
-func (s *supportKernel) tickBcastStream() bool {
+// tickStream takes each data packet from the root application and copies
+// it to the root's children, one copy per cycle (under the star shape
+// root egress bandwidth divides by the member count).
+func (s *supportKernel) tickStream() bool {
 	s.drainProtocol()
 	if !s.dupValid {
 		p, ok := s.appIn.TryPop()
@@ -368,62 +322,51 @@ func (s *supportKernel) tickBcastStream() bool {
 			s.bad++
 			return true
 		}
-		s.dup = p
-		s.dupValid = true
-		s.dupNext = 0
+		s.dup, s.dupValid, s.dupNext = p, true, 0
 	}
-	// Skip the root's own member slot.
-	for s.dupNext < s.size && s.memberRank(s.dupNext) == s.root {
-		s.dupNext++
+	return s.replicate()
+}
+
+// tickForward delivers the next data packet from the parent to the local
+// application, then copies it to the children from the next cycle on. A
+// leaf finishes the packet in the cycle it delivers it.
+func (s *supportKernel) tickForward() bool {
+	if !s.dupValid {
+		if !s.appOut.CanPush() {
+			// Blocked on the application: no progress this cycle.
+			return false
+		}
+		p, ok := s.popNet()
+		if !ok {
+			return false
+		}
+		if int(p.Src) != s.parent {
+			s.bad++
+			return true
+		}
+		s.appOut.TryPush(p)
+		s.dup, s.dupValid, s.dupNext = p, true, 0
+		if len(s.children) > 0 {
+			return true
+		}
 	}
-	if s.dupNext >= s.size {
-		s.remaining -= int(s.dup.Count)
-		s.dupValid = false
-		if s.remaining <= 0 {
-			s.state = supIdle
+	return s.replicate()
+}
+
+// replicate copies dup to the next child, one copy per cycle, and
+// finishes the packet once every child has it.
+func (s *supportKernel) replicate() bool {
+	if s.dupNext < len(s.children) {
+		out := s.dup
+		out.Src = uint16(s.rank)
+		out.Dst = uint16(s.children[s.dupNext])
+		if s.netOut.TryPush(out) {
+			s.dupNext++
 		}
 		return true
 	}
-	out := s.dup
-	out.Dst = uint16(s.memberRank(s.dupNext))
-	out.Src = uint16(s.rank)
-	if s.netOut.TryPush(out) {
-		s.dupNext++
-	}
-	return true
-}
-
-// tickSendSync sends the readiness notification to the root, then starts
-// forwarding incoming data to the application (Bcast and Scatter share
-// this non-root behavior).
-func (s *supportKernel) tickSendSync() bool {
-	if s.netOut.TryPush(s.protocolPacket(packet.OpSyncReady, s.root)) {
-		if s.state == supBcastSendSync {
-			s.state = supBcastForward
-		} else {
-			s.state = supScatterForward
-		}
-	}
-	return true
-}
-
-// tickForwardNetToApp moves data packets from the network to the local
-// application until the message completes.
-func (s *supportKernel) tickForwardNetToApp() bool {
-	if !s.appOut.CanPush() {
-		// Blocked on the application: no progress this cycle.
-		return false
-	}
-	p, ok := s.popNet()
-	if !ok {
-		return false
-	}
-	if int(p.Src) != s.root {
-		s.bad++
-		return true
-	}
-	s.appOut.TryPush(p)
-	s.remaining -= int(p.Count)
+	s.remaining -= int(s.dup.Count)
+	s.dupValid = false
 	if s.remaining <= 0 {
 		s.state = supIdle
 	}
@@ -435,38 +378,67 @@ func (s *supportKernel) tickForwardNetToApp() bool {
 // nextTileSize returns the size in elements of the tile starting after
 // `done` reduced elements.
 func (s *supportKernel) nextTileSize(done int) int {
-	left := s.count - done
-	if left > s.spec.CreditElems {
-		return s.spec.CreditElems
-	}
-	return left
+	return min(s.count-done, s.spec.CreditElems)
 }
 
-func (s *supportKernel) startReduceTile() {
+// startTile opens the next tile. The tile has one position slot per
+// child, in shape order, plus the local application's last.
+func (s *supportKernel) startTile() {
 	s.tileElems = s.nextTileSize(s.done)
-	for i := range s.pos {
-		s.pos[i] = 0
+	n := len(s.children) + 1
+	if cap(s.pos) < n {
+		s.pos = make([]int, n)
 	}
-	for i := 0; i < s.tileElems; i++ {
-		s.tile[i] = 0
-	}
+	s.pos = s.pos[:n]
+	clear(s.pos)
+	clear(s.tile[:s.tileElems])
 	s.flushPos = 0
-	s.creditTo = 0
 }
 
-// accumulate folds a contribution packet from global rank src into the
-// tile buffer.
-func (s *supportKernel) accumulate(p packet.Packet, src int) {
-	mi := src - s.base
-	if mi < 0 || mi >= s.size {
-		s.bad++
-		return
+// fits returns the tile slot of a network contribution — children in
+// shape order — or -1 if its source is no child this round or its slot
+// has no room left in the tile.
+func (s *supportKernel) fits(p packet.Packet) int {
+	for i, c := range s.children {
+		if c == int(p.Src) {
+			if s.pos[i]+int(p.Count) > s.tileElems {
+				return -1
+			}
+			return i
+		}
 	}
+	return -1
+}
+
+// ingest folds one contribution from the network into the tile. A child
+// that has finished this round may already be streaming the next — the
+// first tile of a round needs no credit — and under a tree a rank may
+// send to a parent still collecting for an earlier shape; a packet that
+// does not fit the tile waits in early, in arrival order, for a later
+// round's tile.
+func (s *supportKernel) ingest() bool {
+	for i, p := range s.early {
+		if mi := s.fits(p); mi >= 0 {
+			s.early = slices.Delete(s.early, i, i+1)
+			s.accumulate(p, mi)
+			return true
+		}
+	}
+	p, ok := s.popNet()
+	if !ok {
+		return false
+	}
+	if mi := s.fits(p); mi >= 0 {
+		s.accumulate(p, mi)
+	} else {
+		s.early = append(s.early, p)
+	}
+	return true
+}
+
+// accumulate folds a contribution packet into tile slot mi.
+func (s *supportKernel) accumulate(p packet.Packet, mi int) {
 	n := int(p.Count)
-	if s.pos[mi]+n > s.tileElems {
-		s.bad++
-		n = s.tileElems - s.pos[mi]
-	}
 	for i := 0; i < n; i++ {
 		idx := s.pos[mi] + i
 		v := p.Elem(i, s.spec.Type)
@@ -480,15 +452,11 @@ func (s *supportKernel) accumulate(p packet.Packet, src int) {
 }
 
 // firstContribution reports whether element idx of the tile has received
-// no contribution yet (every member's position is past or at idx tells
-// us how many have already folded in; we track it cheaply: the element
-// has been written iff any member's pos was > idx before this write).
-func (s *supportKernel) firstContribution(member, idx int) bool {
-	for m := range s.pos {
-		if m == member {
-			continue
-		}
-		if s.pos[m] > idx {
+// no contribution yet: it has been written iff another slot's position
+// is already past it.
+func (s *supportKernel) firstContribution(slot, idx int) bool {
+	for m, p := range s.pos {
+		if m != slot && p > idx {
 			return false
 		}
 	}
@@ -496,110 +464,117 @@ func (s *supportKernel) firstContribution(member, idx int) bool {
 }
 
 // flushAvail returns how many elements of the current tile are fully
-// reduced (every member has contributed them) but not yet flushed.
+// reduced (every slot has contributed them) but not yet flushed.
 func (s *supportKernel) flushAvail() int {
 	avail := s.tileElems
 	for _, p := range s.pos {
-		if p < avail {
-			avail = p
-		}
+		avail = min(avail, p)
 	}
 	return avail - s.flushPos
 }
 
-func (s *supportKernel) tickReduceCollect() bool {
-	// The reduce support kernel has three independent hardware ports —
-	// the network input, the local application's contribution stream,
-	// and the result stream — and services all of them every cycle.
-	active := false
+// takeCredit turns one credit from the parent into one more tile of
+// upward allowance.
+func (s *supportKernel) takeCredit() bool {
+	if s.credits == 0 {
+		return false
+	}
+	s.credits--
+	s.upGranted += s.nextTileSize(s.upGranted)
+	return true
+}
+
+// tickCollect is the tile collector of a node with children.
+func (s *supportKernel) tickCollect() bool {
+	// The collector has three independent hardware ports — the network
+	// input, the local application's contribution stream, and the result
+	// stream — and services all of them every cycle.
+	active := s.parent >= 0 && s.takeCredit()
 
 	// Results stream out incrementally: element i is flushed as soon as
-	// every member has contributed it. This keeps the root application —
+	// every slot has contributed it. This keeps the root application —
 	// which pushes its own contribution and pops the result of the same
 	// element in one SMI_Reduce call — flowing without a full-tile wait.
 	if n := s.flushAvail(); n > 0 {
-		active = s.flushResults(n)
+		active = s.flush(n) || active
 	} else if s.flushPos >= s.tileElems && s.tileElems > 0 {
-		// Tile fully flushed: grant the next round of credits.
+		// Tile fully flushed: grant the children their next tile.
 		s.done += s.tileElems
 		if s.done >= s.count {
 			s.state = supIdle // final tile: no more credits needed
 			return true
 		}
 		s.creditTo = 0
-		s.state = supReduceCredit
+		s.state = supCredit
 		return true
 	}
 
 	// Ingest one packet from the network (remote ranks are gated by
 	// credits and latency-sensitive) ...
-	if p, ok := s.popNet(); ok {
-		s.accumulate(p, int(p.Src))
-		active = true
-	}
+	active = s.ingest() || active
 	// ... and one from the local application, never consuming local data
 	// beyond the current tile.
-	rootMember := s.rank - s.base
-	if s.pos[rootMember] < s.tileElems {
+	if self := len(s.children); s.pos[self] < s.tileElems {
 		if p, ok := s.appIn.TryPop(); ok {
 			if p.Op != packet.OpData {
 				s.bad++
 				return true
 			}
-			s.accumulate(p, s.rank)
+			s.accumulate(p, self)
 			active = true
 		}
 	}
 	return active
 }
 
-// flushResults emits up to one packet of fully-reduced elements to the
-// local application.
-func (s *supportKernel) flushResults(n int) bool {
-	if n > s.epp {
-		n = s.epp
+// flush emits up to one packet of fully-reduced elements: to the local
+// application at the root, otherwise to the parent within its credits.
+func (s *supportKernel) flush(n int) bool {
+	dst, fifo := s.rank, s.appOut
+	if s.parent >= 0 {
+		dst, fifo = s.parent, s.netOut
+		n = min(n, s.upGranted-s.done-s.flushPos)
+	}
+	n = min(n, s.epp)
+	if n <= 0 {
+		return false
 	}
 	out := packet.Packet{
-		Src: uint16(s.rank), Dst: uint16(s.rank), Port: uint8(s.spec.Port),
+		Src: uint16(s.rank), Dst: uint16(dst), Port: uint8(s.spec.Port),
 		Op: packet.OpData, Count: uint8(n),
 	}
 	for i := 0; i < n; i++ {
 		out.PutElem(i, s.spec.Type, s.tile[s.flushPos+i])
 	}
-	if s.appOut.TryPush(out) {
-		s.flushPos += n
-		return true
+	if !fifo.TryPush(out) {
+		return false
 	}
-	return false
+	s.flushPos += n
+	return true
 }
 
-func (s *supportKernel) tickReduceCredit() bool {
+// tickCredit grants each child one further tile, one credit per cycle,
+// then opens that tile.
+func (s *supportKernel) tickCredit() bool {
 	s.drainProtocol()
-	for s.creditTo < s.size && s.memberRank(s.creditTo) == s.root {
-		s.creditTo++
-	}
-	if s.creditTo >= s.size {
-		s.startReduceTile()
-		s.state = supReduceCollect
+	if s.creditTo >= len(s.children) {
+		s.startTile()
+		s.state = supCollect
 		return true
 	}
-	if s.netOut.TryPush(s.protocolPacket(packet.OpCredit, s.memberRank(s.creditTo))) {
+	if s.netOut.TryPush(s.protocolPacket(packet.OpCredit, s.children[s.creditTo])) {
 		s.creditTo++
 	}
 	return true
 }
 
-func (s *supportKernel) tickReduceSend() bool {
-	// Absorb credits: each grants one further tile.
-	if s.drainProtocol() {
+// tickSend streams a childless node's contribution to its parent; each
+// credit absorbed grants one further tile.
+func (s *supportKernel) tickSend() bool {
+	if s.drainProtocol() || s.takeCredit() {
 		return true
 	}
-	if s.credits > 0 {
-		s.credits--
-		s.sendAllow += s.nextTileSize(s.count - s.remaining + s.sendAllow)
-		return true
-	}
-	if s.sendAllow <= 0 {
+	if s.upGranted <= s.count-s.remaining {
 		return false
 	}
 	if !s.netOut.CanPush() {
@@ -613,16 +588,19 @@ func (s *supportKernel) tickReduceSend() bool {
 		s.bad++
 		return true
 	}
-	out := p
-	out.Dst = uint16(s.root)
-	out.Src = uint16(s.rank)
-	s.netOut.TryPush(out)
-	s.sendAllow -= int(p.Count)
+	s.sendData(p, s.parent)
+	return true
+}
+
+// sendData forwards an application data packet to dst and retires its
+// elements; the caller has checked that netOut has room.
+func (s *supportKernel) sendData(p packet.Packet, dst int) {
+	p.Src, p.Dst = uint16(s.rank), uint16(dst)
+	s.netOut.TryPush(p)
 	s.remaining -= int(p.Count)
 	if s.remaining <= 0 {
 		s.state = supIdle
 	}
-	return true
 }
 
 // --- Scatter ---
@@ -643,10 +621,7 @@ func (s *supportKernel) tickScatterRoot() bool {
 	}
 	// Remote member: wait for its readiness, then stream its chunk.
 	if s.syncCount[m] < 1 {
-		if s.drainProtocol() {
-			return true
-		}
-		return false
+		return s.drainProtocol()
 	}
 	if !s.netOut.CanPush() {
 		return true
@@ -721,19 +696,20 @@ func (s *supportKernel) tickGatherRoot() bool {
 	return true
 }
 
-func (s *supportKernel) tickGatherWaitGrant() bool {
-	if s.drainProtocol() {
+// tickGatherSend waits for the root's grant (a SYNC), then streams this
+// rank's contribution to it.
+func (s *supportKernel) tickGatherSend() bool {
+	if !s.granted {
+		if s.drainProtocol() {
+			return true
+		}
+		if s.syncCount[s.root] < 1 {
+			return false
+		}
+		s.syncCount[s.root]--
+		s.granted = true
 		return true
 	}
-	if s.syncCount[s.root] < 1 {
-		return false
-	}
-	s.syncCount[s.root]--
-	s.state = supGatherSend
-	return true
-}
-
-func (s *supportKernel) tickGatherSend() bool {
 	if !s.netOut.CanPush() {
 		return true
 	}
@@ -746,13 +722,6 @@ func (s *supportKernel) tickGatherSend() bool {
 		s.bad++
 		return true
 	}
-	out := p
-	out.Dst = uint16(s.root)
-	out.Src = uint16(s.rank)
-	s.netOut.TryPush(out)
-	s.remaining -= int(p.Count)
-	if s.remaining <= 0 {
-		s.state = supIdle
-	}
+	s.sendData(p, s.root)
 	return true
 }

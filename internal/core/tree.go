@@ -1,34 +1,42 @@
 package smi
 
-// binomialTree computes a node's parent and children in the binomial
-// tree the tree-based collectives use (the "tree-based schema for Bcast
-// and Reduce" the paper names as the natural extension of its linear
-// support kernels, §4.4).
-//
-// Ranks are communicator-relative; the tree is rooted at rootRel by
-// virtually renumbering ranks so the root is 0. In virtual numbering,
-// node v's parent clears v's lowest set bit, and its children are
-// v + 2^j for every 2^j below that bit (all powers of two for the
-// root). The returned parent is -1 for the root.
-func binomialTree(size, rootRel, selfRel int) (parentRel int, childrenRel []int) {
-	v := (selfRel - rootRel + size) % size
-	unvirtual := func(u int) int { return (u + rootRel) % size }
+// Collective shapes. A shape gives one rank's parent (-1 at the root) and
+// appends its children to kids, for the communicator of size ranks
+// starting at base rooted at root. Ranks are global. The support kernel
+// runs every collective protocol over the edges of one shape, so a shape
+// is all that tells the paper's linear scheme from a tree.
 
-	if v == 0 {
-		parentRel = -1
-	} else {
-		parentRel = unvirtual(v & (v - 1))
+// star is the paper's linear scheme (§4.4): every other member is a child
+// of the root, in member order.
+func star(base, size, root, self int, kids []int) (int, []int) {
+	if self != root {
+		return root, kids
 	}
-	// Highest child step: for the root, every power of two below size;
-	// otherwise every power of two below the lowest set bit of v.
-	limit := v & (-v)
-	if v == 0 {
-		limit = size // all powers of two below size
+	for m := base; m < base+size; m++ {
+		if m != root {
+			kids = append(kids, m)
+		}
+	}
+	return -1, kids
+}
+
+// binomial is the binomial tree — the "tree-based schema for Bcast and
+// Reduce" the paper names as the natural extension of its linear support
+// kernels — rooted at root by virtually renumbering members so the root
+// is 0. In virtual numbering, node v's parent clears v's lowest set bit,
+// and its children are v + 2^j for every 2^j below that bit (all powers
+// of two below size for the root).
+func binomial(base, size, root, self int, kids []int) (int, []int) {
+	v := (self - root + size) % size
+	global := func(u int) int { return base + (u+root-base)%size }
+	parent, limit := -1, size
+	if v != 0 {
+		parent, limit = global(v&(v-1)), v&-v
 	}
 	for step := 1; step < limit && v+step < size; step <<= 1 {
-		childrenRel = append(childrenRel, unvirtual(v+step))
+		kids = append(kids, global(v+step))
 	}
-	return parentRel, childrenRel
+	return parent, kids
 }
 
 // treeDepth returns the depth of the binomial tree over size nodes

@@ -182,11 +182,12 @@ type PortSpec struct {
 	// one tile of credits at a time. Rounded up to a whole number of
 	// packets. Defaults to 256. Reduce ports only.
 	CreditElems int
-	// Tree selects binomial-tree support kernels for Bcast and Reduce
-	// ports instead of the paper's linear scheme: replication and
-	// combining spread over inner nodes, bounding per-node fan-out by
-	// log2 of the communicator size. (The paper names tree schemes as
-	// the natural extension its reference implementation lacks.)
+	// Tree runs a Bcast or Reduce port's support kernel over the
+	// binomial shape instead of the star of the paper's linear scheme:
+	// replication and combining spread over inner nodes, bounding
+	// per-node fan-out by log2 of the communicator size. (The paper
+	// names tree schemes as the natural extension its reference
+	// implementation lacks.)
 	Tree bool
 	// Mode selects the point-to-point transfer machinery (default
 	// ModePacket; P2P ports only). See the Mode constants.
@@ -263,7 +264,7 @@ func (p *ProgramSpec) Validate() error {
 			return fmt.Errorf("smi: port %d has invalid reduce op %d", s.Port, s.ReduceOp)
 		}
 		if s.Tree && s.Kind != Bcast && s.Kind != Reduce {
-			return fmt.Errorf("smi: port %d: tree support kernels exist only for bcast and reduce", s.Port)
+			return fmt.Errorf("smi: port %d: the tree shape exists only for bcast and reduce", s.Port)
 		}
 		if s.Mode >= numModes {
 			return fmt.Errorf("smi: port %d has invalid transfer mode %d", s.Port, s.Mode)

@@ -168,20 +168,34 @@ func (j *Job) start() {
 	j.appendEventLocked("started", 0, "")
 }
 
-// finish records the outcome.
-func (j *Job) finish(res *workload.Result, runErr error) {
+// fail records a failed run.
+func (j *Job) fail(runErr error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
-	if runErr != nil {
-		j.state = StateFailed
-		j.errMsg = runErr.Error()
-		j.appendEventLocked("failed", 0, j.errMsg)
-		return
-	}
+	j.state = StateFailed
+	j.errMsg = runErr.Error()
+	j.appendEventLocked("failed", 0, j.errMsg)
+}
+
+// done records a completed run. A replay's verdict (nil for any other
+// job) is published in the same critical section, so a reader that sees
+// StateDone or the "completed" event also sees replay_match.
+func (j *Job) done(res *workload.Result, replayMatch *bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.finished = time.Now()
 	j.state = StateDone
 	j.result = res
+	j.replayMatch = replayMatch
 	j.appendEventLocked("completed", res.Cycles, "")
+	switch {
+	case replayMatch == nil:
+	case *replayMatch:
+		j.appendEventLocked("replay-verified", res.Cycles, "bit-identical to "+j.replayOf)
+	default:
+		j.appendEventLocked("replay-mismatch", 0, "replay diverged from "+j.replayOf)
+	}
 }
 
 // cancel marks a queued job canceled (shutdown drains the queue).

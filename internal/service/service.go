@@ -155,7 +155,7 @@ func (s *Service) runJob(job *Job) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			job.finish(nil, fmt.Errorf("job panicked: %v", r))
+			job.fail(fmt.Errorf("job panicked: %v", r))
 		}
 	}()
 	job.start()
@@ -163,7 +163,7 @@ func (s *Service) runJob(job *Job) {
 	spec := job.Spec()
 	r, err := spec.resolve()
 	if err != nil {
-		job.finish(nil, err)
+		job.fail(err)
 		return
 	}
 
@@ -185,7 +185,7 @@ func (s *Service) runJob(job *Job) {
 	if r.workload.SupportsRoutes && r.topo != nil {
 		routes, hit, err := s.cache.Get(r.topo, r.policy)
 		if err != nil {
-			job.finish(nil, err)
+			job.fail(err)
 			return
 		}
 		params.Routes = routes
@@ -200,35 +200,28 @@ func (s *Service) runJob(job *Job) {
 
 	res, err := workload.Run(spec.Workload, params)
 	if err != nil {
-		job.finish(nil, err)
+		job.fail(err)
 		return
 	}
-	job.finish(&res, nil)
-
-	if job.replayOf != "" {
-		s.verifyReplay(job)
-	}
+	job.done(&res, s.replayVerdict(job.replayOf, &res))
 }
 
-// verifyReplay compares a finished replay against its original job and
-// records the bit-identity verdict.
-func (s *Service) verifyReplay(job *Job) {
+// replayVerdict compares a replay's result against its original job's:
+// nil when the job is no replay (or its original is gone), else whether
+// the two are bit-identical.
+func (s *Service) replayVerdict(replayOf string, res *workload.Result) *bool {
+	if replayOf == "" {
+		return nil
+	}
 	s.mu.Lock()
-	orig := s.jobs[job.replayOf]
+	orig := s.jobs[replayOf]
 	s.mu.Unlock()
 	if orig == nil {
-		return
+		return nil
 	}
-	origRes, replayRes := orig.Result(), job.Result()
-	match := origRes != nil && replayRes != nil && reflect.DeepEqual(*origRes, *replayRes)
-	job.mu.Lock()
-	job.replayMatch = &match
-	if match {
-		job.appendEventLocked("replay-verified", replayRes.Cycles, "bit-identical to "+job.replayOf)
-	} else {
-		job.appendEventLocked("replay-mismatch", 0, "replay diverged from "+job.replayOf)
-	}
-	job.mu.Unlock()
+	origRes := orig.Result()
+	match := origRes != nil && reflect.DeepEqual(*origRes, *res)
+	return &match
 }
 
 // Job returns a job by ID.

@@ -302,6 +302,57 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestReplayVerdictWithCompletion checks that a replay publishes its
+// verdict together with its completion: the status a client reads when
+// the "completed" event arrives already carries replay_match. The test
+// holds the service lock the verdict needs (to look up the original
+// job) for a while, so a verdict computed after the job is published as
+// done is deterministically missing at that event.
+func TestReplayVerdictWithCompletion(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	orig, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 4, Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustDone(t, orig)
+	replay, err := svc.Replay(orig.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	locked := true
+	unlock := func() {
+		if locked {
+			locked = false
+			svc.mu.Unlock()
+		}
+	}
+	defer unlock()
+	hold := time.After(500 * time.Millisecond)
+	for seq := 0; ; {
+		events, changed, terminal := replay.EventsSince(seq)
+		for _, ev := range events {
+			if ev.Kind == "completed" {
+				if st := replay.Status(); st.ReplayMatch == nil || !*st.ReplayMatch {
+					t.Fatalf("status at the completed event has replay_match %v", st.ReplayMatch)
+				}
+				return
+			}
+		}
+		if terminal {
+			t.Fatalf("replay ended %s", replay.State())
+		}
+		seq += len(events)
+		select {
+		case <-changed:
+		case <-hold:
+			unlock()
+		case <-time.After(60 * time.Second):
+			t.Fatalf("replay stuck in state %s", replay.State())
+		}
+	}
+}
+
 func TestReplayErrors(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
 	if _, err := svc.Replay("j9999"); !IsKind(err, NotFound) {

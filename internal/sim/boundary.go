@@ -79,9 +79,6 @@ func (b *Boundary[T]) Latency() int64 { return b.latency }
 // srcEngine returns the producing engine (boundaryInlet view).
 func (b *Boundary[T]) srcEngine() *Engine { return b.src }
 
-// Crossing reports whether the boundary connects two distinct engines.
-func (b *Boundary[T]) Crossing() bool { return b.src != b.dst }
-
 // publish appends ent to the consumer-visible ring, doubling it when full.
 func (b *Boundary[T]) publish(ent boundaryEntry[T]) {
 	if b.n == len(b.ring) {
