@@ -244,6 +244,118 @@ func shapeRound(x *Ctx, spec PortSpec, comm Comm, root, n, r int) error {
 	return nil
 }
 
+func TestTreeReduceCorrectness(t *testing.T) {
+	for _, ranks := range []int{2, 5, 8} {
+		for _, root := range []int{0, 2 % ranks} {
+			ranks, root := ranks, root
+			t.Run(fmt.Sprintf("ranks=%d root=%d", ranks, root), func(t *testing.T) {
+				const n = 500 // several credit tiles with C=128
+				c := busCluster(t, ranks, PortSpec{
+					Port: 0, Kind: Reduce, Type: Float, ReduceOp: Add, Tree: true, CreditElems: 128,
+				})
+				c.SPMD("treduce", func(x *Ctx) {
+					ch, err := x.OpenReduceChannel(n, Float, Add, 0, root, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < n; i++ {
+						got, ok := ch.ReduceFloat(float32(x.Rank()*n + i))
+						if ok != (x.Rank() == root) {
+							t.Errorf("rank %d ok=%v", x.Rank(), ok)
+							return
+						}
+						if ok {
+							want := float32(n*(ranks*(ranks-1)/2) + ranks*i)
+							if got != want {
+								t.Errorf("element %d = %g, want %g", i, got, want)
+								return
+							}
+						}
+					}
+				})
+				if _, err := c.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+func TestTreeReduceMaxMin(t *testing.T) {
+	const n, ranks = 50, 6
+	for _, tc := range []struct {
+		op   Op
+		want func(i int) int32
+	}{
+		{Max, func(i int) int32 { return int32((ranks-1)*10 - i) }},
+		{Min, func(i int) int32 { return int32(-i) }},
+	} {
+		tc := tc
+		t.Run(tc.op.String(), func(t *testing.T) {
+			c := busCluster(t, ranks, PortSpec{Port: 0, Kind: Reduce, Type: Int, ReduceOp: tc.op, Tree: true})
+			c.SPMD("treduce", func(x *Ctx) {
+				ch, err := x.OpenReduceChannel(n, Int, tc.op, 0, 1, x.CommWorld())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < n; i++ {
+					got, ok := ch.ReduceInt(int32(x.Rank()*10 - i))
+					if ok && got != tc.want(i) {
+						t.Errorf("element %d = %d, want %d", i, got, tc.want(i))
+						return
+					}
+				}
+			})
+			if _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTreeCollectivesRepeatedRounds interleaves a tree Bcast and a tree
+// Reduce on two ports of one program, moving the root every round.
+func TestTreeCollectivesRepeatedRounds(t *testing.T) {
+	const n, rounds = 40, 3
+	c := busCluster(t, 4,
+		PortSpec{Port: 0, Kind: Bcast, Type: Int, Tree: true},
+		PortSpec{Port: 1, Kind: Reduce, Type: Int, ReduceOp: Add, Tree: true},
+	)
+	c.SPMD("rounds", func(x *Ctx) {
+		for r := 0; r < rounds; r++ {
+			root := r % x.Size()
+			bc, err := x.OpenBcastChannel(n, Int, 0, root, x.CommWorld())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				if got := bc.BcastInt(int32(root + i)); got != int32(root+i) {
+					t.Errorf("round %d rank %d element %d = %d", r, x.Rank(), i, got)
+					return
+				}
+			}
+			rc, err := x.OpenReduceChannel(n, Int, Add, 1, root, x.CommWorld())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < n; i++ {
+				got, ok := rc.ReduceInt(int32(i))
+				if ok && got != int32(4*i) {
+					t.Errorf("round %d reduce %d = %d", r, i, got)
+					return
+				}
+			}
+		}
+	})
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTreeOnlyForBcastReduce(t *testing.T) {
 	spec := ProgramSpec{Ports: []PortSpec{{Port: 0, Kind: Gather, Type: Int, Tree: true}}}
 	if err := spec.Validate(); err == nil {
