@@ -32,7 +32,6 @@ func main() {
 	ranks := flag.String("ranks", "", "comma-separated rank counts for rank sweeps (e.g. 8,16,32,64)")
 	workload := flag.String("workload", "", "restrict multi-workload experiments to one workload (e.g. stencil, bcast)")
 	shards := flag.Int("shards", 0, "shard-adaptive worker count for the parallel rows of rank sweeps (0 = experiment default)")
-	transportFlag := flag.String("transport", "", "restrict the transport ablation to one transport (sender-driven, receiver-driven; empty = both)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the experiment runs to this file")
 	flag.Usage = func() {
@@ -69,7 +68,7 @@ func main() {
 		}
 	}
 
-	opts := bench.Options{Workload: *workload, Shards: *shards, Transport: *transportFlag}
+	opts := bench.Options{Workload: *workload, Shards: *shards}
 	if *ranks != "" {
 		for _, part := range strings.Split(*ranks, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

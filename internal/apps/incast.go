@@ -7,7 +7,7 @@ import (
 )
 
 // IncastResult reports an N-senders-to-one-receiver congestion
-// measurement: the transport ablation's key workload.
+// measurement.
 type IncastResult struct {
 	Senders int   // concurrent senders (ranks 1..Senders)
 	Elems   int   // elements per flow
@@ -15,8 +15,7 @@ type IncastResult struct {
 	// FlowCycles[i] is the cycle sender i's flow finished draining at
 	// the aggregator (flows drain in port order).
 	FlowCycles []int64
-	// TailCycles is the slowest flow's completion — the incast tail the
-	// receiver-driven transport is built to cut.
+	// TailCycles is the slowest flow's completion — the incast tail.
 	TailCycles int64
 	// MeanCycles averages the per-flow completions.
 	MeanCycles float64
@@ -28,15 +27,14 @@ type IncastResult struct {
 // drains the flows sequentially in port order — the pattern that makes
 // incast pathological: every undrained flow keeps pushing into buffers
 // the receiver is not reading yet, so eager senders head-of-line-block
-// shared links (§3.3's motivation for credit flow control), credited
-// senders pay a round-trip per credit tile, and receiver-driven pacing
-// holds backlogs at the senders until the aggregator's buffer frees.
+// shared links (§3.3's motivation for credit flow control), and
+// credited senders pay a round-trip per credit tile.
 //
 // cfg.Mode selects the per-flow machinery as in Bandwidth (use
-// ModeCredited for a sender-driven baseline that cannot deadlock; the
-// default eager ModePacket is safe under receiver-driven pacing).
-// BufferElems defaults to 256 — small enough that pacing, credits, and
-// backpressure all engage at a few thousand elements per flow.
+// ModeCredited for a baseline that cannot deadlock; the default eager
+// ModePacket deadlocks once the flows outgrow the buffers). BufferElems
+// defaults to 256 — small enough that credits and backpressure engage
+// at a few thousand elements per flow.
 func Incast(cfg NetConfig, senders, elems int) (IncastResult, error) {
 	if senders < 1 {
 		return IncastResult{}, fmt.Errorf("apps: incast needs at least one sender, got %d", senders)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // Stencil (§5.4.2) runs a 4-point 2D stencil over an N x N grid for a
@@ -49,6 +50,8 @@ type StencilConfig struct {
 	Shards int
 	// Routes supplies precomputed routing tables (see smi.Config.Routes).
 	Routes *routing.Routes
+	// Arbiter selects the CK input arbiter (default round-robin).
+	Arbiter transport.Arbiter
 	// Progress/ProgressEvery install a cycle-progress observer (see
 	// smi.Config.Progress).
 	Progress      func(cycle int64)
@@ -160,6 +163,7 @@ func Stencil(cfg StencilConfig) (StencilResult, error) {
 			{Port: portFromWest, Type: smi.Float, BufferElems: 2*H + 8},
 			{Port: portFromEast, Type: smi.Float, BufferElems: 2*H + 8},
 		}},
+		Transport:     transport.Config{Arbiter: cfg.Arbiter},
 		MaxCycles:     cfg.MaxCycles,
 		RoutingPolicy: cfg.RoutingPolicy,
 		Routes:        cfg.Routes,

@@ -6,6 +6,7 @@ import (
 	smi "repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/transport"
 )
 
 // Summa is a distributed dense matrix multiply C = A x B built on SMI's
@@ -35,6 +36,8 @@ type SummaConfig struct {
 	// Shards is the worker-slot count of sim.SchedShardAdaptive (see
 	// smi.Config.Shards); 0 keeps the single-engine build.
 	Shards int
+	// Arbiter selects the CK input arbiter (default round-robin).
+	Arbiter transport.Arbiter
 }
 
 // SummaResult reports one distributed matrix multiply.
@@ -90,6 +93,7 @@ func Summa(cfg SummaConfig) (SummaResult, error) {
 		Program: smi.ProgramSpec{Ports: []smi.PortSpec{
 			{Port: 0, Kind: smi.Bcast, Type: smi.Float, Tree: cfg.Tree, BufferElems: 1024},
 		}},
+		Transport: transport.Config{Arbiter: cfg.Arbiter},
 		MaxCycles: cfg.MaxCycles,
 		Scheduler: cfg.Scheduler,
 		Shards:    cfg.Shards,

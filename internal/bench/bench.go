@@ -24,9 +24,6 @@ type Options struct {
 	// Shards overrides the shard-adaptive worker count of the parallel
 	// rows in rank sweeps (0 = the experiment's default of 4).
 	Shards int
-	// Transport restricts the transport ablation to one transport
-	// ("sender-driven" or "receiver-driven"); empty measures both.
-	Transport string
 }
 
 // Report is the regenerated form of one table or figure.

@@ -32,11 +32,9 @@ type Config struct {
 	// and the configured RoutingPolicy; the cluster clones them, so the
 	// caller's copy is never mutated by failover re-routing.
 	Routes *routing.Routes
-	// Transport tunes the transport layer: the implementation
-	// (Transport.Kind, parse strings with transport.Parse), the CK
-	// arbiter (Transport.Arbiter, parse with transport.ParseArbiter),
-	// the polling factor R, FIFO depths, and the receiver-driven pacing
-	// knobs. TransportCarries names the combinations that are rejected.
+	// Transport tunes the transport layer: the CK arbiter
+	// (Transport.Arbiter, parse with transport.ParseArbiter), the
+	// polling factor R and the FIFO depths.
 	Transport transport.Config
 	// LinkLatency is the one-way serial link latency in cycles
 	// (default link.DefaultLatency).
@@ -121,7 +119,7 @@ type Cluster struct {
 
 type rankState struct {
 	rank     int
-	dev      transport.Transport
+	dev      *transport.Device
 	eps      map[int]*endpoint
 	supports []*supportKernel
 }
@@ -138,32 +136,6 @@ type endpoint struct {
 	// endpoint direction concurrently (hardware has one wire per side).
 	inUseSend bool
 	inUseRecv bool
-}
-
-// TransportCarries is the one legality rule between the transport, the
-// transfer mode and the link layer: it returns nil when a transport of
-// the given kind can carry a point-to-point port of the given mode over
-// links that do (reliable) or do not run the retransmission protocol,
-// and the reason otherwise. NewCluster applies it to every port;
-// workload.Validate applies it at admission, so a job is rejected before
-// it reaches a worker with the same words the builder would use.
-//
-// Only the receiver-driven transport has illegal cells. Its pacing ops
-// are in-memory packets with no wire encoding, so they cannot cross the
-// serializing reliable link layer (Reliable, or any fault spec); and the
-// route locks of circuit and streaming ports would bypass its pacing
-// gates.
-func TransportCarries(kind transport.Kind, mode Mode, reliable bool) error {
-	if kind != transport.ReceiverDrivenKind {
-		return nil
-	}
-	if reliable {
-		return fmt.Errorf("smi: the receiver-driven transport requires pristine links (its pacing ops have no wire encoding); disable Reliable/Faults")
-	}
-	if mode == ModeCircuit || mode == ModeStreaming {
-		return fmt.Errorf("smi: %s ports bypass receiver-driven pacing; use the sender-driven transport", mode)
-	}
-	return nil
 }
 
 // NewCluster validates the configuration, generates routes, and builds
@@ -205,13 +177,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		cfg.RepairCycles = 400
 	}
 	reliable := cfg.Reliable || cfg.Faults != nil
-	for i := range cfg.Program.Ports {
-		// Fail loudly rather than silently falling back to sender-driven —
-		// benches assert on this.
-		if err := TransportCarries(cfg.Transport.Kind, cfg.Program.Ports[i].Mode, reliable); err != nil {
-			return nil, err
-		}
-	}
 	if reliable && cfg.Topology.Devices > packet.MaxWireRanks {
 		// The reliable layer serializes packets into 32-byte wire frames
 		// whose rank fields are 8 bits wide (the paper's header format);
@@ -313,10 +278,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				ep.appRecv = sim.NewFifo[packet.Packet](eng, name("recv"), depth)
 				bindings = append(bindings, transport.PortBinding{
 					Port: spec.Port, Iface: spec.Iface, Send: ep.appSend, Recv: ep.appRecv,
-					// Plain P2P data ports are subject to receiver-driven
-					// pacing; circuit and streaming ports run their own
-					// protocols (and are rejected above for that transport).
-					Paced: spec.Mode == ModePacket || spec.Mode == ModeCredited,
 				})
 			} else {
 				// Collective port: the support kernel sits between the
@@ -492,10 +453,6 @@ func (c *Cluster) SPMD(name string, body func(*Ctx)) error {
 // schema shared by the smid service (job results) and smibench -json
 // (bench results), so the two are directly diffable.
 type Stats struct {
-	// Transport names the transport implementation the cluster actually
-	// built ("sender-driven" or "receiver-driven") — the self-report
-	// loud-fallback checks verify against the requested transport.
-	Transport string `json:"transport"`
 	// Cycles is the completion cycle of the slowest rank program.
 	Cycles int64 `json:"cycles"`
 	// Micros is Cycles converted to simulated microseconds.
@@ -509,10 +466,6 @@ type Stats struct {
 	// kernels (each fragment once per kernel it crossed): nonzero iff the
 	// streaming large-message path was exercised.
 	StreamFragments uint64 `json:"stream_fragments,omitempty"`
-	// Grants counts receiver-driven pacing grants issued across all
-	// ranks: nonzero iff receiver-driven pacing actually engaged (0
-	// under the sender-driven transport).
-	Grants uint64 `json:"grants,omitempty"`
 	// LinkStalls counts cycles link heads spent blocked on full receiver
 	// FIFOs (backpressure).
 	LinkStalls uint64 `json:"link_stalls"`
@@ -670,10 +623,6 @@ func (c *Cluster) Run() (Stats, error) {
 	for _, rs := range c.ranks {
 		st.PacketsDropped += rs.dev.Dropped()
 		st.StreamFragments += rs.dev.StreamFragments()
-		st.Grants += rs.dev.Grants()
-	}
-	if len(c.ranks) > 0 {
-		st.Transport = c.ranks[0].dev.Kind().String()
 	}
 	if err != nil {
 		return st, err

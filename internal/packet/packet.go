@@ -96,10 +96,6 @@ func (o Op) String() string {
 		return "STREAM"
 	case OpStreamCtl:
 		return "STREAMCTL"
-	case OpGrantReq:
-		return "GRANTREQ"
-	case OpGrant:
-		return "GRANT"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -127,13 +123,6 @@ type Packet struct {
 // MaxWireRanks (the reliable link layer only runs in clusters capped at
 // that size).
 func (p *Packet) Encode() [Size]byte {
-	if p.Op >= numOps {
-		// In-memory control ops (OpGrantReq/OpGrant) have no wire form:
-		// truncating them into the 3-bit field would deliver a forged
-		// OpData. The cluster builder rejects the configurations that
-		// could route one here; reaching this is a transport bug.
-		panic(fmt.Sprintf("packet: op %v has no 3-bit wire encoding", p.Op))
-	}
 	var w [Size]byte
 	w[0] = uint8(p.Src)
 	w[1] = uint8(p.Dst)
@@ -305,46 +294,6 @@ func (p *Packet) RawElem(i int, dt Datatype) uint64 {
 const wireOps = 8
 
 const _ = wireOps - numOps
-
-// In-memory control ops. The receiver-driven transport's flow-control
-// packets have no wire form yet: they take op values >= wireOps, exist only
-// inside the simulator's in-memory packet structs and ride pristine
-// links (which move Packet values without serializing). They must never
-// reach Encode — the reliable link layer is the only path that
-// serializes packets, and clusters combining the receiver-driven
-// transport with reliable links are rejected at build time. A hardware
-// wire format would spend the one free op on them, with a kind byte like
-// OpStreamCtl's; see DESIGN.md §9 for the would-be encoding.
-const (
-	// OpGrantReq announces backlog to a receiver: "src has (cumulative)
-	// N paced data packets to send on this port". Sent by the
-	// receiver-driven pacer when a flow runs out of grant credit.
-	OpGrantReq Op = wireOps + iota
-	// OpGrant paces a sender: the receiver raises the flow's cumulative
-	// send allowance to N packets. Issued in SRPT order, bounded by the
-	// destination endpoint's free buffer space.
-	OpGrant
-)
-
-// GrantTotal is the cumulative packet count an OpGrantReq announces
-// (demand) or an OpGrant allows (allowance). Cumulative counters make
-// the protocol idempotent: a stale announcement or grant is simply a
-// no-op under max().
-func GrantTotal(p Packet) uint32 { return binary.LittleEndian.Uint32(p.Payload[0:]) }
-
-// EncodeGrantReq builds a backlog announcement for a paced flow.
-func EncodeGrantReq(src, dst uint16, port uint8, needTotal uint32) Packet {
-	p := Packet{Src: src, Dst: dst, Port: port, Op: OpGrantReq}
-	binary.LittleEndian.PutUint32(p.Payload[0:], needTotal)
-	return p
-}
-
-// EncodeGrant builds a grant raising a flow's cumulative send allowance.
-func EncodeGrant(src, dst uint16, port uint8, grantTotal uint32) Packet {
-	p := Packet{Src: src, Dst: dst, Port: port, Op: OpGrant}
-	binary.LittleEndian.PutUint32(p.Payload[0:], grantTotal)
-	return p
-}
 
 // EncodeRaw serializes a headerless OpRaw packet into its full-payload
 // 32-byte wire word: unlike Encode, all four Extra bytes go on the wire

@@ -196,6 +196,24 @@ func TestHTTPErrorMapping(t *testing.T) {
 	check(code, http.StatusNotFound, body, "not-found")
 }
 
+// TestHTTPRemovedTransportKey pins that the deleted "transport" key of
+// the job document fails loudly as an unknown field instead of running
+// the job with the key silently dropped.
+func TestHTTPRemovedTransportKey(t *testing.T) {
+	svc, ts := newTestServer(t)
+	var body map[string]string
+	code := postJSON(t, ts.URL+"/v1/jobs", `{"workload":"incast","ranks":4,"transport":"sender-driven"}`, &body)
+	if code != http.StatusBadRequest || body["kind"] != "invalid-spec" {
+		t.Fatalf("status %d, kind %q; want 400 invalid-spec (%v)", code, body["kind"], body)
+	}
+	if msg := body["error"]; !strings.Contains(msg, `unknown field "transport"`) {
+		t.Fatalf("error %q does not name the unknown field", msg)
+	}
+	if jobs := svc.Stats().Jobs; len(jobs) != 0 {
+		t.Fatalf("rejected submission created jobs: %v", jobs)
+	}
+}
+
 // TestHTTPOverload maps queue exhaustion onto 429.
 func TestHTTPOverload(t *testing.T) {
 	svc := New(Config{Workers: 1, QueueDepth: 1})

@@ -179,7 +179,6 @@ func (s *Service) runJob(job *Job) {
 		Mode:          spec.Mode,
 		BufferElems:   spec.BufferElems,
 		StreamBatch:   spec.StreamBatch,
-		Transport:     spec.Transport,
 		Arbiter:       spec.Arbiter,
 	}
 	if r.workload.SupportsRoutes && r.topo != nil {

@@ -59,12 +59,6 @@ type JobSpec struct {
 	// StreamBatch is the streaming fragment length in 32-byte wire
 	// words (mode "streaming" only; 0 = port default).
 	StreamBatch int `json:"stream_batch,omitempty"`
-	// Transport selects the flow-control transport for workloads that
-	// support it: "sender-driven" (default) or "receiver-driven"
-	// (Homa-style grant pacing; composes with mode "packet" or
-	// "credited" only, and not with faults — its pacing ops have no
-	// wire encoding to protect).
-	Transport string `json:"transport,omitempty"`
 	// Arbiter selects the CK input arbiter: "round-robin" (default) or
 	// "skip-idle".
 	Arbiter string `json:"arbiter,omitempty"`
@@ -119,11 +113,11 @@ func (s *JobSpec) resolve() (resolved, error) {
 	if s.Size < 0 || s.Steps < 0 || s.MaxCycles < 0 {
 		return r, errf(InvalidSpec, "negative size, steps, or max_cycles")
 	}
-	// Mode, transport and fault legality is the registry's decision, not
+	// Mode, arbiter and fault legality is the registry's decision, not
 	// the service's: what Run would reject fails the request here.
 	if err := workload.Validate(w, workload.Params{
 		Ranks: s.Ranks, Mode: s.Mode, BufferElems: s.BufferElems, StreamBatch: s.StreamBatch,
-		Transport: s.Transport, Arbiter: s.Arbiter, Faults: s.Faults,
+		Arbiter: s.Arbiter, Faults: s.Faults,
 	}); err != nil {
 		return r, errf(InvalidSpec, "%v", err)
 	}

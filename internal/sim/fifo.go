@@ -133,15 +133,6 @@ func (f *Fifo[T]) Len() int { return f.size }
 // Pushes returns the total number of elements ever pushed.
 func (f *Fifo[T]) Pushes() uint64 { return f.pushes }
 
-// PushesCommitted returns the cumulative count of elements that have
-// become reader-visible: Pushes minus this cycle's pending registered
-// writes. Unlike Pushes it is phase-stable — a kernel reading it mid-
-// cycle sees the same value whether or not another kernel already pushed
-// this cycle — which is what cross-kernel accounting (the
-// receiver-driven transport's arrival counters) needs for scheduler
-// parity.
-func (f *Fifo[T]) PushesCommitted() uint64 { return f.pushes - uint64(f.pendingIn) }
-
 // MaxLen returns the high-water mark of committed occupancy.
 func (f *Fifo[T]) MaxLen() int { return f.maxSize }
 

@@ -8,11 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// device is the transport core shared by every implementation: Q
-// CKS/CKR pairs plus the FIFO fabric between them. It implements all of
-// the Transport interface except Kind; concrete transports embed it.
-type device struct {
-	rank   int
+// Device is one rank's transport layer: Q CKS/CKR pairs plus the FIFO
+// fabric between them. All mutable state is local to the rank's engine
+// (state crosses shards only via the netOut/netIn link boundaries), so
+// every scheduler produces bit-identical runs (see DESIGN.md §9).
+type Device struct {
 	ifaces int
 
 	// netOut[q] is written by CKS_q and drained by the outgoing link on
@@ -45,66 +45,35 @@ type device struct {
 	sendPaused bool
 }
 
-// SenderDriven is the paper's CKS/CKR transport (§4.2–4.3): senders
-// inject eagerly; flow control is buffering, link backpressure, and the
-// §3.3 application-level credit protocol. It is the device core with no
-// additions.
-type SenderDriven struct {
-	device
-}
-
-// Kind reports SenderDrivenKind.
-func (d *SenderDriven) Kind() Kind { return SenderDrivenKind }
-
-// NewSenderDriven builds the sender-driven transport for one rank. Most
-// callers should go through New.
-func NewSenderDriven(e *sim.Engine, rank, ifaces int, routes *routing.Routes, bindings []PortBinding, cfg Config) (*SenderDriven, error) {
-	cfg.fill()
-	d := &SenderDriven{}
-	if err := d.build(e, rank, ifaces, routes, bindings, cfg, nil); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// Rank echoes the construction rank.
-func (d *device) Rank() int { return d.rank }
-
-// Ifaces echoes the construction interface count.
-func (d *device) Ifaces() int { return d.ifaces }
-
 // NetOut returns the outgoing network-port FIFO of interface q.
-func (d *device) NetOut(q int) *sim.Fifo[packet.Packet] { return d.netOut[q] }
+func (d *Device) NetOut(q int) *sim.Fifo[packet.Packet] { return d.netOut[q] }
 
 // NetIn returns the incoming network-port FIFO of interface q.
-func (d *device) NetIn(q int) *sim.Fifo[packet.Packet] { return d.netIn[q] }
+func (d *Device) NetIn(q int) *sim.Fifo[packet.Packet] { return d.netIn[q] }
 
 // SetPaused freezes (or thaws) every communication kernel of the device.
 // Freezing wakes parked kernels so they observe the reset cycle by cycle
 // — a frozen span must not be mistaken for idle polling time.
-func (d *device) SetPaused(v bool) {
+func (d *Device) SetPaused(v bool) {
 	d.paused = v
 	d.wakeAll(d.cksIDs)
 	d.wakeAll(d.ckrIDs)
 }
 
 // SetSendPaused freezes (or thaws) only the CKS kernels.
-func (d *device) SetSendPaused(v bool) {
+func (d *Device) SetSendPaused(v bool) {
 	d.sendPaused = v
 	d.wakeAll(d.cksIDs)
 }
 
-func (d *device) wakeAll(ids []sim.KernelID) {
+func (d *Device) wakeAll(ids []sim.KernelID) {
 	for _, id := range ids {
 		d.eng.WakeKernel(id)
 	}
 }
 
-// Grants reports pacing grants issued; the shared core issues none.
-func (d *device) Grants() uint64 { return 0 }
-
 // Shape returns the device's structural footprint.
-func (d *device) Shape() Shape {
+func (d *Device) Shape() Shape {
 	s := Shape{Fifos: d.numFifos}
 	for _, k := range d.cks {
 		s.CKPorts = append(s.CKPorts, len(k.inputs)+k.nOut)
@@ -115,18 +84,16 @@ func (d *device) Shape() Shape {
 	return s
 }
 
-// build constructs the CKS/CKR fabric and registers its kernels with
-// the engine. intercept, when non-nil, is consulted by CKR_q for
-// locally addressed packets before the port lookup; returning a non-nil
-// FIFO diverts the packet there (the receiver-driven transport uses it
-// to capture its in-memory pacing ops).
-func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, bindings []PortBinding, cfg Config, intercept func(q int, p packet.Packet) *sim.Fifo[packet.Packet]) error {
+// New builds the transport layer for one rank: it constructs the
+// CKS/CKR fabric and registers its kernels with the engine. routes must
+// cover the destination ranks this device will see; bindings list every
+// application endpoint.
+func New(e *sim.Engine, rank, ifaces int, routes *routing.Routes, bindings []PortBinding, cfg Config) (*Device, error) {
 	if ifaces <= 0 {
-		return fmt.Errorf("transport: device %d needs at least one interface", rank)
+		return nil, fmt.Errorf("transport: device %d needs at least one interface", rank)
 	}
-	d.rank = rank
-	d.ifaces = ifaces
-	d.eng = e
+	cfg.fill()
+	d := &Device{ifaces: ifaces, eng: e}
 	skipIdle := cfg.Arbiter == ArbiterSkipIdle
 
 	nf := func(kind string, q int) *sim.Fifo[packet.Packet] {
@@ -171,10 +138,10 @@ func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 	portRecv := make(map[int]*sim.Fifo[packet.Packet])
 	for _, b := range bindings {
 		if b.Iface < 0 || b.Iface >= ifaces {
-			return fmt.Errorf("transport: device %d port %d bound to invalid interface %d", rank, b.Port, b.Iface)
+			return nil, fmt.Errorf("transport: device %d port %d bound to invalid interface %d", rank, b.Port, b.Iface)
 		}
 		if _, dup := portIface[b.Port]; dup {
-			return fmt.Errorf("transport: device %d port %d bound twice", rank, b.Port)
+			return nil, fmt.Errorf("transport: device %d port %d bound twice", rank, b.Port)
 		}
 		portIface[b.Port] = b.Iface
 		if b.Recv != nil {
@@ -239,11 +206,6 @@ func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 				// the paired CKS for re-routing.
 				return ckrToCks[q]
 			}
-			if intercept != nil {
-				if f := intercept(q, p); f != nil {
-					return f
-				}
-			}
 			target, ok := portIface[int(p.Port)]
 			if !ok {
 				d.dropped++
@@ -271,16 +233,16 @@ func (d *device) build(e *sim.Engine, rank, ifaces int, routes *routing.Routes, 
 		d.ckr = append(d.ckr, k)
 		d.ckrIDs = append(d.ckrIDs, k.attach(e))
 	}
-	return nil
+	return d, nil
 }
 
 // Dropped returns the number of packets discarded because they addressed
 // an unbound port or unreachable rank.
-func (d *device) Dropped() uint64 { return d.dropped }
+func (d *Device) Dropped() uint64 { return d.dropped }
 
 // CountDropped adds externally discarded packets (the fault manager's
 // unroutable rescues) to the device's drop counter.
-func (d *device) CountDropped(n uint64) { d.dropped += n }
+func (d *Device) CountDropped(n uint64) { d.dropped += n }
 
 // DrainExit empties and returns, oldest first, every packet already
 // routed toward the given exit interface: the network-port FIFO, the
@@ -288,7 +250,7 @@ func (d *device) CountDropped(n uint64) { d.dropped += n }
 // feeding it. The fault manager calls it (with the device paused) after
 // a permanent link death, so stranded traffic can be re-injected on the
 // regenerated routes in its original per-flow order.
-func (d *device) DrainExit(exit int) []packet.Packet {
+func (d *Device) DrainExit(exit int) []packet.Packet {
 	var out []packet.Packet
 	drainFifo := func(f *sim.Fifo[packet.Packet]) {
 		for {
@@ -326,7 +288,7 @@ func (d *device) DrainExit(exit int) []packet.Packet {
 // have no header to re-route them by, so the fragment is lost. (The
 // receiving side needs no such check: whatever its CKR is still waiting
 // for is either in the dead link's loss set or behind such a CKS lock.)
-func (d *device) LockedOnto(exit int) bool {
+func (d *Device) LockedOnto(exit int) bool {
 	for a, k := range d.cks {
 		if k.lockLeft > 0 && (k.lockOut == d.netOut[exit] || a != exit && k.lockOut == d.interCKS[a][exit]) {
 			return true
@@ -337,7 +299,7 @@ func (d *device) LockedOnto(exit int) bool {
 
 // Forwarded returns the total packets forwarded by all CKS and CKR
 // kernels of this device.
-func (d *device) Forwarded() (cks, ckr uint64) {
+func (d *Device) Forwarded() (cks, ckr uint64) {
 	for _, k := range d.cks {
 		cks += k.forwarded
 	}
@@ -349,7 +311,7 @@ func (d *device) Forwarded() (cks, ckr uint64) {
 
 // StreamFragments returns the total stream fragments cut through the
 // device's kernels (each fragment counted once per kernel it crossed).
-func (d *device) StreamFragments() uint64 {
+func (d *Device) StreamFragments() uint64 {
 	var n uint64
 	for _, k := range d.cks {
 		n += k.fragments

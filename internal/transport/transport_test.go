@@ -15,7 +15,7 @@ import (
 // one send and one receive endpoint per (device, port).
 type testNet struct {
 	eng     *sim.Engine
-	devices []Transport
+	devices []*Device
 	send    map[[2]int]*sim.Fifo[packet.Packet] // [rank, port] -> app->CKS fifo
 	recv    map[[2]int]*sim.Fifo[packet.Packet] // [rank, port] -> CKR->app fifo
 }
@@ -36,7 +36,7 @@ func buildNet(t *testing.T, topo *topology.Topology, ports []int, cfg Config, li
 		for i, p := range ports {
 			s := sim.NewFifo[packet.Packet](n.eng, fmt.Sprintf("app%d.%d.send", r, p), 8)
 			v := sim.NewFifo[packet.Packet](n.eng, fmt.Sprintf("app%d.%d.recv", r, p), 8)
-			bindings = append(bindings, PortBinding{Port: p, Iface: i % topo.Ifaces, Send: s, Recv: v, Paced: true})
+			bindings = append(bindings, PortBinding{Port: p, Iface: i % topo.Ifaces, Send: s, Recv: v})
 			n.send[[2]int{r, p}] = s
 			n.recv[[2]int{r, p}] = v
 		}

@@ -58,11 +58,6 @@ type Params struct {
 	// StreamBatch is the streaming fragment length in wire words
 	// ("streaming" mode only; 0 = port default).
 	StreamBatch int
-	// Transport names the flow-control transport for workloads with
-	// SupportsTransport: "sender-driven" (default when empty) or
-	// "receiver-driven" (Homa-style grant pacing). Parsed with
-	// transport.Parse.
-	Transport string
 	// Arbiter names the CK input arbiter: "round-robin" (default when
 	// empty) or "skip-idle". Parsed with transport.ParseArbiter.
 	Arbiter string
@@ -119,12 +114,6 @@ type Workload struct {
 	// SupportsModes reports whether the transfer-mode knobs
 	// (Params.Mode, BufferElems, StreamBatch) are honored.
 	SupportsModes bool
-	// SupportsTransport reports whether Params.Transport is honored.
-	// Params.Arbiter is accepted by every workload (it only retunes the
-	// CK polling order), but selecting a non-default transport on a
-	// workload that ignores it would silently measure the wrong thing,
-	// so it is rejected unless this flag is set.
-	SupportsTransport bool
 	// Run executes the workload.
 	Run func(Params) (Result, error)
 }

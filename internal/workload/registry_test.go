@@ -202,42 +202,19 @@ func TestStreamBatchUpperBound(t *testing.T) {
 }
 
 func TestRunTransportKnobs(t *testing.T) {
-	// The incast workload honors the transport knob: receiver-driven
-	// pacing must issue grants, self-report in Stats, and cut the tail
-	// against the credited sender-driven baseline at 3:1.
+	// Incast defaults to credited transfers (eager incast deadlocks on
+	// sequential drain) and is deterministic.
 	base := Params{Ranks: 4, Size: 2000}
-	sd, err := Run("incast", base)
+	res, err := Run("incast", base)
 	if err != nil {
-		t.Fatalf("sender-driven incast: %v", err)
+		t.Fatalf("default incast: %v", err)
 	}
-	if sd.Stats.Transport != "sender-driven" {
-		t.Errorf("default incast reports transport %q, want sender-driven", sd.Stats.Transport)
-	}
-	if sd.Stats.Grants != 0 {
-		t.Errorf("sender-driven incast reported %d grants", sd.Stats.Grants)
-	}
-	p := base
-	p.Transport = "receiver-driven"
-	rd, err := Run("incast", p)
-	if err != nil {
-		t.Fatalf("receiver-driven incast: %v", err)
-	}
-	if rd.Stats.Transport != "receiver-driven" {
-		t.Errorf("incast reports transport %q, want receiver-driven", rd.Stats.Transport)
-	}
-	if rd.Stats.Grants == 0 {
-		t.Error("receiver-driven incast issued no grants")
-	}
-	if rd.Metrics["tail_cycles"] >= sd.Metrics["tail_cycles"] {
-		t.Errorf("receiver-driven tail %v not below sender-driven credited tail %v",
-			rd.Metrics["tail_cycles"], sd.Metrics["tail_cycles"])
-	}
-	again, err := Run("incast", p)
+	again, err := Run("incast", base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.OutputDigest != rd.OutputDigest || again.Cycles != rd.Cycles {
-		t.Fatal("receiver-driven incast not deterministic")
+	if again.OutputDigest != res.OutputDigest || again.Cycles != res.Cycles {
+		t.Fatal("incast not deterministic")
 	}
 
 	// The arbiter knob is accepted everywhere and changes timing only.
@@ -247,20 +224,32 @@ func TestRunTransportKnobs(t *testing.T) {
 		t.Fatalf("skip-idle incast: %v", err)
 	}
 
-	// Typed validation: bad knobs and unsupported selections fail loudly.
-	for name, tc := range map[string]struct {
-		wl string
-		p  Params
-	}{
-		"unknown transport":              {"incast", Params{Ranks: 4, Size: 64, Transport: "homa"}},
-		"unknown arbiter":                {"incast", Params{Ranks: 4, Size: 64, Arbiter: "lru"}},
-		"transport on transport-less":    {"summa", Params{Ranks: 4, Size: 8, Transport: "receiver-driven"}},
-		"receiver-driven with faults":    {"incast", Params{Ranks: 4, Size: 64, Transport: "receiver-driven", Faults: &fault.Spec{DropProb: 0.01, Seed: 1}}},
-		"receiver-driven with streaming": {"incast", Params{Ranks: 4, Size: 64, Transport: "receiver-driven", Mode: "streaming"}},
-	} {
-		if _, err := Run(tc.wl, tc.p); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	// Typed validation: a bad arbiter fails loudly.
+	if _, err := Run("incast", Params{Ranks: 4, Size: 64, Arbiter: "lru"}); err == nil {
+		t.Error("unknown arbiter: accepted")
+	}
+}
+
+// Every workload reaches its cluster with the arbiter it was given: at
+// 4 ranks and default size the skip-idle arbiter moves every workload's
+// cycle count. A workload that builds its cluster without the knob
+// would silently measure round-robin polling.
+func TestArbiterReachesEveryWorkload(t *testing.T) {
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			def, err := Run(name, Params{Ranks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			skip, err := Run(name, Params{Ranks: 4, Arbiter: "skip-idle"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if skip.Cycles == def.Cycles {
+				t.Errorf("skip-idle and round-robin both took %d cycles: the arbiter was ignored", def.Cycles)
+			}
+		})
 	}
 }
 

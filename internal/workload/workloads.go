@@ -55,11 +55,8 @@ func netConfig(p Params) (apps.NetConfig, error) {
 	}
 	tc := transport.DefaultConfig()
 	var err error
-	if tc.Kind, err = transport.Parse(p.Transport); err != nil {
-		return apps.NetConfig{}, fmt.Errorf("workload: %v", err)
-	}
-	if tc.Arbiter, err = transport.ParseArbiter(p.Arbiter); err != nil {
-		return apps.NetConfig{}, fmt.Errorf("workload: %v", err)
+	if tc.Arbiter, err = arbiter(p); err != nil {
+		return apps.NetConfig{}, err
 	}
 	mode, err := smi.ParseMode(p.Mode)
 	if err != nil {
@@ -82,15 +79,24 @@ func netConfig(p Params) (apps.NetConfig, error) {
 	}, nil
 }
 
+// arbiter parses p's CK arbiter, which every workload honors.
+func arbiter(p Params) (transport.Arbiter, error) {
+	a, err := transport.ParseArbiter(p.Arbiter)
+	if err != nil {
+		return 0, fmt.Errorf("workload: %v", err)
+	}
+	return a, nil
+}
+
 // Validate decides whether workload w can run with the rank count and
-// the mode, buffer, batch, transport, arbiter and fault knobs of p — the
-// one legality check smid's admission path and Run share, so a bad
+// the mode, buffer, batch, arbiter and fault knobs of p — the one
+// legality check smid's admission path and Run share, so a bad
 // combination is rejected with the same words whether it arrives over
 // HTTP or through the Go API, and never reaches a worker. A knob a
 // workload would ignore is rejected rather than dropped: silently
 // measuring the default machinery is the fallback the ablations exist to
-// rule out. (The arbiter is accepted everywhere; it only reorders CK
-// polling.)
+// rule out. (The arbiter is accepted everywhere: every workload passes
+// it to its cluster's CK polling.)
 func Validate(w Workload, p Params) error {
 	if p.Ranks < w.MinRanks {
 		return fmt.Errorf("workload: %s needs at least %d ranks, got %d", w.Name, w.MinRanks, p.Ranks)
@@ -111,22 +117,11 @@ func Validate(w Workload, p Params) error {
 	if p.StreamBatch != 0 && mode != smi.ModeStreaming {
 		return fmt.Errorf("workload: stream_batch is only valid with mode \"streaming\", got mode %q", p.Mode)
 	}
-	kind, err := transport.Parse(p.Transport)
-	if err != nil {
-		return fmt.Errorf("workload: %v", err)
-	}
-	if _, err := transport.ParseArbiter(p.Arbiter); err != nil {
-		return fmt.Errorf("workload: %v", err)
-	}
-	if kind != transport.SenderDrivenKind && !w.SupportsTransport {
-		return fmt.Errorf("workload: %s does not accept a transport selection (got %q)", w.Name, p.Transport)
+	if _, err := arbiter(p); err != nil {
+		return err
 	}
 	if p.Faults != nil && !p.Faults.Zero() && !w.SupportsFaults {
 		return fmt.Errorf("workload: %s does not support fault injection", w.Name)
-	}
-	// Any fault spec, even an empty one, builds the reliable link layer.
-	if err := smi.TransportCarries(kind, mode, p.Faults != nil); err != nil {
-		return fmt.Errorf("workload: %v", err)
 	}
 	return nil
 }
@@ -142,14 +137,13 @@ func result(name string, p Params, size, steps int, cycles int64, micros float64
 
 func init() {
 	Register(Workload{
-		Name:              "bandwidth",
-		Description:       "stream Size int32 elements from rank 0 to the last rank (§5.3.1); mode selects packet, credited, circuit, or streaming transfer",
-		MinRanks:          2,
-		DefaultSize:       16384,
-		SupportsFaults:    true,
-		SupportsRoutes:    true,
-		SupportsModes:     true,
-		SupportsTransport: true,
+		Name:           "bandwidth",
+		Description:    "stream Size int32 elements from rank 0 to the last rank (§5.3.1); mode selects packet, credited, circuit, or streaming transfer",
+		MinRanks:       2,
+		DefaultSize:    16384,
+		SupportsFaults: true,
+		SupportsRoutes: true,
+		SupportsModes:  true,
 		Run: func(p Params) (Result, error) {
 			cfg, err := netConfig(p)
 			if err != nil {
@@ -204,13 +198,12 @@ func init() {
 	})
 
 	Register(Workload{
-		Name:              "bcast",
-		Description:       "broadcast Size float32 elements from rank 0 to every rank (Fig 10)",
-		MinRanks:          2,
-		DefaultSize:       4096,
-		SupportsFaults:    true,
-		SupportsRoutes:    true,
-		SupportsTransport: true,
+		Name:           "bcast",
+		Description:    "broadcast Size float32 elements from rank 0 to every rank (Fig 10)",
+		MinRanks:       2,
+		DefaultSize:    4096,
+		SupportsFaults: true,
+		SupportsRoutes: true,
 		Run: func(p Params) (Result, error) {
 			cfg, err := netConfig(p)
 			if err != nil {
@@ -263,6 +256,10 @@ func init() {
 		SupportsFaults: true,
 		SupportsRoutes: true,
 		Run: func(p Params) (Result, error) {
+			arb, err := arbiter(p)
+			if err != nil {
+				return Result{}, err
+			}
 			rows, cols := Grid(p.Ranks)
 			n := p.Size
 			if n == 0 {
@@ -281,6 +278,7 @@ func init() {
 				Topology:      p.Topology,
 				RoutingPolicy: p.RoutingPolicy,
 				Routes:        p.Routes,
+				Arbiter:       arb,
 				Faults:        p.Faults,
 				Scheduler:     p.Scheduler,
 				Shards:        p.Shards,
@@ -305,24 +303,21 @@ func init() {
 	})
 
 	Register(Workload{
-		Name:              "incast",
-		Description:       "converge one flow of Size int32 elements from each of ranks 1..N-1 onto rank 0, drained sequentially — the congestion pattern the receiver-driven transport ablates (§3.3)",
-		MinRanks:          2,
-		DefaultSize:       3000,
-		SupportsFaults:    true,
-		SupportsRoutes:    true,
-		SupportsModes:     true,
-		SupportsTransport: true,
+		Name:           "incast",
+		Description:    "converge one flow of Size int32 elements from each of ranks 1..N-1 onto rank 0, drained sequentially — the congestion pattern §3.3's credit protocol defends against",
+		MinRanks:       2,
+		DefaultSize:    3000,
+		SupportsFaults: true,
+		SupportsRoutes: true,
+		SupportsModes:  true,
 		Run: func(p Params) (Result, error) {
 			cfg, err := netConfig(p)
 			if err != nil {
 				return Result{}, err
 			}
-			if p.Mode == "" && cfg.Transport.Kind == transport.SenderDrivenKind {
-				// Eager sender-driven incast deadlocks on sequential drain
-				// (§3.3); the safe default baseline is credited. Receiver-
-				// driven pacing keeps the eager default safe, so it stays
-				// on ModePacket and an explicit mode always wins.
+			if p.Mode == "" {
+				// Eager incast deadlocks on sequential drain (§3.3); the
+				// safe default is credited. An explicit mode always wins.
 				cfg.Mode = smi.ModeCredited
 			}
 			senders := p.Ranks - 1
@@ -350,6 +345,10 @@ func init() {
 		Description: "1-D SUMMA dense matrix multiply of a Size × Size matrix over the ranks (§5.4)",
 		MinRanks:    2,
 		Run: func(p Params) (Result, error) {
+			arb, err := arbiter(p)
+			if err != nil {
+				return Result{}, err
+			}
 			n := p.Size
 			if n == 0 {
 				n = 8 * p.Ranks
@@ -360,6 +359,7 @@ func init() {
 				Scheduler: p.Scheduler,
 				Shards:    p.Shards,
 				MaxCycles: p.MaxCycles,
+				Arbiter:   arb,
 			})
 			if err != nil {
 				return Result{}, err
