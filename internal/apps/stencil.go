@@ -5,6 +5,7 @@ import (
 
 	smi "repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/packet"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -286,12 +287,71 @@ func Stencil(cfg StencilConfig) (StencilResult, error) {
 		c.OnRank(r, "compute", func(x *smi.Ctx) {
 			northRow := make([]float32, W)
 			southRow := make([]float32, W)
+			// One row of the sweep is one iteration of the pipelined loop:
+			// pop the west and east halo elements, then sweep the row at
+			// the memory rate, one vector per cycle (rowCycles).
+			rowOps := make([]smi.LoopOp, 0, 3)
+			westSlot, eastSlot := -1, -1
+			if hasW {
+				westSlot = len(rowOps)
+				rowOps = append(rowOps, smi.LoopOp{})
+			}
+			if hasE {
+				eastSlot = len(rowOps)
+				rowOps = append(rowOps, smi.LoopOp{})
+			}
+			rowOps = append(rowOps, smi.LoopOp{Sleep: rowCycles})
+			firstRow := 0 // row of the sweep's iteration 0
+			row := func(k int, vals []uint64) {
+				if !cfg.Verify {
+					return
+				}
+				i := firstRow + k
+				var westVal, eastVal float32
+				if hasW {
+					westVal = packet.BitsFloat(vals[westSlot])
+				}
+				if hasE {
+					eastVal = packet.BitsFloat(vals[eastSlot])
+				}
+				cur, next := st.cur, st.next
+				for j := 0; j < W; j++ {
+					var up, down, left, right float32
+					if i > 0 {
+						up = cur[i-1][j]
+					} else if hasN {
+						up = northRow[j]
+					}
+					if i < H-1 {
+						down = cur[i+1][j]
+					} else if hasS {
+						down = southRow[j]
+					}
+					if j > 0 {
+						left = cur[i][j-1]
+					} else if hasW {
+						left = westVal
+					}
+					if j < W-1 {
+						right = cur[i][j+1]
+					} else if hasE {
+						right = eastVal
+					}
+					next[i][j] = 0.25 * (up + down + left + right)
+				}
+			}
+			sweep := func(from, to int) {
+				firstRow = from
+				if err := x.Loop(to-from, rowOps, row); err != nil {
+					panic(err)
+				}
+			}
 			x.Sleep(int64(board.LaunchOverheadCycles))
 			for t := 0; t < cfg.Timesteps; t++ {
 				for si := range senders {
 					x.PushStream(goStreams[si], 1)
 				}
-				var chN, chS, chW, chE *smi.RecvChannel
+				var chN, chS *smi.RecvChannel
 				var err error
 				if hasN {
 					if chN, err = x.OpenRecv(smi.ChannelOpts{Count: W, Type: smi.Float, Src: r - cfg.RanksY, Port: portFromNorth}); err != nil {
@@ -304,64 +364,29 @@ func Stencil(cfg StencilConfig) (StencilResult, error) {
 					}
 				}
 				if hasW {
-					if chW, err = x.OpenRecv(smi.ChannelOpts{Count: H, Type: smi.Float, Src: r - 1, Port: portFromWest}); err != nil {
+					if rowOps[westSlot].Recv, err = x.OpenRecv(smi.ChannelOpts{Count: H, Type: smi.Float, Src: r - 1, Port: portFromWest}); err != nil {
 						panic(err)
 					}
 				}
 				if hasE {
-					if chE, err = x.OpenRecv(smi.ChannelOpts{Count: H, Type: smi.Float, Src: r + 1, Port: portFromEast}); err != nil {
+					if rowOps[eastSlot].Recv, err = x.OpenRecv(smi.ChannelOpts{Count: H, Type: smi.Float, Src: r + 1, Port: portFromEast}); err != nil {
 						panic(err)
 					}
 				}
-				for i := 0; i < H; i++ {
-					if i == 0 && hasN {
-						if _, err := smi.PopSlice(chN, northRow); err != nil {
-							panic(err)
-						}
-					}
-					if i == H-1 && hasS {
-						if _, err := smi.PopSlice(chS, southRow); err != nil {
-							panic(err)
-						}
-					}
-					var westVal, eastVal float32
-					if hasW {
-						westVal = smi.Pop[float32](chW)
-					}
-					if hasE {
-						eastVal = smi.Pop[float32](chE)
-					}
-					// The pipelined sweep of one row: reads at the memory
-					// rate, one vector per cycle.
-					x.Sleep(rowCycles)
-					if cfg.Verify {
-						cur, next := st.cur, st.next
-						for j := 0; j < W; j++ {
-							var up, down, left, right float32
-							if i > 0 {
-								up = cur[i-1][j]
-							} else if hasN {
-								up = northRow[j]
-							}
-							if i < H-1 {
-								down = cur[i+1][j]
-							} else if hasS {
-								down = southRow[j]
-							}
-							if j > 0 {
-								left = cur[i][j-1]
-							} else if hasW {
-								left = westVal
-							}
-							if j < W-1 {
-								right = cur[i][j+1]
-							} else if hasE {
-								right = eastVal
-							}
-							next[i][j] = 0.25 * (up + down + left + right)
-						}
+				// The north halo is consumed before the first row, the
+				// south halo before the last.
+				if hasN {
+					if _, err := smi.PopSlice(chN, northRow); err != nil {
+						panic(err)
 					}
 				}
+				sweep(0, H-1)
+				if hasS {
+					if _, err := smi.PopSlice(chS, southRow); err != nil {
+						panic(err)
+					}
+				}
+				sweep(H-1, H)
 				for si := range senders {
 					x.PopStream(doneStreams[si])
 				}

@@ -14,7 +14,6 @@ import (
 type SendChannel struct {
 	x   *Ctx
 	ep  *endpoint
-	dt  Datatype
 	epp int // elements per packet
 	vec int // application datapath width, elements per cycle
 
@@ -30,9 +29,12 @@ type SendChannel struct {
 	cur packet.Packet
 	n   int // elements in cur
 
-	// Credit-based flow control state (ModeCredited): remaining elements
-	// the receiver has granted.
+	// dt, credited and reached share one word, which keeps the struct
+	// small. Credit-based flow control (ModeCredited): credits is the
+	// number of elements the receiver has granted and not yet used.
+	dt       Datatype
 	credited bool
+	reached  uint32 // route epoch at which dst was last found reachable (see peerErr)
 	credits  int
 
 	// Raw-word state. A raw message travels as headerless 32-byte OpRaw
@@ -43,10 +45,10 @@ type SendChannel struct {
 	// peers derive raw, batch and the rendezvous from the port's mode and
 	// the declared count, so they agree without negotiating.
 	raw      bool
-	batch    int    // fragment size in raw words
 	rvSent   bool   // rendezvous request pushed
 	rvDone   bool   // rendezvous grant received, or none needed
 	seq      uint32 // next fragment sequence number
+	batch    int    // fragment size in raw words
 	fragLeft int    // raw words left in the fragment the last header opened
 }
 
@@ -135,62 +137,218 @@ func (ch *SendChannel) Push(bits uint64) {
 // state is unchanged and the same element may be retried. Pushing more
 // than count elements still panics — that is a programming error.
 func (ch *SendChannel) PushE(bits uint64) error {
-	if ch.sent >= ch.count {
-		panic(fmt.Sprintf("smi: push beyond message size %d on port %d", ch.count, ch.port))
-	}
-	if err := ch.x.runtimeErr("push", ch.port, ch.dst); err != nil {
-		return err
-	}
-	deadline := ch.opDeadline()
-	if !ch.rvDone {
-		// Rendezvous: the receiver must commit buffer before any payload
-		// enters the shared transport.
-		if err := ch.rendezvousE(deadline); err != nil {
-			return err
-		}
-	}
-	if ch.raw {
-		ch.cur.PutRawElem(ch.n, ch.dt, bits)
-	} else {
-		ch.cur.PutElem(ch.n, ch.dt, bits)
-	}
-	ch.n++
-	ch.sent++
-	if ch.n == ch.epp || ch.sent == ch.count {
-		if err := ch.flushE(deadline); err != nil {
-			// Roll back the staged element; a retry re-stages it.
-			ch.n--
-			ch.sent--
-			return err
-		}
-	}
-	if ch.sent == ch.count {
-		ch.ep.inUseSend = false // channel implicitly closed
-		if ch.ep.spec.Mode.halfDuplex() {
-			ch.ep.inUseRecv = false
-		}
-	}
-	return nil
+	s := ch.x.pushPath(ch)
+	s.one[0] = bits
+	_, err := ch.PushN(s.one[:])
+	return err
 }
 
-// rendezvousE performs the sender half of the streaming handshake: a
-// request announcing the message, then a blocking wait for the
-// receiver's grant. The two legs are guarded separately so a failed
-// (deadline-expired) wait for the grant does not duplicate the request
-// on retry.
-func (ch *SendChannel) rendezvousE(deadline int64) error {
-	if !ch.rvSent {
-		req := packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port),
-			packet.StreamCtl{Kind: packet.StreamReq, Elems: uint32(ch.count)})
-		if res := ch.ep.appSend.PushProcE(ch.x.proc, req, deadline); res != sim.WaitOK {
-			return ch.x.waitErr(res, "push", ch.port, ch.dst)
-		}
-		ch.rvSent = true
-	}
-	grant, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
+// PushN pushes every element of bits in order, returning how many were
+// consumed and the first error. On error the remaining elements
+// (bits[n:]) may be retried. The whole slice is one engine-run loop (see
+// sendPath), so a message costs one coroutine round trip, not one or two
+// per packet. On a Streaming port this is the intended bulk entry point:
+// the whole slice rides one rendezvous.
+func (ch *SendChannel) PushN(bits []uint64) (int, error) {
+	s := ch.x.pushPath(ch)
+	s.beginBits(bits)
+	ch.x.proc.Run(s)
+	return s.end()
+}
+
+// sendPhase is where a sendPath stands within the current element.
+type sendPhase uint8
+
+const (
+	sendElem       sendPhase = iota // the next element starts
+	sendRendezvous                  // streaming handshake legs if due, then stage the element
+	sendFlush                       // element staged, packet due: credit gate, fragment header, pipeline
+	sendPayload                     // pipeline cycles paid: push the packet
+	sendClose                       // packet pushed a cycle ago: the element completes
+)
+
+// sendPath is the send channel's packet data path, run by the engine as
+// one loop per PushN (sim.Proc.Run). Per element it makes the checks a
+// push makes on entry (message size, runtimeErr, the deadline), stages
+// the element and, once a packet is full or the message complete, flushes
+// it: credit gate, then the fragment header if one is due, then the
+// payload, charging the cycles the application pipeline spent producing
+// its elements — a kernel pushing one element per cycle (VecWidth 1)
+// pays one cycle per element, a vectorized kernel proportionally less.
+// Every FIFO operation and its cycle is the one a blocking push would
+// make: a wait is a cancellable wait with the element's deadline, and
+// each push or pop is followed by one cycle. Every leg is guarded by its
+// own state (rvSent, rvDone, credits, fragLeft), so a failed element is
+// un-staged and a retry resumes exactly where the last attempt stopped.
+// The state lives only for one bulk call, so each Ctx holds one path,
+// pointed at the channel of the call in progress.
+type sendPath struct {
+	bulk
+	ch    *SendChannel
+	phase sendPhase
+}
+
+// bulk is the progress of the bulk call a channel path runs: its
+// elements, how many are done, the current element's deadline and the
+// call's error.
+type bulk struct {
+	xs       elems
+	i        int
+	deadline int64
+	err      error
+	bits     bitsElems // a raw-bits call's elements
+	one      [1]uint64 // a one-element call's element
+}
+
+// begin starts a call over xs, beginBits one over raw bits; end reports
+// how many elements the call consumed or delivered, and its error.
+func (b *bulk) begin(xs elems) { b.xs, b.i, b.err = xs, 0, nil }
+
+func (b *bulk) beginBits(vs []uint64) {
+	b.bits.vs = vs
+	b.begin(&b.bits)
+}
+
+func (b *bulk) end() (int, error) {
+	n, err := b.i, b.err
+	b.xs, b.err, b.bits.vs = nil, nil, nil
+	return n, err
+}
+
+func (s *sendPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
+	ch := s.ch
 	if res != sim.WaitOK {
-		return ch.x.waitErr(res, "push", ch.port, ch.dst)
+		return s.fail(ch.x.waitErr(res, "push", ch.port, ch.dst))
 	}
+	for {
+		switch s.phase {
+		case sendElem:
+			if s.i == s.xs.len() {
+				return sim.Wait{}
+			}
+			if ch.sent >= ch.count {
+				panic(fmt.Sprintf("smi: push beyond message size %d on port %d", ch.count, ch.port))
+			}
+			if err := ch.x.peerErr("push", ch.port, ch.dst, &ch.reached); err != nil {
+				return s.fail(err)
+			}
+			s.deadline = ch.opDeadline()
+			s.phase = sendRendezvous
+		case sendRendezvous:
+			// The receiver must commit buffer before any payload enters
+			// the shared transport.
+			if !ch.rvDone && !ch.rvSent {
+				if !ch.ep.appSend.CanPush() {
+					return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
+				}
+				ch.ep.appSend.TryPush(packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port),
+					packet.StreamCtl{Kind: packet.StreamReq, Elems: uint32(ch.count)}))
+				ch.rvSent = true
+				return sim.Wait{Cycles: 1}
+			}
+			if !ch.rvDone {
+				grant, ok := ch.ep.appRecv.TryPop()
+				if !ok {
+					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
+				}
+				ch.checkGrant(grant)
+				ch.rvDone = true
+				return sim.Wait{Cycles: 1}
+			}
+			if ch.raw {
+				ch.cur.PutRawElem(ch.n, ch.dt, s.xs.get(s.i))
+			} else {
+				ch.cur.PutElem(ch.n, ch.dt, s.xs.get(s.i))
+			}
+			ch.n++
+			ch.sent++
+			if ch.n < ch.epp && ch.sent < ch.count {
+				s.i++
+				s.phase = sendElem
+				continue
+			}
+			s.phase = sendFlush
+		case sendFlush:
+			if ch.credited && ch.credits < ch.n {
+				// Wait until the receiver has granted room for this packet,
+				// so the data never queues in the shared transport.
+				grant, ok := ch.ep.appRecv.TryPop()
+				if !ok {
+					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
+				}
+				if grant.Op != packet.OpCredit || int(grant.Src) != ch.dst {
+					panic(fmt.Sprintf("smi: rank %d port %d: expected credit from %d, got %v",
+						ch.x.rank, ch.port, ch.dst, grant))
+				}
+				ch.credits += int(packet.DecodeCreditElems(grant))
+				return sim.Wait{Cycles: 1}
+			}
+			if ch.raw && ch.fragLeft == 0 {
+				// The OpStream header pins the route for the fragment's word
+				// train: one header amortized over up to batch full words.
+				if !ch.ep.appSend.CanPush() {
+					return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
+				}
+				frag := ch.nextFrag()
+				ch.ep.appSend.TryPush(packet.EncodeStreamFrag(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port), frag))
+				ch.seq++
+				ch.fragLeft = int(frag.Words)
+				return sim.Wait{Cycles: 1}
+			}
+			s.phase = sendPayload
+			if cycles := int64((ch.n + ch.vec - 1) / ch.vec); cycles > 1 {
+				return sim.Wait{Cycles: cycles - 1}
+			}
+		case sendPayload:
+			if !ch.ep.appSend.CanPush() {
+				return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
+			}
+			ch.cur.Src = uint16(ch.x.rank)
+			ch.cur.Dst = uint16(ch.dst)
+			ch.cur.Port = uint8(ch.port)
+			ch.cur.Op = packet.OpData
+			if ch.raw {
+				ch.cur.Op = packet.OpRaw
+			}
+			ch.cur.Count = uint8(ch.n)
+			ch.ep.appSend.TryPush(ch.cur)
+			if ch.credited {
+				ch.credits -= ch.n
+			}
+			if ch.raw {
+				ch.fragLeft--
+			}
+			ch.cur = packet.Packet{}
+			ch.n = 0
+			s.phase = sendClose
+			return sim.Wait{Cycles: 1}
+		case sendClose:
+			if ch.sent == ch.count {
+				ch.ep.inUseSend = false // channel implicitly closed
+				if ch.ep.spec.Mode.halfDuplex() {
+					ch.ep.inUseRecv = false
+				}
+			}
+			s.i++
+			s.phase = sendElem
+		}
+	}
+}
+
+// fail ends the loop with err, un-staging the current element if it was
+// staged; a retry re-stages it.
+func (s *sendPath) fail(err error) sim.Wait {
+	if s.phase == sendFlush || s.phase == sendPayload {
+		s.ch.n--
+		s.ch.sent--
+	}
+	s.phase = sendElem
+	s.err = err
+	return sim.Wait{}
+}
+
+// checkGrant validates the receiver's rendezvous grant.
+func (ch *SendChannel) checkGrant(grant packet.Packet) {
 	if grant.Op != packet.OpStreamCtl || int(grant.Src) != ch.dst {
 		panic(fmt.Sprintf("smi: rank %d port %d: expected stream grant from %d, got %v",
 			ch.x.rank, ch.port, ch.dst, grant))
@@ -199,91 +357,21 @@ func (ch *SendChannel) rendezvousE(deadline int64) error {
 		panic(fmt.Sprintf("smi: rank %d port %d: malformed stream grant %+v for %d-element message",
 			ch.x.rank, ch.port, c, ch.count))
 	}
-	ch.rvDone = true
-	return nil
 }
 
-// PushN pushes every element of bits in order, returning how many were
-// consumed and the first error. On error the remaining elements
-// (bits[n:]) may be retried. On a Streaming port this is the intended
-// bulk entry point: the whole slice rides one rendezvous.
-func (ch *SendChannel) PushN(bits []uint64) (int, error) {
-	for i, b := range bits {
-		if err := ch.PushE(b); err != nil {
-			return i, err
-		}
+// nextFrag describes the fragment that starts with the staged word.
+func (ch *SendChannel) nextFrag() packet.StreamFrag {
+	flushed := ch.sent - ch.n // elements already on the wire
+	elems := ch.count - flushed
+	if max := ch.batch * ch.epp; elems > max {
+		elems = max
 	}
-	return len(bits), nil
-}
-
-// flushE emits the staged packet or raw word: credit gate, then the
-// fragment header if one is due, then the payload, charging the cycles
-// the application pipeline spent producing its elements — a kernel
-// pushing one element per cycle (VecWidth 1) pays one cycle per element,
-// a vectorized kernel proportionally less. Every leg is guarded by its
-// own state (credits, fragLeft), so after a failure the staged payload is
-// preserved and a retry resumes exactly where the last attempt stopped.
-func (ch *SendChannel) flushE(deadline int64) error {
-	if ch.credited {
-		// Block until the receiver has granted room for this packet, so
-		// the data never queues in the shared transport.
-		for ch.credits < ch.n {
-			grant, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
-			if res != sim.WaitOK {
-				return ch.x.waitErr(res, "push", ch.port, ch.dst)
-			}
-			if grant.Op != packet.OpCredit || int(grant.Src) != ch.dst {
-				panic(fmt.Sprintf("smi: rank %d port %d: expected credit from %d, got %v",
-					ch.x.rank, ch.port, ch.dst, grant))
-			}
-			ch.credits += int(packet.DecodeCreditElems(grant))
-		}
+	return packet.StreamFrag{
+		Seq:   ch.seq,
+		Words: uint32((elems + ch.epp - 1) / ch.epp),
+		Elems: uint32(elems),
+		Last:  flushed+elems == ch.count,
 	}
-	if ch.raw && ch.fragLeft == 0 {
-		// The OpStream header pins the route for the fragment's word train:
-		// one header amortized over up to batch full 32-byte words.
-		flushed := ch.sent - ch.n // elements already on the wire
-		elems := ch.count - flushed
-		if max := ch.batch * ch.epp; elems > max {
-			elems = max
-		}
-		frag := packet.StreamFrag{
-			Seq:   ch.seq,
-			Words: uint32((elems + ch.epp - 1) / ch.epp),
-			Elems: uint32(elems),
-			Last:  flushed+elems == ch.count,
-		}
-		hdr := packet.EncodeStreamFrag(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port), frag)
-		if res := ch.ep.appSend.PushProcE(ch.x.proc, hdr, deadline); res != sim.WaitOK {
-			return ch.x.waitErr(res, "push", ch.port, ch.dst)
-		}
-		ch.seq++
-		ch.fragLeft = int(frag.Words)
-	}
-	ch.cur.Src = uint16(ch.x.rank)
-	ch.cur.Dst = uint16(ch.dst)
-	ch.cur.Port = uint8(ch.port)
-	ch.cur.Op = packet.OpData
-	if ch.raw {
-		ch.cur.Op = packet.OpRaw
-	}
-	ch.cur.Count = uint8(ch.n)
-	cycles := int64((ch.n + ch.vec - 1) / ch.vec)
-	if cycles > 1 {
-		ch.x.proc.Sleep(cycles - 1)
-	}
-	if res := ch.ep.appSend.PushProcE(ch.x.proc, ch.cur, deadline); res != sim.WaitOK {
-		return ch.x.waitErr(res, "push", ch.port, ch.dst)
-	}
-	if ch.credited {
-		ch.credits -= ch.n
-	}
-	if ch.raw {
-		ch.fragLeft--
-	}
-	ch.cur = packet.Packet{}
-	ch.n = 0
-	return nil
 }
 
 // RecvChannel is a transient point-to-point receive channel
@@ -292,7 +380,6 @@ func (ch *SendChannel) flushE(deadline int64) error {
 type RecvChannel struct {
 	x   *Ctx
 	ep  *endpoint
-	dt  Datatype
 	vec int
 
 	count    int
@@ -307,12 +394,15 @@ type RecvChannel struct {
 	have int // unread elements in cur
 	pos  int // next element index in cur
 
-	// Credit-based flow control state: elements drained since the last
+	// dt, credited and reached share one word, which keeps the struct
+	// small. Credit-based flow control: elements drained since the last
 	// grant, the batch size at which grants are sent, and the total
 	// granted so far. Total grants are capped at count minus the initial
 	// credit so the sender's budget is exactly count elements and no
 	// stale credits outlive the channel.
+	dt         Datatype
 	credited   bool
+	reached    uint32 // route epoch at which src was last found reachable (see peerErr)
 	freed      int
 	grantBatch int
 	granted    int
@@ -399,155 +489,225 @@ func (ch *RecvChannel) Pop() uint64 {
 // retry. Popping past count elements and protocol violations (wrong
 // source, wrong op) still panic: those are programming errors.
 func (ch *RecvChannel) PopE() (uint64, error) {
-	if ch.received >= ch.count {
-		panic(fmt.Sprintf("smi: pop beyond message size %d on port %d", ch.count, ch.port))
-	}
-	if err := ch.x.runtimeErr("pop", ch.port, ch.src); err != nil {
-		return 0, err
-	}
-	deadline := ch.opDeadline()
-	if ch.have == 0 {
-		if err := ch.fetchE(deadline); err != nil {
-			return 0, err
-		}
-	}
-	var bits uint64
-	if ch.raw {
-		bits = ch.cur.RawElem(ch.pos, ch.dt)
-	} else {
-		bits = ch.cur.Elem(ch.pos, ch.dt)
-	}
-	ch.pos++
-	ch.have--
-	ch.received++
-	if ch.credited {
-		ch.freed++
-		if ch.freed >= ch.grantBatch {
-			if err := ch.sendCreditE(deadline); err != nil {
-				// Roll back the consumed element; cur still holds it, so
-				// a retry re-delivers it and re-attempts the grant.
-				ch.freed--
-				ch.received--
-				ch.have++
-				ch.pos--
-				return 0, err
-			}
-		}
-	}
-	if ch.received == ch.count {
-		if ch.ep.spec.Mode.halfDuplex() {
-			ch.ep.inUseSend = false
-		}
-		ch.ep.inUseRecv = false // channel implicitly closed
-	}
-	return bits, nil
+	s := ch.x.popPath(ch)
+	_, err := ch.PopN(s.one[:])
+	return s.one[0], err
 }
 
 // PopN fills bits in order, returning how many elements were delivered
 // and the first error. On error the remaining elements (bits[n:]) may be
-// retried.
+// retried. Like PushN, the whole slice is one engine-run loop (see
+// recvPath).
 func (ch *RecvChannel) PopN(bits []uint64) (int, error) {
-	for i := range bits {
-		b, err := ch.PopE()
-		if err != nil {
-			return i, err
-		}
-		bits[i] = b
-	}
-	return len(bits), nil
+	s := ch.x.popPath(ch)
+	s.beginBits(bits)
+	ch.x.proc.Run(s)
+	return s.end()
 }
 
-// sendCreditE returns drained buffer space to the sender, never granting
-// more than the sender can still use. Channel state is only updated
-// after the grant packet is accepted, so a failed grant can be retried.
-func (ch *RecvChannel) sendCreditE(deadline int64) error {
-	avail := ch.count - ch.ep.spec.BufferElems - ch.granted
-	if avail <= 0 {
-		ch.freed = 0 // the sender's budget already covers the message
-		return nil
-	}
-	n := ch.freed
-	if n > avail {
-		n = avail
-	}
-	grant := packet.Packet{
-		Src: uint16(ch.x.rank), Dst: uint16(ch.src), Port: uint8(ch.port),
-		Op: packet.OpCredit,
-	}
-	packet.EncodeCreditElems(&grant, uint32(n))
-	if res := ch.ep.appSend.PushProcE(ch.x.proc, grant, deadline); res != sim.WaitOK {
-		return ch.x.waitErr(res, "pop", ch.port, ch.src)
-	}
-	ch.granted += n
-	ch.freed = 0
-	return nil
-}
+// recvPhase is where a recvPath stands within the current element.
+type recvPhase uint8
 
-// fetchE pops the next data packet or raw word from the endpoint. The
-// first call on a rendezvous message completes the receiver half of the
-// handshake (consume the request, push the grant); on the raw path a
+const (
+	recvElem   recvPhase = iota // the next element starts
+	recvFetch                   // no unread element: fetch the next packet
+	recvTake                    // an unread element is in cur
+	recvCredit                  // element taken, a credit grant is due
+	recvClose                   // element taken, grant (if any) pushed: deliver it
+)
+
+// recvPath is the receive channel's packet data path, run by the engine
+// as one loop per PopN (sim.Proc.Run); like sendPath, one per Ctx. Per
+// element it makes the checks a pop makes on entry and, with no unread
+// element left, fetches the next data packet or raw word: the first
+// fetch of a rendezvous message completes the receiver half of the
+// handshake (consume the request, push the grant), and on the raw path a
 // fragment header is consumed and validated whenever the previous
-// fragment is exhausted. Each leg is guarded by its own state flag so a
-// failed wait resumes exactly where it left off without consuming or
-// duplicating protocol packets. Malformed traffic (wrong op, wrong
-// source, empty packets, a header that disagrees with the channel)
-// panics — a mismatched program is a bug, not a runtime condition.
-func (ch *RecvChannel) fetchE(deadline int64) error {
-	if !ch.rvDone {
-		if !ch.rvSeen {
-			req, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
-			if res != sim.WaitOK {
-				return ch.x.waitErr(res, "pop", ch.port, ch.src)
-			}
-			if req.Op != packet.OpStreamCtl || int(req.Src) != ch.src {
-				panic(fmt.Sprintf("smi: rank %d port %d: expected stream request from %d, got %v",
-					ch.x.rank, ch.port, ch.src, req))
-			}
-			if c := packet.DecodeStreamCtl(req); c.Kind != packet.StreamReq || int(c.Elems) != ch.count {
-				panic(fmt.Sprintf("smi: rank %d port %d: stream request %+v mismatches %d-element channel",
-					ch.x.rank, ch.port, c, ch.count))
-			}
-			ch.rvSeen = true
-		}
-		// Grant the whole message: the rendezvous guarantees this receiver
-		// is parked on the channel draining it, which is what bounds the
-		// data's residence in the shared transport.
-		grant := packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.src), uint8(ch.port),
-			packet.StreamCtl{Kind: packet.StreamGrant, Elems: uint32(ch.count)})
-		if res := ch.ep.appSend.PushProcE(ch.x.proc, grant, deadline); res != sim.WaitOK {
-			return ch.x.waitErr(res, "pop", ch.port, ch.src)
-		}
-		ch.rvDone = true
-	}
-	if ch.raw && ch.fragWords == 0 {
-		hdr, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
-		if res != sim.WaitOK {
-			return ch.x.waitErr(res, "pop", ch.port, ch.src)
-		}
-		if hdr.Op != packet.OpStream || int(hdr.Src) != ch.src {
-			panic(fmt.Sprintf("smi: rank %d port %d: expected stream fragment from %d, got %v",
-				ch.x.rank, ch.port, ch.src, hdr))
-		}
-		f := packet.DecodeStreamFrag(hdr)
-		if f.Seq != ch.seq {
-			panic(fmt.Sprintf("smi: rank %d port %d: stream fragment seq %d, expected %d",
-				ch.x.rank, ch.port, f.Seq, ch.seq))
-		}
-		if f.Words == 0 || f.Elems == 0 || int(f.Elems) > ch.count-ch.received {
-			panic(fmt.Sprintf("smi: rank %d port %d: malformed stream fragment %+v", ch.x.rank, ch.port, f))
-		}
-		if f.Last != (ch.received+int(f.Elems) == ch.count) {
-			panic(fmt.Sprintf("smi: rank %d port %d: stream fragment %+v mislabels the message end",
-				ch.x.rank, ch.port, f))
-		}
-		ch.seq++
-		ch.fragWords = int(f.Words)
-		ch.fragElems = int(f.Elems)
-	}
-	pkt, res := ch.ep.appRecv.PopProcE(ch.x.proc, deadline)
+// fragment is exhausted. The fetch is
+// "pop, then charge ⌈count/vec⌉ cycles" — the cycles a pipelined
+// consumer spends draining the packet. A credited receiver then returns
+// drained buffer space to the sender in batches. Each leg is guarded by
+// its own state, so a failed wait resumes exactly where it left off
+// without consuming or duplicating protocol packets, and a failed grant
+// un-takes its element. Malformed traffic (wrong op, wrong source, empty
+// packets, a header that disagrees with the channel) panics — a
+// mismatched program is a bug, not a runtime condition.
+type recvPath struct {
+	bulk
+	ch    *RecvChannel
+	phase recvPhase
+	took  uint64 // the element taken, delivered when it completes
+}
+
+func (s *recvPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
+	ch := s.ch
 	if res != sim.WaitOK {
-		return ch.x.waitErr(res, "pop", ch.port, ch.src)
+		return s.fail(ch.x.waitErr(res, "pop", ch.port, ch.src))
 	}
+	for {
+		switch s.phase {
+		case recvElem:
+			if s.i == s.xs.len() {
+				return sim.Wait{}
+			}
+			if ch.received >= ch.count {
+				panic(fmt.Sprintf("smi: pop beyond message size %d on port %d", ch.count, ch.port))
+			}
+			if err := ch.x.peerErr("pop", ch.port, ch.src, &ch.reached); err != nil {
+				return s.fail(err)
+			}
+			s.deadline = ch.opDeadline()
+			s.phase = recvFetch
+			if ch.have > 0 {
+				s.phase = recvTake
+			}
+		case recvFetch:
+			switch {
+			case !ch.rvDone && !ch.rvSeen:
+				req, ok := ch.ep.appRecv.TryPop()
+				if !ok {
+					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
+				}
+				ch.checkRequest(req)
+				ch.rvSeen = true
+			case !ch.rvDone:
+				// Grant the whole message: the rendezvous guarantees this
+				// receiver is parked on the channel draining it, which is
+				// what bounds the data's residence in the shared transport.
+				if !ch.ep.appSend.CanPush() {
+					return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
+				}
+				ch.ep.appSend.TryPush(packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.src), uint8(ch.port),
+					packet.StreamCtl{Kind: packet.StreamGrant, Elems: uint32(ch.count)}))
+				ch.rvDone = true
+			case ch.raw && ch.fragWords == 0:
+				hdr, ok := ch.ep.appRecv.TryPop()
+				if !ok {
+					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
+				}
+				ch.openFrag(hdr)
+			default:
+				pkt, ok := ch.ep.appRecv.TryPop()
+				if !ok {
+					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
+				}
+				ch.checkData(pkt)
+				ch.cur = pkt
+				ch.have = int(pkt.Count)
+				ch.pos = 0
+				s.phase = recvTake
+				return sim.Wait{Cycles: int64((int(pkt.Count) + ch.vec - 1) / ch.vec)}
+			}
+			return sim.Wait{Cycles: 1}
+		case recvTake:
+			if ch.raw {
+				s.took = ch.cur.RawElem(ch.pos, ch.dt)
+			} else {
+				s.took = ch.cur.Elem(ch.pos, ch.dt)
+			}
+			ch.pos++
+			ch.have--
+			ch.received++
+			s.phase = recvClose
+			if ch.credited {
+				ch.freed++
+				if ch.freed >= ch.grantBatch {
+					s.phase = recvCredit
+				}
+			}
+		case recvCredit:
+			// Return drained buffer space to the sender, never granting
+			// more than the sender can still use.
+			avail := ch.count - ch.ep.spec.BufferElems - ch.granted
+			if avail <= 0 {
+				ch.freed = 0 // the sender's budget already covers the message
+				s.phase = recvClose
+				continue
+			}
+			if !ch.ep.appSend.CanPush() {
+				return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
+			}
+			n := ch.freed
+			if n > avail {
+				n = avail
+			}
+			grant := packet.Packet{
+				Src: uint16(ch.x.rank), Dst: uint16(ch.src), Port: uint8(ch.port),
+				Op: packet.OpCredit,
+			}
+			packet.EncodeCreditElems(&grant, uint32(n))
+			ch.ep.appSend.TryPush(grant)
+			ch.granted += n
+			ch.freed = 0
+			s.phase = recvClose
+			return sim.Wait{Cycles: 1}
+		case recvClose:
+			if ch.received == ch.count {
+				if ch.ep.spec.Mode.halfDuplex() {
+					ch.ep.inUseSend = false
+				}
+				ch.ep.inUseRecv = false // channel implicitly closed
+			}
+			s.xs.set(s.i, s.took)
+			s.i++
+			s.phase = recvElem
+		}
+	}
+}
+
+// fail ends the loop with err, un-taking an element whose credit grant
+// failed; cur still holds it, so a retry re-delivers it and re-attempts
+// the grant.
+func (s *recvPath) fail(err error) sim.Wait {
+	if ch := s.ch; s.phase == recvCredit {
+		ch.freed--
+		ch.received--
+		ch.have++
+		ch.pos--
+	}
+	s.phase = recvElem
+	s.err = err
+	return sim.Wait{}
+}
+
+// checkRequest validates the sender's rendezvous request.
+func (ch *RecvChannel) checkRequest(req packet.Packet) {
+	if req.Op != packet.OpStreamCtl || int(req.Src) != ch.src {
+		panic(fmt.Sprintf("smi: rank %d port %d: expected stream request from %d, got %v",
+			ch.x.rank, ch.port, ch.src, req))
+	}
+	if c := packet.DecodeStreamCtl(req); c.Kind != packet.StreamReq || int(c.Elems) != ch.count {
+		panic(fmt.Sprintf("smi: rank %d port %d: stream request %+v mismatches %d-element channel",
+			ch.x.rank, ch.port, c, ch.count))
+	}
+}
+
+// openFrag validates a fragment header and opens its word budget.
+func (ch *RecvChannel) openFrag(hdr packet.Packet) {
+	if hdr.Op != packet.OpStream || int(hdr.Src) != ch.src {
+		panic(fmt.Sprintf("smi: rank %d port %d: expected stream fragment from %d, got %v",
+			ch.x.rank, ch.port, ch.src, hdr))
+	}
+	f := packet.DecodeStreamFrag(hdr)
+	if f.Seq != ch.seq {
+		panic(fmt.Sprintf("smi: rank %d port %d: stream fragment seq %d, expected %d",
+			ch.x.rank, ch.port, f.Seq, ch.seq))
+	}
+	if f.Words == 0 || f.Elems == 0 || int(f.Elems) > ch.count-ch.received {
+		panic(fmt.Sprintf("smi: rank %d port %d: malformed stream fragment %+v", ch.x.rank, ch.port, f))
+	}
+	if f.Last != (ch.received+int(f.Elems) == ch.count) {
+		panic(fmt.Sprintf("smi: rank %d port %d: stream fragment %+v mislabels the message end",
+			ch.x.rank, ch.port, f))
+	}
+	ch.seq++
+	ch.fragWords = int(f.Words)
+	ch.fragElems = int(f.Elems)
+}
+
+// checkData validates a data packet or raw word and, on the raw path,
+// charges it to the open fragment.
+func (ch *RecvChannel) checkData(pkt packet.Packet) {
 	if ch.raw {
 		// A raw word has no header of its own: the fragment header vouched
 		// for its source, and the fragment's budget bounds it.
@@ -564,24 +724,15 @@ func (ch *RecvChannel) fetchE(deadline int64) error {
 			panic(fmt.Sprintf("smi: rank %d port %d: stream fragment ended with %d elements missing",
 				ch.x.rank, ch.port, ch.fragElems))
 		}
-	} else {
-		if pkt.Op != packet.OpData {
-			panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet on recv channel", ch.x.rank, ch.port, pkt.Op))
-		}
-		if int(pkt.Src) != ch.src {
-			panic(fmt.Sprintf("smi: rank %d port %d: packet from rank %d, expected %d", ch.x.rank, ch.port, pkt.Src, ch.src))
-		}
-		if pkt.Count == 0 {
-			panic(fmt.Sprintf("smi: rank %d port %d: empty data packet", ch.x.rank, ch.port))
-		}
+		return
 	}
-	// Charge the cycles a pipelined consumer spends draining the packet.
-	cycles := int64((int(pkt.Count) + ch.vec - 1) / ch.vec)
-	if cycles > 1 {
-		ch.x.proc.Sleep(cycles - 1)
+	if pkt.Op != packet.OpData {
+		panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet on recv channel", ch.x.rank, ch.port, pkt.Op))
 	}
-	ch.cur = pkt
-	ch.have = int(pkt.Count)
-	ch.pos = 0
-	return nil
+	if int(pkt.Src) != ch.src {
+		panic(fmt.Sprintf("smi: rank %d port %d: packet from rank %d, expected %d", ch.x.rank, ch.port, pkt.Src, ch.src))
+	}
+	if pkt.Count == 0 {
+		panic(fmt.Sprintf("smi: rank %d port %d: empty data packet", ch.x.rank, ch.port))
+	}
 }

@@ -102,9 +102,12 @@ type Cluster struct {
 	engs   []*sim.Engine // one engine, or one per rank under the parallel scheduler
 	group  *sim.Group    // parallel driver, nil when len(engs) == 1
 	routes *routing.Routes
-	world  Comm
-	clock  sim.Clock
-	board  fpga.Board
+	// routeEpoch numbers the routing tables in force: 1 at build, bumped
+	// by every failover swap (see peerErr).
+	routeEpoch uint32
+	world      Comm
+	clock      sim.Clock
+	board      fpga.Board
 
 	ranks    []*rankState
 	links    []*link.Link
@@ -136,6 +139,9 @@ type endpoint struct {
 	// endpoint direction concurrently (hardware has one wire per side).
 	inUseSend bool
 	inUseRecv bool
+	// pushView and popView are PushSlice's and PopSlice's typed element
+	// views (see typedView).
+	pushView, popView any
 }
 
 // NewCluster validates the configuration, generates routes, and builds
@@ -246,13 +252,14 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 
 	c := &Cluster{
-		cfg:    cfg,
-		engs:   engs,
-		routes: routes,
-		world:  Comm{base: 0, size: cfg.Topology.Devices},
-		clock:  sim.Clock{Hz: cfg.ClockHz},
-		board:  cfg.Board,
-		tracer: tracer,
+		cfg:        cfg,
+		engs:       engs,
+		routes:     routes,
+		routeEpoch: 1,
+		world:      Comm{base: 0, size: cfg.Topology.Devices},
+		clock:      sim.Clock{Hz: cfg.ClockHz},
+		board:      cfg.Board,
+		tracer:     tracer,
 	}
 	engFor := c.engFor
 

@@ -130,13 +130,7 @@ func (b *collectiveBase) flushE(deadline int64, op string) error {
 // paid for the loop iteration — the SMI_Reduce root path).
 func (b *collectiveBase) popElemE(deadline int64, op string, paired bool) (uint64, error) {
 	if b.have == 0 {
-		var pkt packet.Packet
-		var res sim.WaitResult
-		if paired {
-			pkt, res = b.ep.appRecv.PopProcPairedE(b.x.proc, deadline)
-		} else {
-			pkt, res = b.ep.appRecv.PopProcE(b.x.proc, deadline)
-		}
+		pkt, res := b.ep.appRecv.PopProcPairedE(b.x.proc, deadline)
 		if res != sim.WaitOK {
 			return 0, b.x.waitErr(res, op, b.port, -1)
 		}
@@ -144,10 +138,9 @@ func (b *collectiveBase) popElemE(deadline int64, op string, paired bool) (uint6
 			panic(fmt.Sprintf("smi: rank %d port %d: unexpected %v packet from support kernel", b.x.rank, b.port, pkt.Op))
 		}
 		if !paired {
-			cycles := int64((int(pkt.Count) + b.vec - 1) / b.vec)
-			if cycles > 1 {
-				b.x.proc.Sleep(cycles - 1)
-			}
+			// Pop, then the cycles a pipelined consumer spends draining
+			// the packet — the pop's own cycle among them.
+			b.x.proc.Sleep(int64((int(pkt.Count) + b.vec - 1) / b.vec))
 		}
 		b.rcv = pkt
 		b.have = int(pkt.Count)

@@ -19,6 +19,30 @@ type Ctx struct {
 	// defPatience is the Ctx-level default per-operation deadline in
 	// cycles (SetDefaultDeadline); 0 means operations block forever.
 	defPatience int64
+
+	// The engine-run steps of this kernel's bulk calls and loops, made on
+	// first use and reused by every later call (one runs at a time).
+	send *sendPath
+	recv *recvPath
+	loop *loopRun
+}
+
+// pushPath returns the kernel's send path, bound to ch.
+func (x *Ctx) pushPath(ch *SendChannel) *sendPath {
+	if x.send == nil {
+		x.send = new(sendPath)
+	}
+	x.send.ch = ch
+	return x.send
+}
+
+// popPath returns the kernel's receive path, bound to ch.
+func (x *Ctx) popPath(ch *RecvChannel) *recvPath {
+	if x.recv == nil {
+		x.recv = new(recvPath)
+	}
+	x.recv.ch = ch
+	return x.recv
 }
 
 // Rank returns this kernel's global rank (one rank per FPGA, §2.2).

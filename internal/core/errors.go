@@ -100,6 +100,24 @@ func (x *Ctx) runtimeErr(op string, port, peer int) error {
 	return nil
 }
 
+// peerErr is runtimeErr for a point-to-point channel's element: a
+// channel remembers (in reached) the route epoch at which its peer was
+// last found reachable, so the table lookup is made again only after
+// the routing tables change.
+func (x *Ctx) peerErr(op string, port, peer int, reached *uint32) error {
+	if epoch := x.c.routeEpoch; *reached != epoch {
+		if err := x.runtimeErr(op, port, peer); err != nil {
+			return err
+		}
+		*reached = epoch
+		return nil
+	}
+	if x.c.Failed() {
+		return x.chanErr(ClusterFailed, op, port, peer)
+	}
+	return nil
+}
+
 // waitErr maps a failed cancellable FIFO wait to the channel error
 // surface: a timeout keeps its own kind; an engine-level abort is only
 // ever issued by the fault manager on cluster failure.

@@ -240,6 +240,7 @@ func (m *faultManager) swapAndRescue(now int64) {
 		return
 	}
 	m.c.routes.CopyFrom(m.newRoutes)
+	m.c.routeEpoch++
 	m.logEvent(now, "tables-swapped")
 	m.rescueRank = [2]int{cb.conn.A.Device, cb.conn.B.Device}
 	m.rescueQueue = [2][]packet.Packet{qa, qb}

@@ -67,24 +67,61 @@ func PopE[T Element](ch *RecvChannel) (T, error) {
 // SendChannel.PushN. It returns how many elements were consumed and the
 // first error; on error the remainder (vs[n:]) may be retried.
 func PushSlice[T Element](ch *SendChannel, vs []T) (int, error) {
-	for i, v := range vs {
-		if err := ch.PushE(elemBits(v)); err != nil {
-			return i, err
-		}
-	}
-	return len(vs), nil
+	view := typedView[T](&ch.ep.pushView)
+	view.vs = vs
+	s := ch.x.pushPath(ch)
+	s.begin(view)
+	ch.x.proc.Run(s)
+	view.vs = nil
+	return s.end()
 }
 
 // PopSlice fills vs in order: the typed face of RecvChannel.PopN. It
 // returns how many elements were delivered and the first error; on
 // error the remainder (vs[n:]) may be retried.
 func PopSlice[T Element](ch *RecvChannel, vs []T) (int, error) {
-	for i := range vs {
-		bits, err := ch.PopE()
-		if err != nil {
-			return i, err
-		}
-		vs[i] = bitsElem[T](bits)
+	view := typedView[T](&ch.ep.popView)
+	view.vs = vs
+	s := ch.x.popPath(ch)
+	s.begin(view)
+	ch.x.proc.Run(s)
+	view.vs = nil
+	return s.end()
+}
+
+// elems is the element slice of a bulk call, read and written as raw
+// bits by the channel paths.
+type elems interface {
+	len() int
+	get(i int) uint64
+	set(i int, bits uint64)
+}
+
+// bitsElems are raw bits (PushN, PopN and the one-element calls).
+type bitsElems struct{ vs []uint64 }
+
+func (e *bitsElems) len() int               { return len(e.vs) }
+func (e *bitsElems) get(i int) uint64       { return e.vs[i] }
+func (e *bitsElems) set(i int, bits uint64) { e.vs[i] = bits }
+
+// typedElems are PushSlice's or PopSlice's typed elements, converted one
+// at a time as the path reaches them.
+type typedElems[T Element] struct{ vs []T }
+
+func (e *typedElems[T]) len() int               { return len(e.vs) }
+func (e *typedElems[T]) get(i int) uint64       { return elemBits(e.vs[i]) }
+func (e *typedElems[T]) set(i int, bits uint64) { e.vs[i] = bitsElem[T](bits) }
+
+// typedView returns the endpoint's view for element type T, made on the
+// first bulk call of that type on that endpoint direction and reused by
+// every later one: a bulk call allocates nothing. A direction has one
+// open channel at a time, and the view is released before the next can
+// open.
+func typedView[T Element](cache *any) *typedElems[T] {
+	view, ok := (*cache).(*typedElems[T])
+	if !ok {
+		view = new(typedElems[T])
+		*cache = view
 	}
-	return len(vs), nil
+	return view
 }

@@ -147,12 +147,52 @@ func BenchmarkProcTick(b *testing.B) {
 	}
 }
 
+// BenchmarkProcRun is BenchmarkProcTick's loop handed to the engine with
+// Proc.Run: one engine-run step per cycle and no coroutine switch.
+func BenchmarkProcRun(b *testing.B) {
+	e := NewEngine()
+	e.SetMaxCycles(int64(b.N) + 2)
+	NewProc(e, "ticker", func(p *Proc) {
+		p.Run(&tickLoop{n: b.N})
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// pingLoop is an engine-run loop that pushes into out, pops from in
+// (waiting while it is empty) and sleeps `nap` cycles, forever.
+type pingLoop struct {
+	in, out *Fifo[uint64]
+	nap     int64
+	popped  bool
+}
+
+func (l *pingLoop) Step(p *Proc, _ WaitResult) Wait {
+	if !l.popped {
+		if _, ok := l.in.TryPop(); !ok {
+			return Wait{Data: l.in, Deadline: p.Now() + 1000}
+		}
+		l.popped = true
+		return Wait{Cycles: l.nap}
+	}
+	if !l.out.CanPush() {
+		return Wait{Space: l.out, Deadline: Never}
+	}
+	l.out.TryPush(1)
+	l.popped = false
+	return Wait{Cycles: 1}
+}
+
 // The steady state of every sim primitive allocates nothing: FIFO
 // elements live in the ring from push to pop, boundary rings only grow
 // to their peak occupancy, parking and waking a kernel is bit arithmetic
 // in the tick sets and the timing wheel (allocated once per engine) plus,
-// beyond the wheel's span, heap slots that are reused, and a proc step is
-// a coroutine switch.
+// beyond the wheel's span, heap slots that are reused, a proc step is a
+// coroutine switch, and an engine-run step is a call on an interface the
+// proc holds.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	check := func(name string, f func()) {
 		t.Helper()
@@ -243,5 +283,62 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	})
 	if st := pe.SchedStats(); st.ProcSteps != st.CyclesExecuted {
 		t.Errorf("ticker proc stepped %d times over %d cycles", st.ProcSteps, st.CyclesExecuted)
+	}
+
+	// Procs sleeping 5 and 7 cycles park in the proc wheel, procs
+	// sleeping 200 and 201 in the heap.
+	for _, c := range []struct {
+		name string
+		nap  int64
+		heap bool
+	}{
+		{"inside the wheel span", 5, false},
+		{"beyond the wheel span", wheelSpan + 72, true},
+	} {
+		se := NewEngine()
+		for i := int64(0); i < 2; i++ {
+			nap := c.nap + 2*i
+			NewProc(se, "sleeper", func(p *Proc) {
+				for {
+					p.Sleep(nap)
+				}
+			})
+		}
+		se.startAll()
+		round := 2 * (c.nap + 3)
+		horizon = round
+		if err := se.runWindow(horizon); err != nil {
+			t.Fatal(err)
+		}
+		check("proc park and wake "+c.name, func() {
+			horizon += round
+			if err := se.runWindow(horizon); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if used := se.pq.len() > 0; used != c.heap {
+			t.Errorf("%s: proc heap in use = %v, want %v", c.name, used, c.heap)
+		}
+		se.stopProcs()
+	}
+
+	// Two engine-run loops ping a token over a pair of FIFOs, waiting for
+	// data with a deadline and sleeping in between; the body never runs.
+	re := NewEngine()
+	ab, ba := NewFifo[uint64](re, "ab", 1), NewFifo[uint64](re, "ba", 1)
+	ab.TryPush(0)
+	NewProc(re, "ping", func(p *Proc) { p.Run(&pingLoop{in: ba, out: ab, nap: 3}) })
+	NewProc(re, "pong", func(p *Proc) { p.Run(&pingLoop{in: ab, out: ba, nap: 9}) })
+	re.startAll()
+	defer re.stopProcs()
+	horizon = 0
+	check("engine-run steps that sleep and wait", func() {
+		horizon += 40
+		if err := re.runWindow(horizon); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := re.SchedStats(); st.ProcSteps != 2 || ab.Pushes() < 100 {
+		t.Errorf("ping-pong loops: %d proc steps, %d pushes; want 2 and a steady exchange", st.ProcSteps, ab.Pushes())
 	}
 }

@@ -77,7 +77,8 @@ type Engine struct {
 	kNext      tickSet       // parked kernels to tick next cycle
 	pDue       tickSet       // procs to step this cycle
 	pNext      tickSet       // procs to step next cycle
-	pq         schedHeap     // far proc wakes: (wakeAt, proc index)
+	pWheel     timingWheel   // far proc wakes within wheelSpan cycles
+	pq         schedHeap     // far proc wakes beyond the wheel: (wakeAt, proc index)
 	kWheel     timingWheel   // far kernel wakes within wheelSpan cycles
 	kq         schedHeap     // far kernel wakes beyond the wheel: (wakeAt, kernel index)
 	kernWhen   []int64       // per-kernel live far wake (or kernUnscheduled)
@@ -406,8 +407,13 @@ func (e *Engine) denseKernelDeadline() (int64, bool) {
 	return at, ok
 }
 
-// step switches into proc p until its next pause (or its end).
+// step runs proc p's cycle: its engine-run loop if it has one (see
+// Proc.Run), else — or once that loop ends — a switch into the body
+// until its next pause (or its end).
 func (e *Engine) step(p *Proc) error {
+	if p.loop != nil && p.resumeLoop() {
+		return nil
+	}
 	e.procSteps++
 	p.next()
 	if p.status == procFinished {
@@ -560,6 +566,7 @@ func (e *Engine) jumpTo(at int64) {
 		e.skipped += at - e.now
 		for c := e.now; c < at && c < e.now+wheelSpan; c++ {
 			e.kWheel.drainInto(c, e.kDue)
+			e.pWheel.drainInto(c, e.pDue)
 		}
 		e.advance(at)
 	}

@@ -199,6 +199,7 @@ func (f *Fifo[T]) Peek() (T, bool) {
 // while the FIFO is full. A successful push consumes one cycle,
 // preserving the initiation-interval-one contract of pipelined loops.
 func (f *Fifo[T]) PushProc(p *Proc, v T) {
+	p.consuming()
 	for !f.CanPush() {
 		p.waitCond(&f.fifoCore, true)
 	}
@@ -209,6 +210,7 @@ func (f *Fifo[T]) PushProc(p *Proc, v T) {
 // PopProc pops an element on behalf of proc p, blocking while empty.
 // A successful pop consumes one cycle.
 func (f *Fifo[T]) PopProc(p *Proc) T {
+	p.consuming()
 	for !f.CanPop() {
 		p.waitCond(&f.fifoCore, false)
 	}
@@ -224,6 +226,7 @@ func (f *Fifo[T]) PopProc(p *Proc) T {
 // in one pipelined loop iteration). Use sparingly — at most one paired
 // pop per cycle-consuming operation keeps the model honest.
 func (f *Fifo[T]) PopProcPaired(p *Proc) T {
+	p.consuming()
 	for !f.CanPop() {
 		p.waitCond(&f.fifoCore, false)
 	}
@@ -237,6 +240,7 @@ func (f *Fifo[T]) PopProcPaired(p *Proc) T {
 // element was pushed and one cycle consumed; on WaitTimeout/WaitAborted
 // nothing was pushed and no cycle was consumed by the failed attempt.
 func (f *Fifo[T]) PushProcE(p *Proc, v T, deadline int64) WaitResult {
+	p.consuming()
 	for !f.CanPush() {
 		if r := p.waitCondCancel(&f.fifoCore, true, deadline); r != WaitOK {
 			return r
@@ -251,6 +255,7 @@ func (f *Fifo[T]) PushProcE(p *Proc, v T, deadline int64) WaitResult {
 // the element is returned and one cycle consumed; otherwise the zero
 // value is returned and the FIFO is untouched.
 func (f *Fifo[T]) PopProcE(p *Proc, deadline int64) (T, WaitResult) {
+	p.consuming()
 	for !f.CanPop() {
 		if r := p.waitCondCancel(&f.fifoCore, false, deadline); r != WaitOK {
 			var zero T
@@ -265,6 +270,7 @@ func (f *Fifo[T]) PopProcE(p *Proc, deadline int64) (T, WaitResult) {
 // PopProcPairedE is PopProcPaired with a cancellable wait (see
 // PushProcE): a successful pop consumes no cycle of its own.
 func (f *Fifo[T]) PopProcPairedE(p *Proc, deadline int64) (T, WaitResult) {
+	p.consuming()
 	for !f.CanPop() {
 		if r := p.waitCondCancel(&f.fifoCore, false, deadline); r != WaitOK {
 			var zero T

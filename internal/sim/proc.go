@@ -49,7 +49,8 @@ const schedNone = int64(-1)
 // Proc is a cooperative process driven by the engine. A proc models a
 // pipelined hardware kernel written as ordinary sequential Go code; every
 // cycle-consuming operation (Tick, Sleep, blocking FIFO access) yields
-// control back to the engine.
+// control back to the engine; Run instead hands the engine a loop to
+// drive without a yield per cycle.
 //
 // The body runs as a coroutine (iter.Pull): the engine switches into it
 // and it switches back, without a trip through the Go scheduler. When a
@@ -63,10 +64,12 @@ const schedNone = int64(-1)
 // Proc methods must only be called from within the proc's own body
 // function, never from other goroutines or from Kernel.Tick.
 type Proc struct {
-	name string
-	eng  *Engine
-	idx  int32 // registration index: the proc's bit in the tick sets
-	body func(*Proc)
+	name     string
+	eng      *Engine
+	idx      int32 // registration index: the proc's bit in the tick sets
+	status   procStatus
+	stepping bool // a step of the proc's engine-run loop is running (see Run)
+	body     func(*Proc)
 
 	// Coroutine hand-off (see start): next runs the body up to its next
 	// pause, yield is the body's way back, stop unwinds a parked body.
@@ -74,7 +77,6 @@ type Proc struct {
 	stop  func()
 	yield func(struct{}) bool
 
-	status procStatus
 	runAt  int64 // earliest cycle a runnable proc may run
 	wakeAt int64 // wake cycle while sleeping
 	err    error
@@ -85,10 +87,15 @@ type Proc struct {
 	// cycle; it fires the timeout if the FIFO wake has not already won.
 	schedAt     int64      // cycle of the live scheduled wake (schedNone if none)
 	deadline    int64      // absolute timeout cycle while blocked (Never if none)
-	cancellable bool       // current wait may be cancelled (timeout/abort)
 	waitFifo    *fifoCore  // FIFO the proc is (or was last) blocked on
+	cancellable bool       // current wait may be cancelled (timeout/abort)
 	waitSpace   bool       // blocked on space (true) or data (false)
 	waitRes     WaitResult // outcome of the last cancellable wait
+
+	// loop is the step of the proc's engine-run loop while the engine
+	// drives it (see Run), or a stepPanic a step raised on the engine's
+	// side, rethrown in the body when Run returns.
+	loop Step
 }
 
 // NewProc registers a process with the engine. The body runs when the
@@ -146,11 +153,18 @@ func (p *Proc) pause() {
 	}
 }
 
+// consuming guards every call that may consume a cycle: inside an
+// engine-run step it would pause the engine's own thread of control.
+func (p *Proc) consuming() {
+	if p.stepping {
+		panic(fmt.Sprintf("sim: proc %s: cycle-consuming call inside an engine-run step", p.name))
+	}
+}
+
 // Tick consumes exactly one clock cycle.
 func (p *Proc) Tick() {
-	p.status = procSleeping
-	p.wakeAt = p.eng.now + 1
-	p.eng.scheduleProc(p, p.wakeAt)
+	p.consuming()
+	p.sleep(1)
 	p.pause()
 }
 
@@ -161,10 +175,16 @@ func (p *Proc) Sleep(n int64) {
 	if n <= 0 {
 		return
 	}
+	p.consuming()
+	p.sleep(n)
+	p.pause()
+}
+
+// sleep parks the proc until n >= 1 cycles from now.
+func (p *Proc) sleep(n int64) {
 	p.status = procSleeping
 	p.wakeAt = p.eng.now + n
 	p.eng.scheduleProc(p, p.wakeAt)
-	p.pause()
 }
 
 // waitCond blocks the proc on a FIFO condition. The FIFO's wake pass
@@ -200,6 +220,14 @@ func (p *Proc) waitCondCancel(c *fifoCore, space bool, deadline int64) WaitResul
 	if deadline <= p.eng.now {
 		return WaitTimeout
 	}
+	p.blockCancel(c, space, deadline)
+	p.pause()
+	return p.endWait()
+}
+
+// blockCancel blocks the proc in a cancellable wait with the given
+// deadline (> now), which is its one scheduled wake.
+func (p *Proc) blockCancel(c *fifoCore, space bool, deadline int64) {
 	p.block(c, space)
 	p.cancellable = true
 	p.deadline = deadline
@@ -207,11 +235,124 @@ func (p *Proc) waitCondCancel(c *fifoCore, space bool, deadline int64) WaitResul
 	if deadline < Never {
 		p.eng.scheduleProc(p, deadline)
 	}
-	p.pause()
-	res := p.waitRes
+}
+
+// endWait returns how the proc's last park ended, disarming it: the
+// outcome of a cancellable wait, or WaitOK after a sleep.
+func (p *Proc) endWait() WaitResult {
+	if !p.cancellable {
+		return WaitOK
+	}
 	p.cancellable = false
 	p.deadline = Never
-	return res
+	return p.waitRes
+}
+
+// Step is the per-cycle body of an engine-run proc loop (see Proc.Run).
+// Step does one cycle's share of the loop's work — Fifo.TryPush and
+// Fifo.TryPop, which consume no cycle, and plain Go — and returns the
+// proc's next wait. res is how the previous wait ended: WaitOK on the
+// first call, after a sleep and when the awaited FIFO condition may
+// hold (a step re-checks it); WaitTimeout or WaitAborted when a FIFO
+// wait's deadline or an engine-wide cancel ended it.
+type Step interface {
+	Step(p *Proc, res WaitResult) Wait
+}
+
+// Wait is an engine-run step's next wait: sleep Cycles (>= 1) cycles,
+// or block until Data holds an element or Space has room, cancellable
+// like Fifo.PopProcE and Fifo.PushProcE — Deadline (Never for none)
+// ends the wait with WaitTimeout, Engine.CancelWaits with WaitAborted.
+// A Deadline at or before the current cycle times out at once, without
+// parking. The zero Wait ends the loop.
+type Wait struct {
+	Cycles      int64
+	Data, Space waitable
+	Deadline    int64
+}
+
+// waitable is a FIFO a step can wait on: any *Fifo[T].
+type waitable interface{ core() *fifoCore }
+
+func (c *fifoCore) core() *fifoCore { return c }
+
+// Run hands the engine a loop to run in the proc's own slot: the engine
+// calls step on every cycle the proc is due, in registration order under
+// every scheduler, and switches back into the body only when a step
+// returns the zero Wait — Run then returns in that same cycle and slot.
+// The first call is made inline, so a loop that ends without consuming a
+// cycle costs no switch at all. A step makes exactly the FIFO operations
+// and waits the equivalent body code would, so the cycle-level behaviour
+// — II = 1 included — is the body's; only the coroutine resumptions
+// between them are saved.
+//
+// A step must not call a cycle-consuming method (Tick, Sleep, the Fifo
+// *Proc methods, Run): that panics naming the proc. A step's panic
+// unwinds the body from Run, as if the body had raised it.
+func (p *Proc) Run(step Step) {
+	p.consuming()
+	p.loop = step
+	defer p.endLoop()
+	p.stepping = true
+	if !p.drive(WaitOK) {
+		return
+	}
+	p.stepping = false
+	p.pause()
+	if sp, ok := p.loop.(stepPanic); ok {
+		panic(sp.v)
+	}
+}
+
+// stepPanic is a panic a step raised on the engine's side.
+type stepPanic struct{ v any }
+
+func (stepPanic) Step(*Proc, WaitResult) Wait { return Wait{} }
+
+// endLoop clears the loop state when Run returns or unwinds.
+func (p *Proc) endLoop() {
+	p.loop = nil
+	p.stepping = false
+}
+
+// drive calls the loop's step until it parks the proc (true) or ends
+// the loop (false); res is how the proc's last wait ended.
+func (p *Proc) drive(res WaitResult) bool {
+	for {
+		w := p.loop.Step(p, res)
+		f, space := w.Data, false
+		if w.Space != nil {
+			f, space = w.Space, true
+		}
+		switch {
+		case w.Cycles > 0:
+			p.sleep(w.Cycles)
+			return true
+		case f == nil:
+			return false
+		case w.Deadline <= p.eng.now:
+			res = WaitTimeout
+			continue
+		}
+		p.blockCancel(f.core(), space, w.Deadline)
+		return true
+	}
+}
+
+// resumeLoop drives a due proc's loop from the engine. It reports
+// whether the proc parked again; if not, the loop ended (or a step
+// panicked) and the body resumes in this slot.
+func (p *Proc) resumeLoop() (parked bool) {
+	res := p.endWait()
+	p.stepping = true
+	defer func() {
+		p.stepping = false
+		if r := recover(); r != nil {
+			p.loop = stepPanic{r}
+			parked = false
+		}
+	}()
+	return p.drive(res)
 }
 
 // cancelWait removes a blocked proc from its FIFO waiter list and stamps

@@ -11,12 +11,13 @@ import "math/bits"
 //     index-ordered bitsets (tickSet): kernels have a hot set (tick every
 //     executed cycle), a due set (tick this cycle) and a next set (tick
 //     the cycle after); procs have the same due/next pair. A wake for
-//     this cycle or the next is one bit. Kernel wakes further out
-//     (link-latency arrivals, poll-pointer and IdleUntil horizons) land in
-//     a bitset timing wheel of wheelSpan cycles; kernel wakes beyond it
-//     (retransmit timers) and far proc wakes (Sleep(n>=2), wait deadlines)
-//     go through a binary heap per component kind. FIFO commits are
-//     driven by a dirty list.
+//     this cycle or the next is one bit. Wakes further out — a kernel's
+//     link-latency arrivals, poll-pointer and IdleUntil horizons, a
+//     proc's Sleep(n>=2) and wait deadlines — land in a bitset timing
+//     wheel of wheelSpan cycles, one per component kind; wakes beyond it
+//     (retransmit timers, launch overheads, channel deadlines) go through
+//     a binary heap per component kind. FIFO commits are driven by a
+//     dirty list.
 //
 // Determinism contract (see DESIGN.md): whenever several components are
 // due on the same cycle, they run in registration-index order, which is
@@ -97,7 +98,7 @@ type SchedStats struct {
 	Cycles         int64  `json:"cycles"`          // final simulated cycle count
 	CyclesExecuted int64  `json:"cycles_executed"` // cycles the engine actually iterated
 	CyclesSkipped  int64  `json:"cycles_skipped"`  // cycles fast-forwarded over
-	ProcSteps      int64  `json:"proc_steps"`      // proc resumptions
+	ProcSteps      int64  `json:"proc_steps"`      // coroutine resumptions (Proc.Run steps excluded)
 	KernelTicks    int64  `json:"kernel_ticks"`    // Kernel.Tick invocations
 	FifoCommits    int64  `json:"fifo_commits"`    // commit calls that published writes
 	// Shards is the number of worker slots a shard-adaptive run used (0
@@ -237,18 +238,20 @@ func (s tickSet) drainInto(dst tickSet) {
 	}
 }
 
-// wheelSpan is the kernel timing wheel's span in cycles, a power of two.
-// It covers a link's one-way latency (link.DefaultLatency, 110 cycles:
-// wire arrivals and credit returns) plus a full poll round of a CK with up
-// to 18 inputs; a kernel wake further out goes to the heap.
+// wheelSpan is the timing wheels' span in cycles, a power of two. It
+// covers a link's one-way latency (link.DefaultLatency, 110 cycles: wire
+// arrivals and credit returns) plus a full poll round of a CK with up to
+// 18 inputs, and a proc's per-packet and per-row sleeps; a wake further
+// out goes to the heap.
 const wheelSpan = 128
 
-// timingWheel holds the kernel wakes due 2 to wheelSpan-1 cycles after
-// the cycle that scheduled them: row r is the tickSet of the kernels due
-// at the one cycle of [now, now+wheelSpan) congruent to r. A kernel has
-// at most one live far wake (Engine.kernWhen) and its tick clears that
-// wake's bit, so a row never holds a stale entry; occ marks the rows that
-// may be non-empty.
+// timingWheel holds the wakes due 2 to wheelSpan-1 cycles after the
+// cycle that scheduled them, one wheel per component kind: row r is the
+// tickSet of the components due at the one cycle of [now, now+wheelSpan)
+// congruent to r. A component has at most one live far wake
+// (Engine.kernWhen, Proc.schedAt) and superseding it clears its bit, so
+// a row never holds a stale entry; occ marks the rows that may be
+// non-empty.
 type timingWheel struct {
 	rows []uint64 // wheelSpan rows of kw words, allocated once per engine
 	kw   int
@@ -270,6 +273,13 @@ func (t *timingWheel) remove(at int64, j int32) {
 	t.row(at)[j>>6] &^= 1 << (uint(j) & 63)
 }
 
+// holds reports whether the row of cycle `at` may hold wakes; it inlines,
+// so the engine skips an empty row without a call.
+func (t *timingWheel) holds(at int64) bool {
+	r := uint(at) & (wheelSpan - 1)
+	return t.occ[r>>6]&(1<<(r&63)) != 0
+}
+
 // drainInto moves the wakes for cycle `at` into due.
 func (t *timingWheel) drainInto(at int64, due tickSet) {
 	r := at & (wheelSpan - 1)
@@ -282,6 +292,9 @@ func (t *timingWheel) drainInto(at int64, due tickSet) {
 
 // next returns the earliest cycle after now with a wake, or Never.
 func (t *timingWheel) next(now int64) int64 {
+	if t.occ == [wheelSpan / 64]uint64{} {
+		return Never
+	}
 	for d := int64(1); d < wheelSpan; {
 		r := (now + d) & (wheelSpan - 1)
 		word := t.occ[r>>6] >> (r & 63)
@@ -420,13 +433,17 @@ func (e *Engine) advance(to int64) {
 }
 
 // scheduleProc records a proc wake for the event scheduler: a bit in the
-// due or next set (split as in wakeKernelAt), or a far-queue entry.
-// A proc has at most one live far entry — the one matching p.schedAt —
-// because re-scheduling (a FIFO wake beating an armed deadline) strands
-// the older entry, which maturation and fast-forward discard as stale.
+// due or next set (split as in wakeKernelAt), a wheel bit, or beyond the
+// wheel's span a heap entry. A proc has at most one live far wake — the
+// one matching p.schedAt: re-scheduling (a FIFO wake beating an armed
+// deadline) clears the older wake's wheel bit, or strands its heap entry,
+// which maturation and fast-forward discard as stale.
 func (e *Engine) scheduleProc(p *Proc, at int64) {
 	if e.sched == SchedDense {
 		return
+	}
+	if old := p.schedAt; old >= e.now {
+		e.pWheel.remove(old, p.idx) // a no-op unless old is a wheel wake
 	}
 	p.schedAt = at
 	e.expectWake(at)
@@ -435,6 +452,8 @@ func (e *Engine) scheduleProc(p *Proc, at int64) {
 		e.pDue.set(p.idx)
 	case at == e.now+1:
 		e.pNext.set(p.idx)
+	case at-e.now < wheelSpan:
+		e.pWheel.add(at, p.idx)
 	default:
 		e.pq.push(at, p.idx)
 	}
@@ -497,23 +516,28 @@ func (e *Engine) ensureEventInit() {
 	e.kHot, e.kDue, e.kNext = make(tickSet, kw), make(tickSet, kw), make(tickSet, kw)
 	e.kWheel = timingWheel{rows: make([]uint64, wheelSpan*kw), kw: kw}
 	e.pDue, e.pNext = make(tickSet, pw), make(tickSet, pw)
+	e.pWheel = timingWheel{rows: make([]uint64, wheelSpan*pw), kw: pw}
 	// All procs start runnable at cycle 0 and every kernel starts hot.
 	e.pDue.fill(len(e.procs))
 	e.kHot.fill(len(e.kernels))
 }
 
-// nextProcEvent returns the earliest live far proc wake, discarding
-// stale entries along the way.
+// nextProcEvent returns the earliest live far proc wake (Never if none),
+// discarding stale heap entries along the way.
 func (e *Engine) nextProcEvent() int64 {
+	next := e.pWheel.next(e.now)
 	for e.pq.len() > 0 {
 		top := e.pq.top()
 		if e.procs[top.idx].schedAt != top.at {
 			e.pq.pop() // stale: superseded by a later (re)schedule
 			continue
 		}
-		return top.at
+		if top.at < next {
+			next = top.at
+		}
+		break
 	}
-	return Never
+	return next
 }
 
 // runEvent is the activity-set scheduler loop. It must produce exactly
@@ -546,6 +570,9 @@ func (e *Engine) runEvent() error {
 		// or cancel superseded it. A due proc that is still blocked is an
 		// armed deadline firing: the wait is cancelled with WaitTimeout.
 		e.phase = phaseProcs
+		if e.pWheel.holds(e.now) {
+			e.pWheel.drainInto(e.now, e.pDue)
+		}
 		for e.pq.len() > 0 && e.pq.top().at <= e.now {
 			if ent := e.pq.pop(); e.procs[ent.idx].schedAt == ent.at {
 				e.pDue.set(ent.idx)
@@ -583,7 +610,9 @@ func (e *Engine) runEvent() error {
 				e.kernWasBuf[i] = false
 			}
 		}
-		e.kWheel.drainInto(e.now, e.kDue)
+		if e.kWheel.holds(e.now) {
+			e.kWheel.drainInto(e.now, e.kDue)
+		}
 		for e.kq.len() > 0 && e.kq.top().at <= e.now {
 			if ent := e.kq.pop(); e.kernWhen[ent.idx] == ent.at {
 				e.kDue.set(ent.idx)
