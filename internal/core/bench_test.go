@@ -1,6 +1,11 @@
 package smi
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/routing"
+	"repro/internal/topology"
+)
 
 // BenchmarkChannelPushPop is one element end to end at steady state:
 // SendChannel.Push -> CKS -> link -> CKR -> RecvChannel.Pop on a 2-rank
@@ -33,5 +38,84 @@ func BenchmarkChannelPushPop(b *testing.B) {
 	b.ResetTimer()
 	if _, err := c.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// newClusterCase is one build BenchmarkNewCluster and
+// TestNewClusterAllocBudget measure.
+type newClusterCase struct {
+	name      string
+	cfg       Config
+	maxAllocs float64 // TestNewClusterAllocBudget's ceiling
+}
+
+// newClusterCases are the measured builds, with the routes precomputed
+// as a warm route cache would supply them: the median job of the
+// svc-mix service benchmark (a two-port pingpong on an 8-rank bus) and a
+// 512-element Bcast on the 64-rank torus. The ceilings are about twice
+// what the builds cost when they were set (218 and 2 548 allocations).
+func newClusterCases(tb testing.TB) []newClusterCase {
+	tb.Helper()
+	bus, err := topology.Bus(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	torus, err := topology.Torus2D(8, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	withRoutes := func(cfg Config) Config {
+		r, err := routing.Compute(cfg.Topology, cfg.RoutingPolicy)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cfg.Routes = r
+		return cfg
+	}
+	return []newClusterCase{
+		{"pingpong-bus8", withRoutes(Config{Topology: bus, Program: ProgramSpec{Ports: []PortSpec{
+			{Port: 0, Type: Int}, {Port: 1, Type: Int},
+		}}}), 450},
+		{"bcast-torus64", withRoutes(Config{Topology: torus, RoutingPolicy: routing.UpDown, Program: ProgramSpec{Ports: []PortSpec{
+			{Port: 0, Kind: Bcast, Type: Float, BufferElems: 512},
+		}}}), 5000},
+	}
+}
+
+// builtCluster keeps BenchmarkNewCluster's result live.
+var builtCluster *Cluster
+
+// BenchmarkNewCluster is the cost of building a cluster, routes given:
+// the fixed per-job cost a service pays before the first cycle runs.
+func BenchmarkNewCluster(b *testing.B) {
+	for _, tc := range newClusterCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := NewCluster(tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				builtCluster = c
+			}
+		})
+	}
+}
+
+// TestNewClusterAllocBudget holds the builds of BenchmarkNewCluster to
+// their committed allocation ceilings: one FIFO slab, one kernel slab and
+// one input array per rank, rings allocated on first push and names
+// formatted on demand. Formatting a name per FIFO, or allocating per FIFO
+// again, breaks it at once.
+func TestNewClusterAllocBudget(t *testing.T) {
+	for _, tc := range newClusterCases(t) {
+		n := testing.AllocsPerRun(5, func() {
+			if _, err := NewCluster(tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.maxAllocs {
+			t.Errorf("%s: %v allocations per build, ceiling %v", tc.name, n, tc.maxAllocs)
+		}
 	}
 }

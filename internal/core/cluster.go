@@ -3,6 +3,8 @@ package smi
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/fpga"
@@ -28,9 +30,11 @@ type Config struct {
 	// Routes, if non-nil, supplies precomputed routing tables instead of
 	// running the route generator — the warm-cache hook the smid service
 	// uses to reuse one verified table across identical-topology jobs.
-	// The tables must match the topology's device and interface counts
-	// and the configured RoutingPolicy; the cluster clones them, so the
-	// caller's copy is never mutated by failover re-routing.
+	// The tables must match the topology's device and interface counts,
+	// its wiring when they know it (tables from routing.Compute or
+	// routing.ReadJSON do), and the configured RoutingPolicy. A reliable
+	// cluster clones them, so failover re-routing never mutates the
+	// caller's copy; any other cluster only reads them.
 	Routes *routing.Routes
 	// Transport tunes the transport layer: the CK arbiter
 	// (Transport.Arbiter, parse with transport.ParseArbiter), the
@@ -123,8 +127,18 @@ type Cluster struct {
 type rankState struct {
 	rank     int
 	dev      *transport.Device
-	eps      map[int]*endpoint
-	supports []*supportKernel
+	eps      []endpoint      // one per declared port, in program order
+	supports []supportKernel // one per collective port, in program order
+}
+
+// endpoint returns the rank's endpoint of the given port.
+func (rs *rankState) endpoint(port int) (*endpoint, bool) {
+	for i := range rs.eps {
+		if rs.eps[i].spec.Port == port {
+			return &rs.eps[i], true
+		}
+	}
+	return nil, false
 }
 
 // endpoint is the application-facing side of one port at one rank.
@@ -220,9 +234,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("smi: precomputed routes use policy %v, config asks for %v",
 				cfg.Routes.Policy, cfg.RoutingPolicy)
 		}
-		// Failover overwrites the tables in place; never mutate the
-		// caller's (possibly cached and shared) copy.
-		routes = cfg.Routes.Clone()
+		if rt := cfg.Routes.Topology(); rt != nil && !slices.Equal(rt.Connections, cfg.Topology.Connections) {
+			return nil, fmt.Errorf("smi: precomputed routes are for topology %s, config has %s",
+				describeTopology(rt), describeTopology(cfg.Topology))
+		}
+		routes = cfg.Routes
+		if reliable {
+			// Failover overwrites the tables in place; never mutate the
+			// caller's (possibly cached and shared) copy. Only a reliable
+			// cluster has a fault manager to write them.
+			routes = routes.Clone()
+		}
 	} else {
 		var err error
 		routes, err = routing.Compute(cfg.Topology, cfg.RoutingPolicy)
@@ -263,66 +285,87 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	engFor := c.engFor
 
+	// The endpoint FIFOs of a rank, in registration order: send and recv
+	// for a point-to-point port; app2sup, sup2app, sup.send and sup.recv
+	// for a collective one. Only the rank differs between ranks.
 	ifaces := cfg.Topology.Ifaces
-	for r := 0; r < cfg.Topology.Devices; r++ {
+	specs := make([]PortSpec, len(cfg.Program.Ports))
+	var epFifos []endpointFifo
+	nSupports := 0
+	for i := range specs {
+		spec := cfg.Program.Ports[i] // copy
+		spec.fill(i, ifaces)
+		specs[i] = spec
+		epp := spec.Type.ElemsPerPacket()
+		depth := (spec.BufferElems + epp - 1) / epp
+		if depth < 2 {
+			depth = 2
+		}
+		if spec.Kind == P2P {
+			epFifos = append(epFifos, endpointFifo{spec.Port, "send", depth}, endpointFifo{spec.Port, "recv", depth})
+			continue
+		}
+		recvDepth := depth
+		if spec.Kind == Reduce {
+			// The root must always be able to flush a full credit tile to
+			// its application FIFO, or flow control jams.
+			tilePkts := spec.CreditElems / epp
+			if recvDepth < tilePkts+2 {
+				recvDepth = tilePkts + 2
+			}
+		}
+		epFifos = append(epFifos, endpointFifo{spec.Port, "app2sup", depth}, endpointFifo{spec.Port, "sup2app", recvDepth},
+			endpointFifo{spec.Port, "sup.send", depth}, endpointFifo{spec.Port, "sup.recv", depth})
+		nSupports++
+	}
+
+	states := make([]rankState, cfg.Topology.Devices)
+	c.ranks = make([]*rankState, len(states))
+	bindings := make([]transport.PortBinding, 0, len(specs))
+	for r := range states {
 		eng := engFor(r) // every per-rank component lives on the rank's engine
-		rs := &rankState{rank: r, eps: make(map[int]*endpoint)}
-		var bindings []transport.PortBinding
-		for i := range cfg.Program.Ports {
-			spec := cfg.Program.Ports[i] // copy
-			spec.fill(i, ifaces)
-			epp := spec.Type.ElemsPerPacket()
-			depth := (spec.BufferElems + epp - 1) / epp
-			if depth < 2 {
-				depth = 2
-			}
-			name := func(side string) string {
-				return fmt.Sprintf("r%d.p%d.%s", r, spec.Port, side)
-			}
-			ep := &endpoint{spec: spec}
+		rs := &states[r]
+		rs.rank = r
+		rs.eps = make([]endpoint, len(specs))
+		rs.supports = make([]supportKernel, 0, nSupports)
+		fifos := sim.NewFifos[packet.Packet](eng, len(epFifos),
+			func(i int) int { return epFifos[i].depth },
+			func(i int) string { return fmt.Sprintf("r%d.p%d.%s", r, epFifos[i].port, epFifos[i].side) })
+		bindings = bindings[:0]
+		for i, spec := range specs {
+			ep := &rs.eps[i]
+			ep.spec = spec
+			ep.appSend, ep.appRecv = &fifos[0], &fifos[1]
 			if spec.Kind == P2P {
-				ep.appSend = sim.NewFifo[packet.Packet](eng, name("send"), depth)
-				ep.appRecv = sim.NewFifo[packet.Packet](eng, name("recv"), depth)
+				fifos = fifos[2:]
 				bindings = append(bindings, transport.PortBinding{
 					Port: spec.Port, Iface: spec.Iface, Send: ep.appSend, Recv: ep.appRecv,
 				})
-			} else {
-				// Collective port: the support kernel sits between the
-				// application FIFOs and the transport layer.
-				recvDepth := depth
-				if spec.Kind == Reduce {
-					// The root must always be able to flush a full credit
-					// tile to its application FIFO, or flow control jams.
-					tilePkts := spec.CreditElems / epp
-					if recvDepth < tilePkts+2 {
-						recvDepth = tilePkts + 2
-					}
-				}
-				ep.appSend = sim.NewFifo[packet.Packet](eng, name("app2sup"), depth)
-				ep.appRecv = sim.NewFifo[packet.Packet](eng, name("sup2app"), recvDepth)
-				supSend := sim.NewFifo[packet.Packet](eng, name("sup.send"), depth)
-				supRecv := sim.NewFifo[packet.Packet](eng, name("sup.recv"), depth)
-				sup := newSupportKernel(fmt.Sprintf("r%d.p%d.%s", r, spec.Port, spec.Kind),
-					r, cfg.Topology.Devices, spec, ep.appSend, ep.appRecv, supSend, supRecv)
-				sup.id = eng.AddKernel(sup)
-				// Commits on the inbound FIFOs and pops on a full outbound
-				// one (see supportKernel.Tick) are the only events that can
-				// unpark the kernel.
-				ep.appSend.WakesKernel(sup.id)
-				supRecv.WakesKernel(sup.id)
-				rs.supports = append(rs.supports, sup)
-				bindings = append(bindings, transport.PortBinding{
-					Port: spec.Port, Iface: spec.Iface, Send: supSend, Recv: supRecv,
-				})
+				continue
 			}
-			rs.eps[spec.Port] = ep
+			// Collective port: the support kernel sits between the
+			// application FIFOs and the transport layer.
+			supSend, supRecv := &fifos[2], &fifos[3]
+			fifos = fifos[4:]
+			rs.supports = append(rs.supports, supportKernel{})
+			sup := &rs.supports[len(rs.supports)-1]
+			sup.init(r, cfg.Topology.Devices, spec, ep.appSend, ep.appRecv, supSend, supRecv)
+			sup.id = eng.AddKernel(sup)
+			// Commits on the inbound FIFOs and pops on a full outbound
+			// one (see supportKernel.Tick) are the only events that can
+			// unpark the kernel.
+			ep.appSend.WakesKernel(sup.id)
+			supRecv.WakesKernel(sup.id)
+			bindings = append(bindings, transport.PortBinding{
+				Port: spec.Port, Iface: spec.Iface, Send: supSend, Recv: supRecv,
+			})
 		}
 		dev, err := transport.New(eng, r, ifaces, routes, bindings, cfg.Transport)
 		if err != nil {
 			return nil, err
 		}
 		rs.dev = dev
-		c.ranks = append(c.ranks, rs)
+		c.ranks[r] = rs
 	}
 
 	if reliable {
@@ -333,8 +376,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// silently does nothing — a misspelled link is a spec bug.
 		names := make(map[string]bool, 2*len(cfg.Topology.Connections))
 		for _, conn := range cfg.Topology.Connections {
-			names[fmt.Sprintf("%s->%s", conn.A, conn.B)] = true
-			names[fmt.Sprintf("%s->%s", conn.B, conn.A)] = true
+			names[linkName(conn.A, conn.B)] = true
+			names[linkName(conn.B, conn.A)] = true
 		}
 		for _, ev := range cfg.Faults.Events {
 			if ev.Link == "" { // wildcard: applies to every link
@@ -347,8 +390,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	for _, conn := range cfg.Topology.Connections {
 		a, b := conn.A, conn.B
-		nameAB := fmt.Sprintf("%s->%s", a, b)
-		nameBA := fmt.Sprintf("%s->%s", b, a)
+		nameAB, nameBA := linkName(a, b), linkName(b, a)
 		outA, inA := c.ranks[a.Device].dev.NetOut(a.Iface), c.ranks[a.Device].dev.NetIn(a.Iface)
 		outB, inB := c.ranks[b.Device].dev.NetOut(b.Iface), c.ranks[b.Device].dev.NetIn(b.Iface)
 		if reliable {
@@ -389,6 +431,33 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// describeTopology names a topology in an error message.
+func describeTopology(t *topology.Topology) string {
+	return fmt.Sprintf("%q (%d devices, %d cables)", t.Name, t.Devices, len(t.Connections))
+}
+
+// endpointFifo describes one endpoint FIFO of a rank (see NewCluster).
+type endpointFifo struct {
+	port  int
+	side  string
+	depth int
+}
+
+// linkName formats the name of the link from a to b,
+// "dev:iface->dev:iface" (the form fault specs name links by), with one
+// allocation: link.New takes its name formatted.
+func linkName(a, b topology.Endpoint) string {
+	var buf [32]byte
+	n := strconv.AppendInt(buf[:0], int64(a.Device), 10)
+	n = append(n, ':')
+	n = strconv.AppendInt(n, int64(a.Iface), 10)
+	n = append(n, "->"...)
+	n = strconv.AppendInt(n, int64(b.Device), 10)
+	n = append(n, ':')
+	n = strconv.AppendInt(n, int64(b.Iface), 10)
+	return string(n)
 }
 
 // engFor maps a rank to its engine: its own under the parallel
@@ -635,11 +704,12 @@ func (c *Cluster) Run() (Stats, error) {
 		return st, err
 	}
 	for _, rs := range c.ranks {
-		for _, sup := range rs.supports {
+		for i := range rs.supports {
+			sup := &rs.supports[i]
 			// A contribution still set aside at the end had no round to
 			// join: it is a violation too.
 			if bad := sup.bad + uint64(len(sup.early)); bad > 0 {
-				return st, fmt.Errorf("smi: support kernel %s saw %d protocol violations", sup.name, bad)
+				return st, fmt.Errorf("smi: support kernel %s saw %d protocol violations", sup.Name(), bad)
 			}
 		}
 	}

@@ -247,7 +247,7 @@ type ReduceChannel struct {
 // with the declared reduction operation of the port. op must match the
 // port's declared operation (the combinational logic is fixed hardware).
 func (x *Ctx) OpenReduceChannel(count int, dt Datatype, op Op, port, root int, comm Comm, opts ...ChannelOption) (*ReduceChannel, error) {
-	ep, ok := x.c.ranks[x.rank].eps[port]
+	ep, ok := x.c.ranks[x.rank].endpoint(port)
 	if ok && ep.spec.Kind == Reduce && ep.spec.ReduceOp != op {
 		return nil, fmt.Errorf("smi: port %d implements %v, not %v", port, ep.spec.ReduceOp, op)
 	}

@@ -123,7 +123,7 @@ func (x *Ctx) endpointFor(port int, kind PortKind, dt Datatype, count int, comm 
 	if !comm.Contains(x.rank) {
 		return nil, fmt.Errorf("smi: rank %d is not a member of %v", x.rank, comm)
 	}
-	ep, ok := x.c.ranks[x.rank].eps[port]
+	ep, ok := x.c.ranks[x.rank].endpoint(port)
 	if !ok {
 		return nil, fmt.Errorf("smi: rank %d: port %d not declared in the program spec", x.rank, port)
 	}

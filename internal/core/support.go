@@ -36,7 +36,6 @@ import (
 // opening the channel, then returns to idle when the collective
 // completes, ready for the next round.
 type supportKernel struct {
-	name string
 	id   sim.KernelID
 	rank int
 	spec PortSpec
@@ -101,15 +100,17 @@ const (
 	supGatherSend           // gather non-root: await the grant, then stream
 )
 
-func newSupportKernel(name string, rank, ranks int, spec PortSpec, appIn, appOut, netOut, netIn *sim.Fifo[packet.Packet]) *supportKernel {
-	return &supportKernel{
-		name: name, rank: rank, spec: spec, epp: spec.Type.ElemsPerPacket(),
+func (s *supportKernel) init(rank, ranks int, spec PortSpec, appIn, appOut, netOut, netIn *sim.Fifo[packet.Packet]) {
+	*s = supportKernel{
+		rank: rank, spec: spec, epp: spec.Type.ElemsPerPacket(),
 		appIn: appIn, appOut: appOut, netOut: netOut, netIn: netIn,
 		syncCount: make([]int, ranks),
 	}
 }
 
-func (s *supportKernel) Name() string { return s.name }
+func (s *supportKernel) Name() string {
+	return fmt.Sprintf("r%d.p%d.%s", s.rank, s.spec.Port, s.spec.Kind)
+}
 
 // absorb counts a protocol packet (SYNC, CREDIT) into its counter.
 func (s *supportKernel) absorb(p packet.Packet) {
@@ -216,7 +217,7 @@ func (s *supportKernel) tickState() bool {
 	case supGatherSend:
 		return s.tickGatherSend()
 	default:
-		panic(fmt.Sprintf("smi: support kernel %s in invalid state %d", s.name, s.state))
+		panic(fmt.Sprintf("smi: support kernel %s in invalid state %d", s.Name(), s.state))
 	}
 }
 

@@ -255,6 +255,10 @@ func (r *Routes) computeUpDown() {
 // At returns the exit interface at device dev for destination dst.
 func (r *Routes) At(dev, dst int) int { return r.Next[dev][dst] }
 
+// Topology returns the topology the tables were computed for, or nil if
+// they do not know it (tables decoded without ReadJSON).
+func (r *Routes) Topology() *topology.Topology { return r.topo }
+
 // Key returns a canonical identifier of the routing problem: the exact
 // wiring of the topology plus the policy. Two topologies with identical
 // device/interface counts and identical connection lists (in order)

@@ -582,7 +582,7 @@ func (e *Engine) blockedProcs() []string {
 			if p.waitSpace {
 				what = "space"
 			}
-			blocked = append(blocked, fmt.Sprintf("%s waiting on %s in fifo %s", p.name, what, p.waitFifo.name))
+			blocked = append(blocked, fmt.Sprintf("%s waiting on %s in fifo %s", p.name, what, p.waitFifo.label()))
 		}
 	}
 	return blocked

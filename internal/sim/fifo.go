@@ -1,10 +1,15 @@
 package sim
 
+import "slices"
+
 // fifoCore holds the type-independent bookkeeping of a FIFO: occupancy,
 // capacity, and the procs and kernels blocked on it.
 type fifoCore struct {
-	name      string
-	eng       *Engine
+	eng *Engine
+	// name formats the name of FIFO nameIdx of its slab (see NewFifos);
+	// the string exists only while someone reads it.
+	name      func(i int) string
+	nameIdx   int32
 	index     int32    // registration index in the engine's FIFO list
 	spaceKern KernelID // writer kernel to wake on the next pop (see WakeOnSpace), or noKernel
 	capacity  int
@@ -14,7 +19,8 @@ type fifoCore struct {
 
 	spaceWaiters []*Proc
 	dataWaiters  []*Proc
-	kernWaiters  []KernelID // parked kernels to wake on pops and commits
+	kernWaiters  []KernelID  // parked kernels to wake on pops and commits
+	kernSlots    [2]KernelID // kernWaiters' storage up to two kernels
 
 	dirty   bool // on the engine's dirty list this cycle
 	stalled bool // inside a blocked-push window (stall accounting)
@@ -78,26 +84,40 @@ func (c *fifoCore) slot(k int) int {
 // A Fifo supports one logical reader and one logical writer, matching
 // the single-reader/single-writer restriction of Intel OpenCL channels
 // that the paper's reference implementation works within.
+//
+// Its ring is allocated by the first push: a FIFO nobody writes costs
+// its struct alone, while Cap still reports the full depth.
 type Fifo[T any] struct {
 	fifoCore
-	buf []T // ring: size committed elements from head, then pendingIn registered writes
+	buf []T // ring: size committed elements from head, then pendingIn registered writes; nil until the first push
+}
+
+// NewFifos creates n FIFOs in one allocation and registers them with the
+// engine, in index order, for end-of-cycle commits. FIFO i holds
+// capacity(i) elements (minimum 1); capacity is called only here. name(i)
+// formats FIFO i's name each time Name is called, so a builder of many
+// FIFOs formats no string a run never shows.
+func NewFifos[T any](e *Engine, n int, capacity func(i int) int, name func(i int) string) []Fifo[T] {
+	if e.started {
+		panic("sim: NewFifos after Run")
+	}
+	slab := make([]Fifo[T], n)
+	e.fifos = slices.Grow(e.fifos, n)
+	for i := range slab {
+		f := &slab[i]
+		f.eng, f.name, f.nameIdx = e, name, int32(i)
+		f.index, f.spaceKern = int32(len(e.fifos)), noKernel
+		f.capacity = max(capacity(i), 1)
+		e.fifos = append(e.fifos, &f.fifoCore)
+	}
+	return slab
 }
 
 // NewFifo creates a FIFO of the given capacity (minimum 1) and registers
-// it with the engine for end-of-cycle commits.
+// it with the engine for end-of-cycle commits: the one-FIFO case of
+// NewFifos.
 func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
-	if e.started {
-		panic("sim: NewFifo after Run")
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	f := &Fifo[T]{
-		fifoCore: fifoCore{name: name, eng: e, index: int32(len(e.fifos)), spaceKern: noKernel, capacity: capacity},
-		buf:      make([]T, capacity),
-	}
-	e.fifos = append(e.fifos, &f.fifoCore)
-	return f
+	return &NewFifos[T](e, 1, func(int) int { return capacity }, func(int) string { return name })[0]
 }
 
 // WakesKernel attaches a kernel as a wake target of this FIFO: commits
@@ -106,6 +126,9 @@ func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
 // fill level, if it may park while waiting for data. A writer does not
 // attach: its own pushes would wake it for nothing (see WakeOnSpace).
 func (f *Fifo[T]) WakesKernel(id KernelID) {
+	if f.kernWaiters == nil {
+		f.kernWaiters = f.kernSlots[:0]
+	}
 	f.kernWaiters = append(f.kernWaiters, id)
 }
 
@@ -122,7 +145,9 @@ func (f *Fifo[T]) WakeOnSpace(id KernelID) { f.spaceKern = id }
 func (f *Fifo[T]) Stalls() uint64 { return f.stallHint }
 
 // Name returns the FIFO's registered name.
-func (f *Fifo[T]) Name() string { return f.fifoCore.name }
+func (f *Fifo[T]) Name() string { return f.fifoCore.label() }
+
+func (c *fifoCore) label() string { return c.name(int(c.nameIdx)) }
 
 // Cap returns the FIFO's capacity.
 func (f *Fifo[T]) Cap() int { return f.capacity }
@@ -156,6 +181,9 @@ func (f *Fifo[T]) TryPush(v T) bool {
 		return false
 	}
 	f.stalled = false
+	if f.buf == nil {
+		f.buf = make([]T, f.capacity)
+	}
 	f.buf[f.slot(f.size+f.pendingIn)] = v
 	f.pendingIn++
 	f.pushes++
@@ -302,6 +330,9 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 		return false
 	}
 	f.stalled = false
+	if f.buf == nil {
+		f.buf = make([]T, f.capacity)
+	}
 	f.buf[f.slot(f.size)] = v
 	f.size++
 	f.pushes++

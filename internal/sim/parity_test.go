@@ -122,13 +122,25 @@ func (k *relay) IdleUntil(now int64) int64 {
 	return Never
 }
 
-func newSynth(seed uint64, sched SchedulerKind) *synth {
+// newSynth builds the system; with slab, its relay inputs and its sinks
+// come from one NewFifos call each instead of one NewFifo per FIFO.
+func newSynth(seed uint64, sched SchedulerKind, slab bool) *synth {
 	e := NewEngine()
 	e.SetScheduler(sched)
 	e.SetMaxCycles(1_000_000)
 	s := &synth{e: e, seed: seed, plog: make([][]string, synthProcs)}
+	var ins, sinks []Fifo[synthVal]
+	if slab {
+		ins = NewFifos[synthVal](e, synthKernels, func(i int) int { return 1 + i%3 }, func(i int) string { return fmt.Sprintf("in%d", i) })
+		sinks = NewFifos[synthVal](e, synthProcs, func(int) int { return synthValues }, func(i int) string { return fmt.Sprintf("sink%d", i) })
+	}
 	for i := 0; i < synthKernels; i++ {
-		k := &relay{sys: s, i: i, in: NewFifo[synthVal](e, fmt.Sprintf("in%d", i), 1+i%3)}
+		k := &relay{sys: s, i: i}
+		if slab {
+			k.in = &ins[i]
+		} else {
+			k.in = NewFifo[synthVal](e, fmt.Sprintf("in%d", i), 1+i%3)
+		}
 		s.relays = append(s.relays, k)
 		s.ids = append(s.ids, e.AddKernel(k))
 	}
@@ -142,7 +154,12 @@ func newSynth(seed uint64, sched SchedulerKind) *synth {
 	}
 	for pi := 0; pi < synthProcs; pi++ {
 		pi := pi
-		sink := NewFifo[synthVal](e, fmt.Sprintf("sink%d", pi), synthValues)
+		var sink *Fifo[synthVal]
+		if slab {
+			sink = &sinks[pi]
+		} else {
+			sink = NewFifo[synthVal](e, fmt.Sprintf("sink%d", pi), synthValues)
+		}
 		s.sinks = append(s.sinks, sink)
 		NewProc(e, fmt.Sprintf("p%d", pi), func(p *Proc) {
 			r := &rng{s: mix(seed, uint64(pi))}
@@ -222,8 +239,8 @@ func (s *synth) run(t *testing.T) (observations, SchedStats) {
 
 func TestEventDenseParityRandomized(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
-		dense, dst := newSynth(seed, SchedDense).run(t)
-		event, est := newSynth(seed, SchedEvent).run(t)
+		dense, dst := newSynth(seed, SchedDense, false).run(t)
+		event, est := newSynth(seed, SchedEvent, false).run(t)
 		if !reflect.DeepEqual(dense, event) {
 			t.Errorf("seed %d: event run diverges from the dense scan (cycles %d vs %d)", seed, event.Cycles, dense.Cycles)
 			for i := range dense.KernelLogs {

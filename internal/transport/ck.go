@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -11,12 +13,17 @@ import (
 // register until space frees (hardware stall), backpressuring the input
 // side.
 type ck struct {
-	name     string
+	// rank, q and recv name the kernel: CKR_q of the rank if recv, else
+	// CKS_q (see Name).
+	rank     int
+	q        int
+	recv     bool
 	inputs   []*sim.Fifo[packet.Packet]
-	inName   []string
 	r        int
 	skipIdle bool
-	route    func(packet.Packet) *sim.Fifo[packet.Packet]
+	// route selects the output of a packet popped by kernel q; the
+	// device's CKS kernels share one, its CKR kernels another.
+	route func(q int, p packet.Packet) *sim.Fifo[packet.Packet]
 	// frozen reports whether the kernel is held in reset by the host
 	// (failover reconfiguration); nil means never frozen.
 	frozen func() bool
@@ -50,21 +57,26 @@ type ck struct {
 	fragments uint64 // stream fragments cut through this kernel
 }
 
-func newCK(name string, inputs []*sim.Fifo[packet.Packet], inNames []string, nOut, r int, skipIdle bool, route func(packet.Packet) *sim.Fifo[packet.Packet]) *ck {
-	return &ck{name: name, inputs: inputs, inName: inNames, nOut: nOut, r: r, skipIdle: skipIdle, route: route, lastNow: -1}
+func (c *ck) init(rank, q int, recv bool, inputs []*sim.Fifo[packet.Packet], nOut, r int, skipIdle bool, route func(int, packet.Packet) *sim.Fifo[packet.Packet]) {
+	*c = ck{rank: rank, q: q, recv: recv, inputs: inputs, nOut: nOut, r: r, skipIdle: skipIdle, route: route, lastNow: -1}
 }
 
-func (c *ck) Name() string { return c.name }
+func (c *ck) Name() string {
+	kind := "cks"
+	if c.recv {
+		kind = "ckr"
+	}
+	return fmt.Sprintf("dev%d.%s%d", c.rank, kind, c.q)
+}
 
 // attach registers the kernel with the engine and has commits on its
 // inputs wake it. Its outputs wake it only while it is blocked on one
 // (see Tick).
-func (c *ck) attach(e *sim.Engine) sim.KernelID {
+func (c *ck) attach(e *sim.Engine) {
 	c.id = e.AddKernel(c)
 	for _, in := range c.inputs {
 		in.WakesKernel(c.id)
 	}
-	return c.id
 }
 
 // Tick performs one cycle of the polling state machine:
@@ -150,7 +162,7 @@ func (c *ck) tick(now int64) bool {
 			// R=1 the kernel "polls a different connection every cycle".
 			c.advance()
 		}
-		out := c.route(p)
+		out := c.route(c.q, p)
 		if out == nil {
 			// Undeliverable packet: dropped (counted by the device).
 			return true
@@ -262,7 +274,7 @@ func (c *ck) tickLocked(now int64) bool {
 		// Protocol violation: drop the lock and fall back to normal
 		// routing next cycle rather than misroute data.
 		c.lockLeft = 0
-		if out := c.route(p); out != nil {
+		if out := c.route(c.q, p); out != nil {
 			c.forward(p, out, now)
 		}
 		return true

@@ -30,20 +30,19 @@ func runCKPolling(t *testing.T, sched sim.SchedulerKind, arb Arbiter, r int) (ru
 	e.SetScheduler(sched)
 	e.SetMaxCycles(1_000_000)
 	var ins []*sim.Fifo[packet.Packet]
-	var names []string
 	for i := 0; i < inputs; i++ {
 		ins = append(ins, sim.NewFifo[packet.Packet](e, fmt.Sprintf("in%d", i), 2))
-		names = append(names, fmt.Sprintf("in%d", i))
 	}
 	outs := []*sim.Fifo[packet.Packet]{
 		sim.NewFifo[packet.Packet](e, "out0", 1),
 		sim.NewFifo[packet.Packet](e, "out1", 1),
 	}
-	route := func(p packet.Packet) *sim.Fifo[packet.Packet] {
+	route := func(_ int, p packet.Packet) *sim.Fifo[packet.Packet] {
 		run.Routed = append(run.Routed, fmt.Sprintf("%d %v", e.Now(), p))
 		return outs[p.Dst]
 	}
-	k := newCK("ck", ins, names, len(outs), r, arb == ArbiterSkipIdle, route)
+	k := &ck{}
+	k.init(0, 0, false, ins, len(outs), r, arb == ArbiterSkipIdle, route)
 	k.attach(e)
 
 	// Each producer's script is drawn up front so the consumers know how

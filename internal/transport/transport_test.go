@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/link"
@@ -326,5 +327,50 @@ func TestCircuitLockAtTransportLevel(t *testing.T) {
 	})
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every FIFO and kernel of a device keeps the name it had when each was
+// formatted eagerly: the FIFOs in registration order (network ports,
+// CKS/CKR pairs, crossbars), then CKS_q and CKR_q.
+func TestDeviceNames(t *testing.T) {
+	for _, ifaces := range []int{1, 2, 4} {
+		const rank = 3
+		d, err := New(sim.NewEngine(), rank, ifaces, nil, nil, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got []string
+		for q := 0; q < ifaces; q++ {
+			want = append(want, fmt.Sprintf("dev%d.netout%d", rank, q), fmt.Sprintf("dev%d.netin%d", rank, q))
+		}
+		for q := 0; q < ifaces; q++ {
+			want = append(want, fmt.Sprintf("dev%d.cks2ckr%d", rank, q), fmt.Sprintf("dev%d.ckr2cks%d", rank, q))
+		}
+		for a := 0; a < ifaces; a++ {
+			for b := 0; b < ifaces; b++ {
+				if a != b {
+					want = append(want, fmt.Sprintf("dev%d.cks%d-cks%d", rank, a, b), fmt.Sprintf("dev%d.ckr%d-ckr%d", rank, a, b))
+				}
+			}
+		}
+		for q := 0; q < ifaces; q++ {
+			want = append(want, fmt.Sprintf("dev%d.cks%d", rank, q))
+		}
+		for q := 0; q < ifaces; q++ {
+			want = append(want, fmt.Sprintf("dev%d.ckr%d", rank, q))
+		}
+		for i := range d.fifos {
+			got = append(got, d.fifos[i].Name())
+		}
+		for i := range d.cks {
+			got = append(got, d.cks[i].Name())
+		}
+		for i := range d.ckr {
+			got = append(got, d.ckr[i].Name())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d ifaces: names\n%q\nwant\n%q", ifaces, got, want)
+		}
 	}
 }
