@@ -70,8 +70,8 @@ func (x *Ctx) OpenSendChannel(count int, dt Datatype, destination, port int, com
 	}
 	dstGlobal := comm.Global(destination)
 	if ep.spec.Mode.halfDuplex() {
-		// The reverse direction of a credited port carries the credits;
-		// of a streaming port, the rendezvous handshake.
+		// The reverse direction of a credited or streaming port carries
+		// the receiver's grants.
 		if ep.inUseRecv {
 			return nil, fmt.Errorf("smi: rank %d port %d: credited and streaming ports are half-duplex", x.rank, port)
 		}
@@ -241,8 +241,8 @@ func (s *sendPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
 				if !ch.ep.appSend.CanPush() {
 					return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
 				}
-				ch.ep.appSend.TryPush(packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port),
-					packet.StreamCtl{Kind: packet.StreamReq, Elems: uint32(ch.count)}))
+				ch.ep.appSend.TryPush(packet.EncodeCtl(uint16(ch.x.rank), uint16(ch.dst), uint8(ch.port),
+					packet.Ctl{Kind: packet.CtlRequest, Elems: uint32(ch.count)}))
 				ch.rvSent = true
 				return sim.Wait{Cycles: 1}
 			}
@@ -251,7 +251,9 @@ func (s *sendPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
 				if !ok {
 					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
 				}
-				ch.checkGrant(grant)
+				if n := ch.grantRoom(grant); n != ch.count {
+					panic(fmt.Sprintf("smi: rank %d port %d: stream grant of %d elements for a %d-element message", ch.x.rank, ch.port, n, ch.count))
+				}
 				ch.rvDone = true
 				return sim.Wait{Cycles: 1}
 			}
@@ -276,11 +278,7 @@ func (s *sendPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
 				if !ok {
 					return sim.Wait{Data: ch.ep.appRecv, Deadline: s.deadline}
 				}
-				if grant.Op != packet.OpCredit || int(grant.Src) != ch.dst {
-					panic(fmt.Sprintf("smi: rank %d port %d: expected credit from %d, got %v",
-						ch.x.rank, ch.port, ch.dst, grant))
-				}
-				ch.credits += int(packet.DecodeCreditElems(grant))
+				ch.credits += ch.grantRoom(grant)
 				return sim.Wait{Cycles: 1}
 			}
 			if ch.raw && ch.fragLeft == 0 {
@@ -347,16 +345,19 @@ func (s *sendPath) fail(err error) sim.Wait {
 	return sim.Wait{}
 }
 
-// checkGrant validates the receiver's rendezvous grant.
-func (ch *SendChannel) checkGrant(grant packet.Packet) {
-	if grant.Op != packet.OpStreamCtl || int(grant.Src) != ch.dst {
-		panic(fmt.Sprintf("smi: rank %d port %d: expected stream grant from %d, got %v",
+// grantRoom validates a grant from the receiver — a credit top-up or
+// the rendezvous grant — and returns the room in elements it hands over.
+func (ch *SendChannel) grantRoom(grant packet.Packet) int {
+	if grant.Op != packet.OpCtl || int(grant.Src) != ch.dst {
+		panic(fmt.Sprintf("smi: rank %d port %d: expected a grant from %d, got %v",
 			ch.x.rank, ch.port, ch.dst, grant))
 	}
-	if c := packet.DecodeStreamCtl(grant); c.Kind != packet.StreamGrant || int(c.Elems) != ch.count {
-		panic(fmt.Sprintf("smi: rank %d port %d: malformed stream grant %+v for %d-element message",
-			ch.x.rank, ch.port, c, ch.count))
+	c := packet.DecodeCtl(grant)
+	if c.Kind != packet.CtlGrant {
+		panic(fmt.Sprintf("smi: rank %d port %d: request %+v from %d received where a grant was due",
+			ch.x.rank, ch.port, c, ch.dst))
 	}
+	return int(c.Elems)
 }
 
 // nextFrag describes the fragment that starts with the staged word.
@@ -577,8 +578,7 @@ func (s *recvPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
 				if !ch.ep.appSend.CanPush() {
 					return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
 				}
-				ch.ep.appSend.TryPush(packet.EncodeStreamCtl(uint16(ch.x.rank), uint16(ch.src), uint8(ch.port),
-					packet.StreamCtl{Kind: packet.StreamGrant, Elems: uint32(ch.count)}))
+				ch.ep.appSend.TryPush(ch.grant(ch.count))
 				ch.rvDone = true
 			case ch.raw && ch.fragWords == 0:
 				hdr, ok := ch.ep.appRecv.TryPop()
@@ -627,16 +627,8 @@ func (s *recvPath) Step(_ *sim.Proc, res sim.WaitResult) sim.Wait {
 			if !ch.ep.appSend.CanPush() {
 				return sim.Wait{Space: ch.ep.appSend, Deadline: s.deadline}
 			}
-			n := ch.freed
-			if n > avail {
-				n = avail
-			}
-			grant := packet.Packet{
-				Src: uint16(ch.x.rank), Dst: uint16(ch.src), Port: uint8(ch.port),
-				Op: packet.OpCredit,
-			}
-			packet.EncodeCreditElems(&grant, uint32(n))
-			ch.ep.appSend.TryPush(grant)
+			n := min(ch.freed, avail)
+			ch.ep.appSend.TryPush(ch.grant(n))
 			ch.granted += n
 			ch.freed = 0
 			s.phase = recvClose
@@ -670,13 +662,19 @@ func (s *recvPath) fail(err error) sim.Wait {
 	return sim.Wait{}
 }
 
+// grant builds the word that hands the sender room for n elements: a
+// credit top-up, or the rendezvous grant of the whole message.
+func (ch *RecvChannel) grant(n int) packet.Packet {
+	return packet.EncodeCtl(uint16(ch.x.rank), uint16(ch.src), uint8(ch.port), packet.Ctl{Kind: packet.CtlGrant, Elems: uint32(n)})
+}
+
 // checkRequest validates the sender's rendezvous request.
 func (ch *RecvChannel) checkRequest(req packet.Packet) {
-	if req.Op != packet.OpStreamCtl || int(req.Src) != ch.src {
+	if req.Op != packet.OpCtl || int(req.Src) != ch.src {
 		panic(fmt.Sprintf("smi: rank %d port %d: expected stream request from %d, got %v",
 			ch.x.rank, ch.port, ch.src, req))
 	}
-	if c := packet.DecodeStreamCtl(req); c.Kind != packet.StreamReq || int(c.Elems) != ch.count {
+	if c := packet.DecodeCtl(req); c.Kind != packet.CtlRequest || int(c.Elems) != ch.count {
 		panic(fmt.Sprintf("smi: rank %d port %d: stream request %+v mismatches %d-element channel",
 			ch.x.rank, ch.port, c, ch.count))
 	}

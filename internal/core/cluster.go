@@ -706,9 +706,13 @@ func (c *Cluster) Run() (Stats, error) {
 	for _, rs := range c.ranks {
 		for i := range rs.supports {
 			sup := &rs.supports[i]
-			// A contribution still set aside at the end had no round to
-			// join: it is a violation too.
-			if bad := sup.bad + uint64(len(sup.early)); bad > 0 {
+			// A contribution set aside or a grant still counted at the end
+			// had no round to use it: both are violations too.
+			bad := sup.bad + uint64(len(sup.early))
+			for _, g := range sup.grants {
+				bad += uint64(g)
+			}
+			if bad > 0 {
 				return st, fmt.Errorf("smi: support kernel %s saw %d protocol violations", sup.Name(), bad)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/packet"
@@ -98,6 +99,32 @@ func TestScatterNonRootPushPanics(t *testing.T) {
 	})
 	if _, err := c.Run(); err == nil {
 		t.Fatal("non-root scatter push should fail the run")
+	}
+}
+
+// TestStrayGrantIsViolation: every grant a support kernel counts is
+// consumed by the round it belongs to, so one still counted when the run
+// ends was a stray or extra handshake.
+func TestStrayGrantIsViolation(t *testing.T) {
+	for _, stray := range []bool{false, true} {
+		c := busCluster(t, 2, PortSpec{Port: 0, Kind: Bcast, Type: Int})
+		sup := &c.ranks[1].supports[0]
+		c.SPMD("bcast", func(x *Ctx) {
+			ch, _ := x.OpenBcastChannel(10, Int, 0, 0, x.CommWorld())
+			for i := 0; i < 10; i++ {
+				ch.Bcast(uint64(i))
+			}
+			if stray && x.Rank() == 1 {
+				sup.netIn.PushProc(x.proc, packet.EncodeCtl(0, 1, 0, packet.Ctl{Kind: packet.CtlGrant}))
+			}
+		})
+		_, err := c.Run()
+		if !stray && err != nil {
+			t.Fatal(err)
+		}
+		if stray && (err == nil || !strings.Contains(err.Error(), "r1.p0.bcast saw 1 protocol violations")) {
+			t.Fatalf("a stray grant should be reported as a violation, got %v", err)
+		}
 	}
 }
 

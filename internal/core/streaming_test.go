@@ -1,6 +1,7 @@
 package smi
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -246,6 +247,67 @@ func TestStreamingValidation(t *testing.T) {
 	c.OnRank(1, "idle", func(x *Ctx) {})
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Handshake mismatches: a mismatched program is a proc panic, not a
+	// deadlock.
+	for _, tc := range []struct {
+		name        string
+		program     func(x *Ctx)
+		want, want2 string
+	}{
+		{
+			// Both ends send on one port: each takes the other's
+			// rendezvous request where its grant was due. The kind byte
+			// is what tells the two apart.
+			name: "both-send",
+			program: func(x *Ctx) {
+				ch, err := x.OpenSendChannel(200, Int, 1-x.Rank(), 0, x.CommWorld())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 200; i++ {
+					ch.Push(uint64(i))
+				}
+			},
+			want: "request", want2: "where a grant was due",
+		},
+		{
+			name: "count-mismatch",
+			program: func(x *Ctx) {
+				if x.Rank() == 0 {
+					ch, err := x.OpenSendChannel(200, Int, 1, 0, x.CommWorld())
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < 200; i++ {
+						ch.Push(uint64(i))
+					}
+					return
+				}
+				ch, err := x.OpenRecvChannel(300, Int, 0, 0, x.CommWorld())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 300; i++ {
+					ch.Pop()
+				}
+			},
+			want: "r1.p: panic", want2: "stream request",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := busCluster(t, 2, PortSpec{Port: 0, Type: Int, Mode: ModeStreaming})
+			c.OnRank(0, "p", tc.program)
+			c.OnRank(1, "p", tc.program)
+			_, err := c.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.want2) {
+				t.Fatalf("want a panic naming %q and %q, got %v", tc.want, tc.want2, err)
+			}
+		})
 	}
 }
 

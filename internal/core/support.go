@@ -56,10 +56,10 @@ type supportKernel struct {
 	parent   int // -1 at the root
 	children []int
 
-	// Protocol counters, persistent across rounds: early SYNCs/credits
-	// for the next round are absorbed here instead of clogging CKR.
-	syncCount []int // per cluster rank
-	credits   int
+	// Grants not yet consumed, per source cluster rank and persistent
+	// across rounds: early grants for the next round are absorbed here
+	// instead of clogging CKR.
+	grants []int
 
 	// Streaming state.
 	remaining int           // elements left in the current phase
@@ -79,7 +79,7 @@ type supportKernel struct {
 	creditTo  int             // next child to send a credit to
 	upGranted int             // elements the parent has allowed upward so far
 
-	absorbed bool // a protocol packet was consumed this cycle
+	absorbed bool // a grant (or stray packet) was consumed this cycle
 	busy     bool // the last tick made progress
 
 	bad uint64 // protocol violations observed
@@ -104,7 +104,7 @@ func (s *supportKernel) init(rank, ranks int, spec PortSpec, appIn, appOut, netO
 	*s = supportKernel{
 		rank: rank, spec: spec, epp: spec.Type.ElemsPerPacket(),
 		appIn: appIn, appOut: appOut, netOut: netOut, netIn: netIn,
-		syncCount: make([]int, ranks),
+		grants: make([]int, ranks),
 	}
 }
 
@@ -112,34 +112,30 @@ func (s *supportKernel) Name() string {
 	return fmt.Sprintf("r%d.p%d.%s", s.rank, s.spec.Port, s.spec.Kind)
 }
 
-// absorb counts a protocol packet (SYNC, CREDIT) into its counter.
+// absorb counts a grant by its source — a SYNC, a Gather turn or a Reduce
+// tile credit from the parent, as the port's one Kind implies — and any
+// other non-data packet as a protocol violation.
 func (s *supportKernel) absorb(p packet.Packet) {
 	s.absorbed = true
-	switch p.Op {
-	case packet.OpSyncReady:
-		s.syncCount[p.Src]++
-	case packet.OpCredit:
-		s.credits++
-	default:
+	if p.Op == packet.OpCtl {
+		s.grants[p.Src]++
+	} else {
 		s.bad++
 	}
 }
 
-// popNet pops one packet from the network side, absorbing protocol
-// packets. It returns a data packet, or ok=false if none was consumed
-// this cycle.
+// popNet pops one packet from the network side, absorbing grants. It
+// returns a data packet, or ok=false if none was consumed this cycle.
 func (s *supportKernel) popNet() (packet.Packet, bool) {
-	p, ok := s.netIn.TryPop()
-	if !ok || p.Op == packet.OpData {
-		return p, ok
+	if s.drainGrants() {
+		return packet.Packet{}, false
 	}
-	s.absorb(p)
-	return packet.Packet{}, false
+	return s.netIn.TryPop()
 }
 
-// drainProtocol absorbs any waiting SYNC/CREDIT packet without consuming
-// data. Returns true if it popped something.
-func (s *supportKernel) drainProtocol() bool {
+// drainGrants absorbs any waiting grant without consuming data. Returns
+// true if it popped something.
+func (s *supportKernel) drainGrants() bool {
 	p, ok := s.netIn.Peek()
 	if !ok || p.Op == packet.OpData {
 		return false
@@ -149,11 +145,9 @@ func (s *supportKernel) drainProtocol() bool {
 	return true
 }
 
-// protocolPacket builds a SYNC or CREDIT packet to dst.
-func (s *supportKernel) protocolPacket(op packet.Op, dst int) packet.Packet {
-	return packet.Packet{
-		Src: uint16(s.rank), Dst: uint16(dst), Port: uint8(s.spec.Port), Op: op,
-	}
+// grant builds a one-unit grant to dst.
+func (s *supportKernel) grant(dst int) packet.Packet {
+	return packet.EncodeCtl(uint16(s.rank), uint16(dst), uint8(s.spec.Port), packet.Ctl{Kind: packet.CtlGrant})
 }
 
 // memberRank maps a member index (0..size-1) to a global rank.
@@ -165,9 +159,9 @@ func (s *supportKernel) leaf() bool { return s.parent >= 0 && len(s.children) ==
 
 // Tick advances the support kernel one cycle. At most one packet is
 // consumed and one produced per cycle, matching a hardware kernel with
-// one input and one output port active per clock. Absorbing a protocol
-// packet counts as activity even when the state handler reports none —
-// the absorbed credit or sync may enable progress next cycle.
+// one input and one output port active per clock. Absorbing a grant
+// counts as activity even when the state handler reports none — it may
+// enable progress next cycle.
 func (s *supportKernel) Tick(now int64) bool {
 	s.absorbed = false
 	s.busy = s.tickState() || s.absorbed
@@ -222,9 +216,9 @@ func (s *supportKernel) tickState() bool {
 }
 
 func (s *supportKernel) tickIdle() bool {
-	// Keep protocol packets from clogging the receive path while the
+	// Keep grants from clogging the receive path while the
 	// local application has not opened its channel yet.
-	if s.drainProtocol() {
+	if s.drainGrants() {
 		return true
 	}
 	p, ok := s.appIn.TryPop()
@@ -286,20 +280,20 @@ func (s *supportKernel) tickIdle() bool {
 // streaming. A leaf waits on nobody and sends its SYNC at once.
 func (s *supportKernel) tickSync() bool {
 	if !s.leaf() {
-		if s.drainProtocol() {
+		if s.drainGrants() {
 			return true
 		}
 		for _, c := range s.children {
-			if s.syncCount[c] < 1 {
+			if s.grants[c] < 1 {
 				return false // still waiting for a ready notification
 			}
 		}
 	}
-	if s.parent >= 0 && !s.netOut.TryPush(s.protocolPacket(packet.OpSyncReady, s.parent)) {
+	if s.parent >= 0 && !s.netOut.TryPush(s.grant(s.parent)) {
 		return true
 	}
 	for _, c := range s.children {
-		s.syncCount[c]--
+		s.grants[c]--
 	}
 	s.dupValid = false
 	s.state = supForward
@@ -313,7 +307,7 @@ func (s *supportKernel) tickSync() bool {
 // it to the root's children, one copy per cycle (under the star shape
 // root egress bandwidth divides by the member count).
 func (s *supportKernel) tickStream() bool {
-	s.drainProtocol()
+	s.drainGrants()
 	if !s.dupValid {
 		p, ok := s.appIn.TryPop()
 		if !ok {
@@ -477,10 +471,10 @@ func (s *supportKernel) flushAvail() int {
 // takeCredit turns one credit from the parent into one more tile of
 // upward allowance.
 func (s *supportKernel) takeCredit() bool {
-	if s.credits == 0 {
+	if s.grants[s.parent] == 0 {
 		return false
 	}
-	s.credits--
+	s.grants[s.parent]--
 	s.upGranted += s.nextTileSize(s.upGranted)
 	return true
 }
@@ -557,13 +551,13 @@ func (s *supportKernel) flush(n int) bool {
 // tickCredit grants each child one further tile, one credit per cycle,
 // then opens that tile.
 func (s *supportKernel) tickCredit() bool {
-	s.drainProtocol()
+	s.drainGrants()
 	if s.creditTo >= len(s.children) {
 		s.startTile()
 		s.state = supCollect
 		return true
 	}
-	if s.netOut.TryPush(s.protocolPacket(packet.OpCredit, s.children[s.creditTo])) {
+	if s.netOut.TryPush(s.grant(s.children[s.creditTo])) {
 		s.creditTo++
 	}
 	return true
@@ -572,7 +566,7 @@ func (s *supportKernel) tickCredit() bool {
 // tickSend streams a childless node's contribution to its parent; each
 // credit absorbed grants one further tile.
 func (s *supportKernel) tickSend() bool {
-	if s.drainProtocol() || s.takeCredit() {
+	if s.drainGrants() || s.takeCredit() {
 		return true
 	}
 	if s.upGranted <= s.count-s.remaining {
@@ -621,15 +615,15 @@ func (s *supportKernel) tickScatterRoot() bool {
 		return true
 	}
 	// Remote member: wait for its readiness, then stream its chunk.
-	if s.syncCount[m] < 1 {
-		return s.drainProtocol()
+	if s.grants[m] < 1 {
+		return s.drainGrants()
 	}
 	if !s.netOut.CanPush() {
 		return true
 	}
 	p, ok := s.appIn.TryPop()
 	if !ok {
-		s.drainProtocol()
+		s.drainGrants()
 		return false
 	}
 	if p.Op != packet.OpData {
@@ -641,7 +635,7 @@ func (s *supportKernel) tickScatterRoot() bool {
 	out.Src = uint16(s.rank)
 	s.netOut.TryPush(out)
 	if s.advanceChunk(int(p.Count)) {
-		s.syncCount[m]--
+		s.grants[m]--
 	}
 	return true
 }
@@ -676,7 +670,7 @@ func (s *supportKernel) tickGatherRoot() bool {
 		return true
 	}
 	if !s.granted {
-		if s.netOut.TryPush(s.protocolPacket(packet.OpSyncReady, m)) {
+		if s.netOut.TryPush(s.grant(m)) {
 			s.granted = true
 		}
 		return true
@@ -697,17 +691,17 @@ func (s *supportKernel) tickGatherRoot() bool {
 	return true
 }
 
-// tickGatherSend waits for the root's grant (a SYNC), then streams this
+// tickGatherSend waits for the root's grant (its turn), then streams this
 // rank's contribution to it.
 func (s *supportKernel) tickGatherSend() bool {
 	if !s.granted {
-		if s.drainProtocol() {
+		if s.drainGrants() {
 			return true
 		}
-		if s.syncCount[s.root] < 1 {
+		if s.grants[s.root] < 1 {
 			return false
 		}
-		s.syncCount[s.root]--
+		s.grants[s.root]--
 		s.granted = true
 		return true
 	}
@@ -716,7 +710,7 @@ func (s *supportKernel) tickGatherSend() bool {
 	}
 	p, ok := s.appIn.TryPop()
 	if !ok {
-		s.drainProtocol()
+		s.drainGrants()
 		return false
 	}
 	if p.Op != packet.OpData {

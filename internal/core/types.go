@@ -95,10 +95,10 @@ const (
 	// the buffer is smaller than the message, "to guarantee that the
 	// communication occurring on a transient channel will not block the
 	// transmission of other streaming messages": the receiver grants
-	// BufferElems of initial credit and tops it up as it drains, so the
-	// sender never commits more than the receiver can buffer. The reverse
-	// direction of the port carries the credits, so the port is
-	// half-duplex while a channel is open.
+	// BufferElems of initial credit and tops it up with OpCtl grants as
+	// it drains, so the sender never commits more than the receiver can
+	// buffer. The reverse direction of the port carries the grants, so
+	// the port is half-duplex while a channel is open.
 	ModeCredited
 	// ModeCircuit is §4.2's circuit-switching alternative: the message is
 	// one stream fragment — a single OpStream header with all
@@ -109,10 +109,11 @@ const (
 	ModeCircuit
 	// ModeStreaming is the large-message mode: a message that fits
 	// BufferElems goes eager exactly like ModePacket; a larger one first
-	// completes a rendezvous (request/grant on the reverse direction, so
-	// the port is half-duplex) and then travels as fragments of
-	// StreamBatch raw words, each behind its own OpStream header, so
-	// kernels on the path release the route between fragments.
+	// completes a rendezvous (an OpCtl request, then a grant of the whole
+	// message on the reverse direction, so the port is half-duplex) and
+	// then travels as fragments of StreamBatch raw words, each behind its
+	// own OpStream header, so kernels on the path release the route
+	// between fragments.
 	ModeStreaming
 
 	numModes
@@ -151,7 +152,7 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // halfDuplex reports whether the port's reverse direction carries the
-// mode's handshake (credits or rendezvous) while a channel is open.
+// receiver's grants while a channel is open.
 func (m Mode) halfDuplex() bool { return m == ModeCredited || m == ModeStreaming }
 
 // PortSpec declares one communication endpoint. Ports must be known when

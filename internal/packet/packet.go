@@ -9,6 +9,11 @@
 //	byte 2: port
 //	byte 3: operation type (3 bits) | number of valid elements (5 bits)
 //
+// The op field uses five of its eight values: DATA, CTL, CONFIG, RAW
+// and STREAM. Every handshake — a receiver handing its sender room, or a
+// streaming sender asking for it — is one in-band CTL word whose payload
+// (Ctl) names its kind and element count.
+//
 // Rank and port are truncated to 8 bits on the wire to mitigate the
 // header overhead of packet switching, exactly as in the reference
 // implementation. The in-memory Packet keeps 16-bit rank fields so the
@@ -49,12 +54,12 @@ type Op uint8
 const (
 	// OpData carries message payload elements.
 	OpData Op = iota
-	// OpSyncReady signals "ready to receive" for one-to-all collectives
-	// (Bcast, Scatter) and "your turn" grants for Gather.
-	OpSyncReady
-	// OpCredit grants one tile of credits in the Reduce flow-control
-	// protocol.
-	OpCredit
+	// OpCtl is the one handshake word: a receiver handing its sender
+	// room (CtlGrant) — Bcast/Scatter readiness, a Gather turn, a Reduce
+	// credit tile, a credited port's buffer top-up, a streaming
+	// rendezvous grant — or a streaming sender asking for that grant
+	// (CtlRequest). Its payload is a Ctl.
+	OpCtl
 	// OpConfig carries dynamic channel configuration (root rank, element
 	// count) from an application endpoint to its collective support
 	// kernel. It never crosses the network.
@@ -71,11 +76,6 @@ const (
 	// boundaries; circuit switching (§4.2) is the degenerate case of one
 	// fragment spanning the whole message.
 	OpStream
-	// OpStreamCtl is the streaming rendezvous control packet: a sender
-	// whose message exceeds the endpoint credit asks the receiver for
-	// permission (StreamReq) and streams only after the grant
-	// (StreamGrant) — the classic eager/rendezvous switchover.
-	OpStreamCtl
 
 	numOps
 )
@@ -84,18 +84,14 @@ func (o Op) String() string {
 	switch o {
 	case OpData:
 		return "DATA"
-	case OpSyncReady:
-		return "SYNC"
-	case OpCredit:
-		return "CREDIT"
+	case OpCtl:
+		return "CTL"
 	case OpConfig:
 		return "CONFIG"
 	case OpRaw:
 		return "RAW"
 	case OpStream:
 		return "STREAM"
-	case OpStreamCtl:
-		return "STREAMCTL"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
@@ -238,18 +234,6 @@ func DecodeConfig(p Packet) Config {
 	}
 }
 
-// EncodeCreditElems stores a granted element count in an OpCredit
-// packet's payload (credit-based flow control, paper §4.1).
-func EncodeCreditElems(p *Packet, elems uint32) {
-	binary.LittleEndian.PutUint32(p.Payload[0:], elems)
-}
-
-// DecodeCreditElems reads the granted element count from an OpCredit
-// packet.
-func DecodeCreditElems(p Packet) uint32 {
-	return binary.LittleEndian.Uint32(p.Payload[0:])
-}
-
 // RawElemsPerPacket returns how many elements of the datatype fit in a
 // headerless raw payload word (32 bytes, capped at 31 by the
 // 5-bit count field): 31 chars, 16 shorts, 8 ints/floats, 4 doubles.
@@ -289,7 +273,7 @@ func (p *Packet) RawElem(i int, dt Datatype) uint64 {
 }
 
 // wireOps is the size of the 3-bit wire op field. numOps <= wireOps or
-// the constant below overflows and the package does not compile; seven
+// the constant below overflows and the package does not compile; five
 // of the eight values are in use.
 const wireOps = 8
 
@@ -354,47 +338,37 @@ func DecodeStreamFrag(p Packet) StreamFrag {
 	}
 }
 
-// StreamCtlKind distinguishes the two rendezvous control packets.
-type StreamCtlKind uint8
+// CtlKind says which way an OpCtl handshake word travels.
+type CtlKind uint8
 
 const (
-	// StreamReq asks the receiver for permission to stream Elems
-	// elements (sender → receiver).
-	StreamReq StreamCtlKind = iota + 1
-	// StreamGrant acknowledges the request: the receiver is at its
-	// channel and ready to drain the stream (receiver → sender).
-	StreamGrant
+	// CtlGrant hands the sender room for Elems elements (receiver →
+	// sender). A collective support kernel's grant carries Elems 0: it
+	// is one protocol unit — a SYNC, a Gather turn or a Reduce tile.
+	CtlGrant CtlKind = iota + 1
+	// CtlRequest asks the receiver for the rendezvous grant of an
+	// Elems-element message (streaming sender → receiver).
+	CtlRequest
 )
 
-func (k StreamCtlKind) String() string {
-	switch k {
-	case StreamReq:
-		return "REQ"
-	case StreamGrant:
-		return "GRANT"
-	default:
-		return fmt.Sprintf("StreamCtlKind(%d)", uint8(k))
-	}
+// Ctl is the payload of an OpCtl handshake word.
+type Ctl struct {
+	Kind  CtlKind
+	Elems uint32
 }
 
-// StreamCtl is the payload of an OpStreamCtl rendezvous packet.
-type StreamCtl struct {
-	Kind  StreamCtlKind
-	Elems uint32 // total message length in elements
-}
-
-// EncodeStreamCtl builds a rendezvous control packet.
-func EncodeStreamCtl(src, dst uint16, port uint8, c StreamCtl) Packet {
-	p := Packet{Src: src, Dst: dst, Port: port, Op: OpStreamCtl}
+// EncodeCtl builds a handshake word.
+func EncodeCtl(src, dst uint16, port uint8, c Ctl) Packet {
+	p := Packet{Src: src, Dst: dst, Port: port, Op: OpCtl}
 	p.Payload[0] = uint8(c.Kind)
 	binary.LittleEndian.PutUint32(p.Payload[1:], c.Elems)
 	return p
 }
 
-// DecodeStreamCtl extracts the rendezvous control information.
-func DecodeStreamCtl(p Packet) StreamCtl {
-	return StreamCtl{
-		Kind:  StreamCtlKind(p.Payload[0]),
+// DecodeCtl extracts a handshake word's kind and element count.
+func DecodeCtl(p Packet) Ctl {
+	return Ctl{
+		Kind:  CtlKind(p.Payload[0]),
 		Elems: binary.LittleEndian.Uint32(p.Payload[1:]),
 	}
 }

@@ -13,7 +13,7 @@ func TestSizes(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
-	p := Packet{Src: 3, Dst: 200, Port: 17, Op: OpCredit, Count: 28}
+	p := Packet{Src: 3, Dst: 200, Port: 17, Op: OpCtl, Count: 28}
 	for i := range p.Payload {
 		p.Payload[i] = byte(i * 7)
 	}
@@ -42,9 +42,9 @@ func TestEncodeDecodeQuick(t *testing.T) {
 
 func TestHeaderBitPacking(t *testing.T) {
 	// The op (3 bits) and count (5 bits) share header byte 3.
-	p := Packet{Op: OpCredit, Count: 28}
+	p := Packet{Op: OpStream, Count: 28}
 	w := p.Encode()
-	if w[3] != uint8(OpCredit)<<5|28 {
+	if w[3] != uint8(OpStream)<<5|28 {
 		t.Fatalf("byte 3 = %08b, want op in high 3 bits, count in low 5", w[3])
 	}
 }
@@ -158,22 +158,10 @@ func TestConfigRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCreditElemsRoundtrip(t *testing.T) {
-	for _, elems := range []uint32{0, 1, 128, 1 << 20, 0xFFFFFFFF} {
-		p := Packet{Src: 1, Dst: 2, Port: 3, Op: OpCredit}
-		EncodeCreditElems(&p, elems)
-		if got := DecodeCreditElems(p); got != elems {
-			t.Fatalf("credit roundtrip: got %d, want %d", got, elems)
-		}
-		if p.Op != OpCredit || p.Src != 1 || p.Dst != 2 || p.Port != 3 {
-			t.Fatalf("encoding credits clobbered the header: %v", p)
-		}
-	}
-}
-
 func TestOpStrings(t *testing.T) {
 	for op, want := range map[Op]string{
-		OpData: "DATA", OpSyncReady: "SYNC", OpCredit: "CREDIT", OpConfig: "CONFIG",
+		OpData: "DATA", OpCtl: "CTL", OpConfig: "CONFIG", OpRaw: "RAW", OpStream: "STREAM",
+		numOps: "Op(5)",
 	} {
 		if op.String() != want {
 			t.Errorf("%d.String() = %q, want %q", op, op.String(), want)
@@ -246,17 +234,27 @@ func TestStreamFragRoundtrip(t *testing.T) {
 	}
 }
 
-func TestStreamCtlRoundtrip(t *testing.T) {
-	for _, c := range []StreamCtl{
-		{Kind: StreamReq, Elems: 1},
-		{Kind: StreamGrant, Elems: 1 << 30},
+func TestCtlRoundtrip(t *testing.T) {
+	for _, c := range []Ctl{
+		{Kind: CtlGrant, Elems: 0}, // a collective grant: one protocol unit
+		{Kind: CtlGrant, Elems: 1},
+		{Kind: CtlGrant, Elems: 128},
+		{Kind: CtlGrant, Elems: 1 << 20},
+		{Kind: CtlGrant, Elems: 1 << 30},
+		{Kind: CtlGrant, Elems: 0xFFFFFFFF},
+		{Kind: CtlRequest, Elems: 1},
+		{Kind: CtlRequest, Elems: 0xFFFFFFFF},
 	} {
-		p := EncodeStreamCtl(5, 6, 2, c)
-		if p.Op != OpStreamCtl || p.Src != 5 || p.Dst != 6 || p.Port != 2 {
-			t.Fatalf("bad stream-ctl header: %v", p)
+		p := EncodeCtl(5, 6, 2, c)
+		if p.Op != OpCtl || p.Src != 5 || p.Dst != 6 || p.Port != 2 || p.Count != 0 {
+			t.Fatalf("bad ctl header: %v", p)
 		}
-		if got := DecodeStreamCtl(p); got != c {
-			t.Fatalf("stream-ctl roundtrip: %+v != %+v", got, c)
+		if got := DecodeCtl(p); got != c {
+			t.Fatalf("ctl roundtrip: %+v != %+v", got, c)
+		}
+		// The word crosses reliable links in its 32-byte wire form.
+		if got := DecodeCtl(Decode(p.Encode())); got != c {
+			t.Fatalf("ctl wire roundtrip: %+v != %+v", got, c)
 		}
 	}
 }
@@ -287,4 +285,37 @@ func TestRawCapacityBeatsPacketSwitching(t *testing.T) {
 				dt, RawElemsPerPacket(dt), dt.ElemsPerPacket())
 		}
 	}
+}
+
+// FuzzWireWord feeds arbitrary 32-byte words (shorter inputs are
+// zero-padded, longer ones truncated) to every wire decoder: the headered
+// and raw forms must re-encode to the same bytes, and the payload
+// decoders must accept any bytes.
+func FuzzWireWord(f *testing.F) {
+	data := Packet{Src: 3, Dst: 200, Port: 17, Op: OpData, Count: 7}
+	for i := range data.Payload {
+		data.Payload[i] = byte(i * 7)
+	}
+	ctl := EncodeCtl(5, 6, 2, Ctl{Kind: CtlRequest, Elems: 300})
+	frag := EncodeStreamFrag(1, 2, 3, StreamFrag{Seq: 4, Words: 16, Elems: 128, Last: true})
+	for _, p := range []Packet{data, ctl, frag} {
+		w := p.Encode()
+		f.Add(w[:])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var w [Size]byte
+		copy(w[:], b)
+		p := Decode(w)
+		if got := p.Encode(); got != w {
+			t.Fatalf("Decode then Encode changed the word:\n got %x\nwant %x", got, w)
+		}
+		for count := 0; count < 256; count++ {
+			raw := DecodeRaw(w, uint8(count))
+			if got := raw.EncodeRaw(); got != w {
+				t.Fatalf("DecodeRaw(count %d) then EncodeRaw changed the word:\n got %x\nwant %x", count, got, w)
+			}
+		}
+		DecodeCtl(p)
+		DecodeStreamFrag(p)
+	})
 }
