@@ -234,28 +234,41 @@ func TestStreamFragRoundtrip(t *testing.T) {
 	}
 }
 
-func TestCtlRoundtrip(t *testing.T) {
+// checkCtlRoundtrip encodes c as a handshake word and checks that both the
+// in-memory packet and its 32-byte wire form decode back to c.
+func checkCtlRoundtrip(t *testing.T, c Ctl) {
+	t.Helper()
+	p := EncodeCtl(5, 6, 2, c)
+	if p.Op != OpCtl || p.Src != 5 || p.Dst != 6 || p.Port != 2 || p.Count != 0 {
+		t.Fatalf("bad ctl header: %v", p)
+	}
+	if got := DecodeCtl(p); got != c {
+		t.Fatalf("ctl roundtrip: %+v != %+v", got, c)
+	}
+	// The word crosses reliable links in its 32-byte wire form.
+	if got := DecodeCtl(Decode(p.Encode())); got != c {
+		t.Fatalf("ctl wire roundtrip: %+v != %+v", got, c)
+	}
+}
+
+// TestCreditElemsRoundtrip covers the grant form of the handshake word:
+// the credit a receiver hands its sender, including a collective's
+// zero-element grant and the full 32-bit element count.
+func TestCreditElemsRoundtrip(t *testing.T) {
+	for _, elems := range []uint32{0, 1, 128, 1 << 20, 0xFFFFFFFF} {
+		checkCtlRoundtrip(t, Ctl{Kind: CtlGrant, Elems: elems})
+	}
+}
+
+// TestStreamCtlRoundtrip covers the streaming rendezvous: a sender's
+// request and the receiver's grant for the whole message.
+func TestStreamCtlRoundtrip(t *testing.T) {
 	for _, c := range []Ctl{
-		{Kind: CtlGrant, Elems: 0}, // a collective grant: one protocol unit
-		{Kind: CtlGrant, Elems: 1},
-		{Kind: CtlGrant, Elems: 128},
-		{Kind: CtlGrant, Elems: 1 << 20},
-		{Kind: CtlGrant, Elems: 1 << 30},
-		{Kind: CtlGrant, Elems: 0xFFFFFFFF},
 		{Kind: CtlRequest, Elems: 1},
 		{Kind: CtlRequest, Elems: 0xFFFFFFFF},
+		{Kind: CtlGrant, Elems: 1 << 30},
 	} {
-		p := EncodeCtl(5, 6, 2, c)
-		if p.Op != OpCtl || p.Src != 5 || p.Dst != 6 || p.Port != 2 || p.Count != 0 {
-			t.Fatalf("bad ctl header: %v", p)
-		}
-		if got := DecodeCtl(p); got != c {
-			t.Fatalf("ctl roundtrip: %+v != %+v", got, c)
-		}
-		// The word crosses reliable links in its 32-byte wire form.
-		if got := DecodeCtl(Decode(p.Encode())); got != c {
-			t.Fatalf("ctl wire roundtrip: %+v != %+v", got, c)
-		}
+		checkCtlRoundtrip(t, c)
 	}
 }
 
