@@ -1,6 +1,7 @@
 package smi
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/routing"
@@ -46,14 +47,17 @@ func BenchmarkChannelPushPop(b *testing.B) {
 type newClusterCase struct {
 	name      string
 	cfg       Config
-	maxAllocs float64 // TestNewClusterAllocBudget's ceiling
+	maxAllocs float64 // TestNewClusterAllocBudget's ceilings
+	maxBytes  uint64
 }
 
 // newClusterCases are the measured builds, with the routes precomputed
 // as a warm route cache would supply them: the median job of the
 // svc-mix service benchmark (a two-port pingpong on an 8-rank bus) and a
-// 512-element Bcast on the 64-rank torus. The ceilings are about twice
-// what the builds cost when they were set (218 and 2 548 allocations).
+// 512-element Bcast on the 64-rank torus. The allocation ceilings are
+// about twice what the builds cost when they were set (218 and 2 548);
+// the byte ceilings are about 5 % above it (84.6 and 860 KB), since a
+// build's bytes are mostly its FIFO and kernel slabs.
 func newClusterCases(tb testing.TB) []newClusterCase {
 	tb.Helper()
 	bus, err := topology.Bus(8)
@@ -75,10 +79,10 @@ func newClusterCases(tb testing.TB) []newClusterCase {
 	return []newClusterCase{
 		{"pingpong-bus8", withRoutes(Config{Topology: bus, Program: ProgramSpec{Ports: []PortSpec{
 			{Port: 0, Type: Int}, {Port: 1, Type: Int},
-		}}}), 450},
+		}}}), 450, 90_000},
 		{"bcast-torus64", withRoutes(Config{Topology: torus, RoutingPolicy: routing.UpDown, Program: ProgramSpec{Ports: []PortSpec{
 			{Port: 0, Kind: Bcast, Type: Float, BufferElems: 512},
-		}}}), 5000},
+		}}}), 5000, 900_000},
 	}
 }
 
@@ -103,19 +107,38 @@ func BenchmarkNewCluster(b *testing.B) {
 }
 
 // TestNewClusterAllocBudget holds the builds of BenchmarkNewCluster to
-// their committed allocation ceilings: one FIFO slab, one kernel slab and
-// one input array per rank, rings allocated on first push and names
-// formatted on demand. Formatting a name per FIFO, or allocating per FIFO
-// again, breaks it at once.
+// their committed allocation and byte ceilings: one FIFO slab, one kernel
+// slab and one input array per rank, FIFO headers of at most 112 bytes,
+// rings allocated on first push and names formatted on demand.
+// Formatting a name per FIFO, allocating per FIFO again, or a FIFO
+// header regrown past its budget breaks it at once.
 func TestNewClusterAllocBudget(t *testing.T) {
 	for _, tc := range newClusterCases(t) {
-		n := testing.AllocsPerRun(5, func() {
+		build := func() {
 			if _, err := NewCluster(tc.cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if n > tc.maxAllocs {
+		}
+		if n := testing.AllocsPerRun(5, build); n > tc.maxAllocs {
 			t.Errorf("%s: %v allocations per build, ceiling %v", tc.name, n, tc.maxAllocs)
 		}
+		if n := bytesPerRun(5, build); n > tc.maxBytes {
+			t.Errorf("%s: %d bytes per build, ceiling %d", tc.name, n, tc.maxBytes)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes
+// allocated by one call of f after a warm-up call, measured at
+// GOMAXPROCS 1 so no other goroutine's allocations are counted.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -120,6 +120,37 @@ type txFrame struct {
 	count uint8
 }
 
+// txRing is the retransmit buffer: the unacknowledged frames in seq
+// order, n of them from index first of a power-of-two ring that grows to
+// the peak in-flight count, so a steady stream allocates nothing.
+type txRing struct {
+	frames   []txFrame
+	first, n int
+}
+
+// at returns the i-th unacknowledged frame (i < n).
+func (r *txRing) at(i int) txFrame { return r.frames[(r.first+i)&(len(r.frames)-1)] }
+
+// push appends a frame, doubling the ring when it is full.
+func (r *txRing) push(tf txFrame) {
+	if r.n == len(r.frames) {
+		grown := make([]txFrame, max(4, 2*len(r.frames)))
+		k := copy(grown, r.frames[r.first:])
+		copy(grown[k:], r.frames[:r.first])
+		r.frames, r.first = grown, 0
+	}
+	r.frames[(r.first+r.n)&(len(r.frames)-1)] = tf
+	r.n++
+}
+
+// drop removes the k (<= n) oldest frames.
+func (r *txRing) drop(k int) {
+	if k > 0 {
+		r.first = (r.first + k) & (len(r.frames) - 1)
+		r.n -= k
+	}
+}
+
 // encodeWord serializes a packet for the wire, routing headerless raw
 // words through the lossless EncodeRaw form with their op/count moved to
 // the frame sideband.
@@ -162,12 +193,12 @@ type relTx struct {
 	// uses, so fault-free timing stays bit-identical between the two.
 	outstanding int64
 
-	buf        []txFrame // unacked frames, seq order
-	cursor     int       // next buf entry to put on the wire
-	nextSeq    uint64    // seq assigned to the next fresh frame
-	ackedSeq   uint64    // all seqs below this are acknowledged
-	maxSent    uint64    // highest seq ever placed on the wire + 1
-	timerBase  int64     // RTO reference: last send/progress/rewind
+	buf        txRing // unacked frames, seq order
+	cursor     int    // next buf entry to put on the wire
+	nextSeq    uint64 // seq assigned to the next fresh frame
+	ackedSeq   uint64 // all seqs below this are acknowledged
+	maxSent    uint64 // highest seq ever placed on the wire + 1
+	timerBase  int64  // RTO reference: last send/progress/rewind
 	timerArmed bool
 	timeouts   int // consecutive fruitless RTO rounds
 	rewindOk   int64
@@ -311,8 +342,8 @@ func (l *ReliableLink) RxExpected() uint64 { return l.rx.rxExpected }
 // of the same direction this is the exact loss set of a dead cable.
 func (l *ReliableLink) Unacked(peerDelivered uint64) []packet.Packet {
 	var out []packet.Packet
-	for _, t := range l.tx.buf {
-		if t.seq >= peerDelivered {
+	for i := 0; i < l.tx.buf.n; i++ {
+		if t := l.tx.buf.at(i); t.seq >= peerDelivered {
 			out = append(out, decodeWord(t.word, t.raw, t.count))
 		}
 	}
@@ -346,7 +377,7 @@ func (l *ReliableLink) ForgiveTimeouts(now int64) {
 	}
 	t.timeouts = 0
 	t.dead = false
-	if len(t.buf) > 0 {
+	if t.buf.n > 0 {
 		t.timerArmed = true
 		t.timerBase = now
 	} else {
@@ -548,21 +579,21 @@ func (t *relTx) Tick(now int64) bool {
 		return false
 	}
 	// Backlog first: frames already accepted but not yet (re)sent.
-	if t.cursor < len(t.buf) {
-		tf := t.buf[t.cursor]
+	if t.cursor < t.buf.n {
+		tf := t.buf.at(t.cursor)
 		t.cursor++
 		t.sendData(now, tf)
 		return true
 	}
 	// Fresh data, popped and transmitted in the same cycle — identical
 	// admission timing to the lossless Link.
-	if len(t.buf) < t.par.Window {
+	if t.buf.n < t.par.Window {
 		if p, ok := t.in.TryPop(); ok {
 			word, raw, count := encodeWord(p)
 			tf := txFrame{word: word, seq: t.nextSeq, raw: raw, count: count}
 			t.nextSeq++
-			t.buf = append(t.buf, tf)
-			t.cursor = len(t.buf)
+			t.buf.push(tf)
+			t.cursor = t.buf.n
 			t.sendData(now, tf)
 			return true
 		}
@@ -609,7 +640,7 @@ func (t *relTx) IdleUntil(now int64) int64 {
 // hasFrame reports whether an open window would put a frame on the wire
 // this tick: backlog, fresh data, or owed acknowledgement state.
 func (t *relTx) hasFrame() bool {
-	return t.cursor < len(t.buf) || len(t.buf) < t.par.Window && t.in.CanPop() ||
+	return t.cursor < t.buf.n || t.buf.n < t.par.Window && t.in.CanPop() ||
 		t.peerRx.ackOwed || t.peerRx.nackOwed
 }
 
@@ -658,10 +689,10 @@ func (t *relTx) processAck(ack uint64, nack bool, now int64) {
 	defer t.eng.WakeKernel(t.id)
 	if ack > t.ackedSeq {
 		drop := int(ack - t.ackedSeq)
-		if drop > len(t.buf) {
-			drop = len(t.buf)
+		if drop > t.buf.n {
+			drop = t.buf.n
 		}
-		t.buf = t.buf[drop:]
+		t.buf.drop(drop)
 		t.cursor -= drop
 		if t.cursor < 0 {
 			t.cursor = 0
@@ -669,11 +700,11 @@ func (t *relTx) processAck(ack uint64, nack bool, now int64) {
 		t.ackedSeq = ack
 		t.timeouts = 0
 		t.timerBase = now
-		if len(t.buf) == 0 && t.cursor == 0 {
+		if t.buf.n == 0 && t.cursor == 0 {
 			t.timerArmed = false
 		}
 	}
-	if nack && now >= t.rewindOk && len(t.buf) > 0 {
+	if nack && now >= t.rewindOk && t.buf.n > 0 {
 		// Rewind to the first unacked frame; guard so the burst of
 		// nacks a single loss provokes triggers only one rewind.
 		t.cursor = 0

@@ -179,23 +179,48 @@ func (p *Packet) Elem(i int, dt Datatype) uint64 {
 	return 0
 }
 
-// castagnoli is the CRC-32C table used for link-level frame checksums
-// (the polynomial hardware link layers typically implement).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// castagnoli holds the CRC-32C tables used for link-level frame
+// checksums (the polynomial hardware link layers typically implement),
+// laid out for slicing by eight: castagnoli[0] is the byte-at-a-time
+// table, and castagnoli[k][b] is the CRC of b followed by k zero bytes.
+var castagnoli = func() (t [8][256]uint32) {
+	t[0] = *crc32.MakeTable(crc32.Castagnoli)
+	for b := range 256 {
+		crc := t[0][b]
+		for k := 1; k < 8; k++ {
+			crc = t[0][crc&0xff] ^ crc>>8
+			t[k][b] = crc
+		}
+	}
+	return t
+}()
+
+// crcWord folds eight bytes, given as their little-endian value v, into
+// the (non-inverted) CRC-32C register crc.
+func crcWord(crc uint32, v uint64) uint32 {
+	lo, hi := crc^uint32(v), uint32(v>>32)
+	t := &castagnoli
+	return t[0][hi>>24] ^ t[1][hi>>16&0xff] ^ t[2][hi>>8&0xff] ^ t[3][hi&0xff] ^
+		t[4][lo>>24] ^ t[5][lo>>16&0xff] ^ t[6][lo>>8&0xff] ^ t[7][lo&0xff]
+}
 
 // Checksum computes the link-level CRC-32C over one wire word plus the
 // frame metadata the reliable link layer adds around it (sequence
-// number, cumulative acknowledgement, control flags). The physical QSFP
-// links the paper relies on carry equivalent protection inside the BSP
-// (§5.1); the simulator makes it explicit so injected bit errors are
-// detectable.
+// number, cumulative acknowledgement, control flags): the CRC-32C of the
+// word's 32 bytes, then seq and ack little-endian, then flags. The
+// physical QSFP links the paper relies on carry equivalent protection
+// inside the BSP (§5.1); the simulator makes it explicit so injected bit
+// errors are detectable. It folds the 49 bytes from registers, eight at
+// a time, so a checksum allocates nothing (crc32.Update's argument
+// escapes to the heap).
 func Checksum(w [Size]byte, seq, ack uint64, flags byte) uint32 {
-	var meta [17]byte
-	binary.LittleEndian.PutUint64(meta[0:], seq)
-	binary.LittleEndian.PutUint64(meta[8:], ack)
-	meta[16] = flags
-	crc := crc32.Update(0, castagnoli, w[:])
-	return crc32.Update(crc, castagnoli, meta[:])
+	crc := ^uint32(0)
+	for i := 0; i < Size; i += 8 {
+		crc = crcWord(crc, binary.LittleEndian.Uint64(w[i:]))
+	}
+	crc = crcWord(crcWord(crc, seq), ack)
+	crc = castagnoli[0][byte(crc)^flags] ^ crc>>8
+	return ^crc
 }
 
 // Config is the dynamic per-channel information a collective support

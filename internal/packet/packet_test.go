@@ -1,6 +1,8 @@
 package packet
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 	"testing/quick"
@@ -331,4 +333,26 @@ func FuzzWireWord(f *testing.F) {
 		DecodeCtl(p)
 		DecodeStreamFrag(p)
 	})
+}
+
+// Checksum is the CRC-32C of the word, then seq and ack little-endian,
+// then the flags byte, and computing it allocates nothing.
+func TestChecksumIsCRC32C(t *testing.T) {
+	ref := func(w [Size]byte, seq, ack uint64, flags byte) uint32 {
+		b := append(w[:], make([]byte, 17)...)
+		binary.LittleEndian.PutUint64(b[Size:], seq)
+		binary.LittleEndian.PutUint64(b[Size+8:], ack)
+		b[Size+16] = flags
+		return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+	}
+	if err := quick.CheckEqual(Checksum, ref, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	var w [Size]byte
+	if got, want := Checksum(w, 0, 0, 0), ref(w, 0, 0, 0); got != want {
+		t.Errorf("all-zero frame: %#x, want %#x", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { w[0]++; Checksum(w, uint64(w[0]), 1, 2) }); a != 0 {
+		t.Errorf("Checksum made %v allocations, want 0", a)
+	}
 }

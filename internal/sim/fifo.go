@@ -1,55 +1,74 @@
 package sim
 
-import "slices"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // fifoCore holds the type-independent bookkeeping of a FIFO: occupancy,
-// capacity, and the procs and kernels blocked on it.
+// capacity, and the kernels and procs it wakes. What TryPush, TryPop and
+// commit test comes first: with Fifo's ring pointer ahead of it, the
+// first 64 bytes of a Fifo. A Fifo[packet.Packet] is 112 bytes.
 type fifoCore struct {
-	eng *Engine
-	// name formats the name of FIFO nameIdx of its slab (see NewFifos);
-	// the string exists only while someone reads it.
-	name      func(i int) string
-	nameIdx   int32
-	index     int32    // registration index in the engine's FIFO list
+	size      int32    // committed (reader-visible) occupancy
+	pendingIn int32    // writes performed this cycle, not yet visible
+	head      int32    // ring index of the oldest committed element
+	capacity  int32    // depth: what CanPush enforces, not the ring's length
+	reader    KernelID // reader kernel woken by commits (see WakesKernel), or noKernel
 	spaceKern KernelID // writer kernel to wake on the next pop (see WakeOnSpace), or noKernel
-	capacity  int
-	size      int // committed (reader-visible) occupancy
-	pendingIn int // writes performed this cycle, not yet visible
-	head      int // ring index of the oldest committed element
-
-	spaceWaiters []*Proc
-	dataWaiters  []*Proc
-	kernWaiters  []KernelID  // parked kernels to wake on pops and commits
-	kernSlots    [2]KernelID // kernWaiters' storage up to two kernels
-
-	dirty   bool // on the engine's dirty list this cycle
-	stalled bool // inside a blocked-push window (stall accounting)
+	eng       *Engine
+	index     int32 // registration index in the engine's FIFO list
+	dirty     bool  // on the engine's dirty list this cycle
+	stalled   bool  // inside a blocked-push window (stall accounting)
 
 	// statistics
 	pushes    uint64
-	maxSize   int
+	maxSize   int32
+	nameIdx   int32  // this FIFO's index in its slab, name's argument
 	stallHint uint64 // blocked-push windows (backpressure events)
+
+	// Procs blocked on space and on data: intrusive lists through
+	// Proc.nextWaiter, oldest first (a proc waits on one FIFO at a time).
+	spaceWaiters, dataWaiters *Proc
+
+	// name formats the name of FIFO nameIdx of its slab (see NewFifos);
+	// the string exists only while someone reads it.
+	name func(i int) string
 }
 
 // wake transitions procs blocked on this FIFO back to runnable once the
 // condition they wait for holds. Called at the end of each cycle, after
 // commits; woken procs run no earlier than the following cycle.
 func (c *fifoCore) wake(e *Engine) {
-	if c.size > 0 && len(c.dataWaiters) > 0 {
-		for _, p := range c.dataWaiters {
-			p.status = procRunnable
-			p.runAt = e.now + 1
-			e.scheduleProc(p, p.runAt)
-		}
-		c.dataWaiters = c.dataWaiters[:0]
+	if c.size > 0 && c.dataWaiters != nil {
+		e.releaseWaiters(c.dataWaiters, e.now+1)
+		c.dataWaiters = nil
 	}
-	if c.size+c.pendingIn < c.capacity && len(c.spaceWaiters) > 0 {
-		for _, p := range c.spaceWaiters {
-			p.status = procRunnable
-			p.runAt = e.now + 1
-			e.scheduleProc(p, p.runAt)
-		}
-		c.spaceWaiters = c.spaceWaiters[:0]
+	if c.size+c.pendingIn < c.capacity && c.spaceWaiters != nil {
+		e.releaseWaiters(c.spaceWaiters, e.now+1)
+		c.spaceWaiters = nil
+	}
+}
+
+// waiters returns the head of the list of procs blocked on the FIFO for
+// space or for data.
+func (c *fifoCore) waiters(space bool) **Proc {
+	if space {
+		return &c.spaceWaiters
+	}
+	return &c.dataWaiters
+}
+
+// releaseWaiters makes every proc of a waiter list runnable at cycle at.
+func (e *Engine) releaseWaiters(list *Proc, at int64) {
+	for p := list; p != nil; {
+		next := p.nextWaiter
+		p.nextWaiter = nil
+		p.status = procRunnable
+		p.runAt = at
+		e.scheduleProc(p, at)
+		p = next
 	}
 }
 
@@ -67,15 +86,6 @@ func (c *fifoCore) commit() bool {
 	return true
 }
 
-// slot returns the ring index k elements past the oldest committed one.
-func (c *fifoCore) slot(k int) int {
-	i := c.head + k
-	if i >= c.capacity {
-		i -= c.capacity
-	}
-	return i
-}
-
 // Fifo is a bounded queue with registered writes: an element pushed
 // during cycle t becomes visible to readers at cycle t+1, mirroring the
 // one-cycle output latency of an on-chip FIFO. Pops take effect
@@ -85,18 +95,24 @@ func (c *fifoCore) slot(k int) int {
 // the single-reader/single-writer restriction of Intel OpenCL channels
 // that the paper's reference implementation works within.
 //
-// Its ring is allocated by the first push: a FIFO nobody writes costs
-// its struct alone, while Cap still reports the full depth.
+// Its ring costs what the FIFO holds, not its depth: the first push
+// allocates minRing slots, and a push that finds the ring full doubles
+// it, up to Cap. A FIFO nobody writes costs its struct alone, and Cap
+// always reports the full depth.
 type Fifo[T any] struct {
-	fifoCore
 	buf []T // ring: size committed elements from head, then pendingIn registered writes; nil until the first push
+	fifoCore
 }
+
+// minRing is the ring length a FIFO's first push allocates (or its
+// capacity, if smaller).
+const minRing = 2
 
 // NewFifos creates n FIFOs in one allocation and registers them with the
 // engine, in index order, for end-of-cycle commits. FIFO i holds
-// capacity(i) elements (minimum 1); capacity is called only here. name(i)
-// formats FIFO i's name each time Name is called, so a builder of many
-// FIFOs formats no string a run never shows.
+// capacity(i) elements (at least 1, at most math.MaxInt32); capacity is
+// called only here. name(i) formats FIFO i's name each time Name is
+// called, so a builder of many FIFOs formats no string a run never shows.
 func NewFifos[T any](e *Engine, n int, capacity func(i int) int, name func(i int) string) []Fifo[T] {
 	if e.started {
 		panic("sim: NewFifos after Run")
@@ -106,8 +122,8 @@ func NewFifos[T any](e *Engine, n int, capacity func(i int) int, name func(i int
 	for i := range slab {
 		f := &slab[i]
 		f.eng, f.name, f.nameIdx = e, name, int32(i)
-		f.index, f.spaceKern = int32(len(e.fifos)), noKernel
-		f.capacity = max(capacity(i), 1)
+		f.index, f.reader, f.spaceKern = int32(len(e.fifos)), noKernel, noKernel
+		f.capacity = int32(min(max(capacity(i), 1), math.MaxInt32))
 		e.fifos = append(e.fifos, &f.fifoCore)
 	}
 	return slab
@@ -120,16 +136,15 @@ func NewFifo[T any](e *Engine, name string, capacity int) *Fifo[T] {
 	return &NewFifos[T](e, 1, func(int) int { return capacity }, func(int) string { return name })[0]
 }
 
-// WakesKernel attaches a kernel as a wake target of this FIFO: commits
-// and pops on the FIFO wake the kernel if it is parked (see IdleUntiler).
-// Attach the kernel that reads the FIFO, and any kernel that watches its
-// fill level, if it may park while waiting for data. A writer does not
-// attach: its own pushes would wake it for nothing (see WakeOnSpace).
+// WakesKernel attaches the FIFO's reader kernel: commits on the FIFO wake
+// it if it is parked waiting for data (see IdleUntiler). A FIFO has one
+// reader, so attaching a second, different kernel panics. A writer does
+// not attach: its own pushes would wake it for nothing (see WakeOnSpace).
 func (f *Fifo[T]) WakesKernel(id KernelID) {
-	if f.kernWaiters == nil {
-		f.kernWaiters = f.kernSlots[:0]
+	if f.reader != noKernel && f.reader != id {
+		panic(fmt.Sprintf("sim: FIFO %s already wakes kernel %d, its reader; cannot attach kernel %d", f.Name(), f.reader, id))
 	}
-	f.kernWaiters = append(f.kernWaiters, id)
+	f.reader = id
 }
 
 // WakeOnSpace arms a one-shot wake of kernel id, the FIFO's writer, on
@@ -150,22 +165,54 @@ func (f *Fifo[T]) Name() string { return f.fifoCore.label() }
 func (c *fifoCore) label() string { return c.name(int(c.nameIdx)) }
 
 // Cap returns the FIFO's capacity.
-func (f *Fifo[T]) Cap() int { return f.capacity }
+func (f *Fifo[T]) Cap() int { return int(f.capacity) }
 
 // Len returns the committed (reader-visible) occupancy.
-func (f *Fifo[T]) Len() int { return f.size }
+func (f *Fifo[T]) Len() int { return int(f.size) }
 
 // Pushes returns the total number of elements ever pushed.
 func (f *Fifo[T]) Pushes() uint64 { return f.pushes }
 
 // MaxLen returns the high-water mark of committed occupancy.
-func (f *Fifo[T]) MaxLen() int { return f.maxSize }
+func (f *Fifo[T]) MaxLen() int { return int(f.maxSize) }
 
 // CanPush reports whether a push would be accepted this cycle.
 func (f *Fifo[T]) CanPush() bool { return f.size+f.pendingIn < f.capacity }
 
 // CanPop reports whether committed data is available.
 func (f *Fifo[T]) CanPop() bool { return f.size > 0 }
+
+// slot returns the ring index k elements past the oldest committed one.
+func (f *Fifo[T]) slot(k int32) int32 {
+	i := f.head + k
+	if n := int32(len(f.buf)); i >= n {
+		i -= n
+	}
+	return i
+}
+
+// reserve returns the ring index of the slot behind the committed and
+// pending elements, growing the ring first if it is full. The caller has
+// checked CanPush, so a full ring is shorter than the capacity. A grow
+// unrolls the ring so that head is 0, pending writes included.
+func (f *Fifo[T]) reserve() int32 {
+	used := f.size + f.pendingIn
+	if n := int32(len(f.buf)); used == n {
+		grown := make([]T, min(f.capacity, max(minRing, 2*n)))
+		k := copy(grown, f.buf[f.head:])
+		copy(grown[k:], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	return f.slot(used)
+}
+
+// pushFailed records a rejected push for stall accounting.
+func (f *Fifo[T]) pushFailed() {
+	if !f.stalled {
+		f.stalled = true
+		f.stallHint++
+	}
+}
 
 // TryPush enqueues v if space is available, reporting success. The
 // element becomes visible to readers next cycle: it is written straight
@@ -174,24 +221,19 @@ func (f *Fifo[T]) CanPop() bool { return f.size > 0 }
 // commit only has to count it in.
 func (f *Fifo[T]) TryPush(v T) bool {
 	if !f.CanPush() {
-		if !f.stalled {
-			f.stalled = true
-			f.stallHint++
-		}
+		f.pushFailed()
 		return false
 	}
 	f.stalled = false
-	if f.buf == nil {
-		f.buf = make([]T, f.capacity)
-	}
-	f.buf[f.slot(f.size+f.pendingIn)] = v
+	f.buf[f.reserve()] = v
 	f.pendingIn++
 	f.pushes++
 	f.markDirty()
 	return true
 }
 
-// TryPop dequeues the oldest committed element, reporting success.
+// TryPop dequeues the oldest committed element, reporting success. The
+// reader is the popper, so only the writer kernel may need a wake.
 func (f *Fifo[T]) TryPop() (T, bool) {
 	var zero T
 	if f.size == 0 {
@@ -207,9 +249,6 @@ func (f *Fifo[T]) TryPop() (T, bool) {
 	if k := f.spaceKern; k != noKernel {
 		f.spaceKern = noKernel
 		f.eng.WakeKernel(k)
-	}
-	if len(f.kernWaiters) > 0 {
-		f.wakeKernels()
 	}
 	return v, true
 }
@@ -311,7 +350,7 @@ func (f *Fifo[T]) PopProcPairedE(p *Proc, deadline int64) (T, WaitResult) {
 
 // PushAtBarrier enqueues v with every engine stopped at a group barrier,
 // making it visible immediately (no registered-output delay) and waking
-// attached kernels and blocked procs at the engine's current clock.
+// its reader kernel and blocked procs at the engine's current clock.
 // With the engines stopped at clock c+1, this reproduces exactly what a
 // dense-mode kernel pushing at cycle c would produce: the element
 // commits in c's phase 3 and wakes everything for cycle c+1. Only group
@@ -323,17 +362,11 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 		panic("sim: PushAtBarrier with registered writes pending")
 	}
 	if !f.CanPush() {
-		if !f.stalled {
-			f.stalled = true
-			f.stallHint++
-		}
+		f.pushFailed()
 		return false
 	}
 	f.stalled = false
-	if f.buf == nil {
-		f.buf = make([]T, f.capacity)
-	}
-	f.buf[f.slot(f.size)] = v
+	f.buf[f.reserve()] = v
 	f.size++
 	f.pushes++
 	if f.size > f.maxSize {
@@ -341,16 +374,12 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 	}
 	e := f.eng
 	e.fifoCommits++
-	for _, id := range f.kernWaiters {
-		e.wakeKernelAt(id, e.now)
+	if f.reader != noKernel {
+		e.wakeKernelAt(f.reader, e.now)
 	}
-	if len(f.dataWaiters) > 0 {
-		for _, p := range f.dataWaiters {
-			p.status = procRunnable
-			p.runAt = e.now
-			e.scheduleProc(p, p.runAt)
-		}
-		f.dataWaiters = f.dataWaiters[:0]
+	if f.dataWaiters != nil {
+		e.releaseWaiters(f.dataWaiters, e.now)
+		f.dataWaiters = nil
 	}
 	return true
 }

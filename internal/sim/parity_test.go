@@ -66,6 +66,17 @@ func (s *synth) poke(t int) {
 	s.e.WakeKernel(s.ids[t])
 }
 
+// wakeWriters wakes the relays that forward into relay t's input, which
+// may be parked on it being full: the input has two writer kernels, more
+// than Fifo.WakeOnSpace's one slot holds, so the reader wakes them.
+func (s *synth) wakeWriters(t int) {
+	for _, from := range []int{t - 1, t - synthSkip} {
+		if from >= 0 {
+			s.e.WakeKernel(s.ids[from])
+		}
+	}
+}
+
 func (k *relay) Tick(now int64) bool {
 	did := false
 	if k.mail > 0 {
@@ -75,6 +86,7 @@ func (k *relay) Tick(now int64) bool {
 	}
 	if !k.holding {
 		if v, ok := k.in.TryPop(); ok {
+			k.sys.wakeWriters(k.i)
 			h := mix(k.sys.seed^uint64(v.id), uint64(k.i))
 			k.holding, k.v = true, v
 			k.releaseAt = now + []int64{0, 1, 1, 2, 3, 5, 64, 130}[h%8]
@@ -110,8 +122,9 @@ func (k *relay) forward() bool {
 // IdleUntil is queried after every tick, so pending work must keep the
 // relay hot: mail (a relay may poke itself, and the tick supersedes its
 // own wake), or input to read. Otherwise it waits for its release cycle,
-// or for the attached FIFOs or mail to wake it — empty-handed, or blocked
-// on a full output.
+// or to be woken: by a commit on its input or mail when empty-handed, by
+// the downstream relay's pop (see wakeWriters) when blocked on a full
+// output.
 func (k *relay) IdleUntil(now int64) int64 {
 	switch {
 	case k.mail > 0 || !k.holding && k.in.CanPop():
@@ -146,11 +159,6 @@ func newSynth(seed uint64, sched SchedulerKind, slab bool) *synth {
 	}
 	for i, k := range s.relays {
 		k.in.WakesKernel(s.ids[i])
-		for _, from := range []int{i - 1, i - synthSkip} {
-			if from >= 0 {
-				k.in.WakesKernel(s.ids[from])
-			}
-		}
 	}
 	for pi := 0; pi < synthProcs; pi++ {
 		pi := pi

@@ -88,6 +88,7 @@ type Proc struct {
 	schedAt     int64      // cycle of the live scheduled wake (schedNone if none)
 	deadline    int64      // absolute timeout cycle while blocked (Never if none)
 	waitFifo    *fifoCore  // FIFO the proc is (or was last) blocked on
+	nextWaiter  *Proc      // next proc in waitFifo's waiter list
 	cancellable bool       // current wait may be cancelled (timeout/abort)
 	waitSpace   bool       // blocked on space (true) or data (false)
 	waitRes     WaitResult // outcome of the last cancellable wait
@@ -199,11 +200,11 @@ func (p *Proc) block(c *fifoCore, space bool) {
 	p.status = procBlocked
 	p.waitFifo = c
 	p.waitSpace = space
-	if space {
-		c.spaceWaiters = append(c.spaceWaiters, p)
-	} else {
-		c.dataWaiters = append(c.dataWaiters, p)
+	list := c.waiters(space)
+	for *list != nil {
+		list = &(*list).nextWaiter
 	}
+	*list = p
 }
 
 // waitCondCancel blocks the proc on a FIFO condition like waitCond, but
@@ -358,20 +359,12 @@ func (p *Proc) resumeLoop() (parked bool) {
 // cancelWait removes a blocked proc from its FIFO waiter list and stamps
 // the wait outcome. The caller transitions the proc back to runnable.
 func (p *Proc) cancelWait(res WaitResult) {
-	if c := p.waitFifo; p.waitSpace {
-		c.spaceWaiters = removeProc(c.spaceWaiters, p)
-	} else {
-		c.dataWaiters = removeProc(c.dataWaiters, p)
+	list := p.waitFifo.waiters(p.waitSpace)
+	for *list != nil && *list != p {
+		list = &(*list).nextWaiter
+	}
+	if *list == p {
+		*list, p.nextWaiter = p.nextWaiter, nil
 	}
 	p.waitRes = res
-}
-
-// removeProc deletes p from a waiter list, preserving order.
-func removeProc(list []*Proc, p *Proc) []*Proc {
-	for i, q := range list {
-		if q == p {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
 }

@@ -488,12 +488,11 @@ func (c *fifoCore) markDirty() {
 	c.eng.dirtyFifos = append(c.eng.dirtyFifos, c.index)
 }
 
-// wakeKernels wakes the kernels attached to this FIFO with WakesKernel:
-// its consumer, parked while the FIFO had no data, and any watcher of its
-// fill level; a pop or commit may flip what they wait for.
-func (c *fifoCore) wakeKernels() {
-	for _, id := range c.kernWaiters {
-		c.eng.WakeKernel(id)
+// wakeReader wakes the FIFO's reader kernel (see WakesKernel), which may
+// be parked waiting for the data a commit just published.
+func (c *fifoCore) wakeReader() {
+	if c.reader != noKernel {
+		c.eng.WakeKernel(c.reader)
 	}
 }
 
@@ -671,8 +670,8 @@ func (e *Engine) runEvent() error {
 		}
 		e.curKernel = int32(len(e.kernels))
 
-		// Phase 3: commit each dirty FIFO, wake its attached kernels and
-		// its blocked procs. A FIFO's wakes depend on its own state alone
+		// Phase 3: commit each dirty FIFO, wake its reader kernel and its
+		// blocked procs. A FIFO's wakes depend on its own state alone
 		// and every wake lands in a bitset, so the order of the dirty list
 		// does not matter.
 		e.phase = phaseCommit
@@ -682,7 +681,7 @@ func (e *Engine) runEvent() error {
 			if f.commit() {
 				active = true
 				e.fifoCommits++
-				f.wakeKernels()
+				f.wakeReader()
 			}
 			f.wake(e)
 		}
