@@ -145,10 +145,8 @@ func (r *txRing) push(tf txFrame) {
 
 // drop removes the k (<= n) oldest frames.
 func (r *txRing) drop(k int) {
-	if k > 0 {
-		r.first = (r.first + k) & (len(r.frames) - 1)
-		r.n -= k
-	}
+	r.first = (r.first + k) & (len(r.frames) - 1)
+	r.n -= k
 }
 
 // encodeWord serializes a packet for the wire, routing headerless raw

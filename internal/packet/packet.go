@@ -196,7 +196,8 @@ var castagnoli = func() (t [8][256]uint32) {
 }()
 
 // crcWord folds eight bytes, given as their little-endian value v, into
-// the (non-inverted) CRC-32C register crc.
+// the running CRC-32C register crc (Checksum applies the initial and
+// final inversions).
 func crcWord(crc uint32, v uint64) uint32 {
 	lo, hi := crc^uint32(v), uint32(v>>32)
 	t := &castagnoli

@@ -42,12 +42,10 @@ type fifoCore struct {
 // commits; woken procs run no earlier than the following cycle.
 func (c *fifoCore) wake(e *Engine) {
 	if c.size > 0 && c.dataWaiters != nil {
-		e.releaseWaiters(c.dataWaiters, e.now+1)
-		c.dataWaiters = nil
+		e.releaseWaiters(&c.dataWaiters, e.now+1)
 	}
 	if c.size+c.pendingIn < c.capacity && c.spaceWaiters != nil {
-		e.releaseWaiters(c.spaceWaiters, e.now+1)
-		c.spaceWaiters = nil
+		e.releaseWaiters(&c.spaceWaiters, e.now+1)
 	}
 }
 
@@ -60,9 +58,12 @@ func (c *fifoCore) waiters(space bool) **Proc {
 	return &c.dataWaiters
 }
 
-// releaseWaiters makes every proc of a waiter list runnable at cycle at.
-func (e *Engine) releaseWaiters(list *Proc, at int64) {
-	for p := list; p != nil; {
+// releaseWaiters makes every proc of a waiter list runnable at cycle at
+// and empties the list.
+func (e *Engine) releaseWaiters(list **Proc, at int64) {
+	p := *list
+	*list = nil
+	for p != nil {
 		next := p.nextWaiter
 		p.nextWaiter = nil
 		p.status = procRunnable
@@ -197,8 +198,8 @@ func (f *Fifo[T]) slot(k int32) int32 {
 // unrolls the ring so that head is 0, pending writes included.
 func (f *Fifo[T]) reserve() int32 {
 	used := f.size + f.pendingIn
-	if n := int32(len(f.buf)); used == n {
-		grown := make([]T, min(f.capacity, max(minRing, 2*n)))
+	if n := len(f.buf); int(used) == n {
+		grown := make([]T, min(int(f.capacity), max(minRing, 2*n)))
 		k := copy(grown, f.buf[f.head:])
 		copy(grown[k:], f.buf[:f.head])
 		f.buf, f.head = grown, 0
@@ -377,9 +378,6 @@ func (f *Fifo[T]) PushAtBarrier(v T) bool {
 	if f.reader != noKernel {
 		e.wakeKernelAt(f.reader, e.now)
 	}
-	if f.dataWaiters != nil {
-		e.releaseWaiters(f.dataWaiters, e.now)
-		f.dataWaiters = nil
-	}
+	e.releaseWaiters(&f.dataWaiters, e.now)
 	return true
 }
