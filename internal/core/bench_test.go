@@ -42,6 +42,42 @@ func BenchmarkChannelPushPop(b *testing.B) {
 	}
 }
 
+// BenchmarkChannelOpen is what opening a channel costs: per op, rank 0
+// opens a one-element send channel and pushes its element, and rank 1
+// opens the matching receive channel and pops it, on a 2-rank bus. The
+// two opens allocate their 16-byte handles and nothing else (see
+// TestOpenAllocatesOnlyItsHandle); the rest of an op is one
+// BenchmarkChannelPushPop element, without the pipelining of a long
+// message.
+func BenchmarkChannelOpen(b *testing.B) {
+	c := busCluster(b, 2, PortSpec{Port: 0, Type: Int})
+	c.OnRank(0, "send", func(x *Ctx) {
+		for i := 0; i < b.N; i++ {
+			ch, err := x.OpenSendChannel(1, Int, 1, 0, x.CommWorld())
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			Push(ch, int32(i))
+		}
+	})
+	c.OnRank(1, "recv", func(x *Ctx) {
+		for i := 0; i < b.N; i++ {
+			ch, err := x.OpenRecvChannel(1, Int, 0, 0, x.CommWorld())
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			Pop[int32](ch)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := c.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // newClusterCase is one build BenchmarkNewCluster and
 // TestNewClusterAllocBudget measure.
 type newClusterCase struct {

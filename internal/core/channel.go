@@ -11,11 +11,27 @@ import (
 // (SMI_Open_send_channel). Data is pushed element by element; elements
 // are packed into network packets and handed to the transport layer.
 // The channel closes implicitly after count elements.
+//
+// A SendChannel is a handle: the channel's state lives in its port's
+// endpoint slot, and the handle holds that state and the generation of
+// the open that made it. Every operation checks the generation, so a
+// handle used after its channel closed panics as a push beyond the
+// message size does, also once the port has been reopened: a stale
+// handle never writes into a newer message.
 type SendChannel struct {
+	s   *sendState
+	gen uint32
+}
+
+// sendState is the state of the send channel open on a port, kept in
+// the port's endpoint slot (endpoint.send): the first open on the port
+// allocates it and every later open resets it in place.
+type sendState struct {
 	x   *Ctx
 	ep  *endpoint
-	epp int // elements per packet
-	vec int // application datapath width, elements per cycle
+	gen uint32 // generation of the open the state belongs to
+	epp int    // elements per packet
+	vec int    // application datapath width, elements per cycle
 
 	count int
 	sent  int
@@ -55,8 +71,11 @@ type SendChannel struct {
 // OpenSendChannel opens a transient channel to stream count elements of
 // type dt to rank destination (relative to comm) on the given port.
 // Opening is a zero-overhead operation: it only records where data
-// should be sent (§3.3). Options (e.g. WithDeadline) bound the blocking
-// behavior of subsequent operations.
+// should be sent (§3.3), in the port's endpoint slot. Only the port's
+// first open allocates that state; an open allocates the 16-byte handle
+// it returns and nothing else. The handle stays valid until the channel
+// closes after count elements. Options (e.g. WithDeadline) bound the
+// blocking behavior of subsequent operations.
 func (x *Ctx) OpenSendChannel(count int, dt Datatype, destination, port int, comm Comm, opts ...ChannelOption) (*SendChannel, error) {
 	ep, err := x.endpointFor(port, P2P, dt, count, comm)
 	if err != nil {
@@ -86,13 +105,27 @@ func (x *Ctx) OpenSendChannel(count int, dt Datatype, destination, port int, com
 	if ep.spec.Mode == ModeCircuit {
 		batch = (count + epp - 1) / epp
 	}
-	o := x.resolveOpts(opts)
-	return &SendChannel{
-		x: x, ep: ep, dt: dt, epp: epp, vec: ep.spec.VecWidth,
-		count: count, dst: dstGlobal, port: port, patience: o.patience,
+	st := ep.send
+	if st == nil {
+		st = new(sendState)
+		ep.send = st
+	}
+	*st = sendState{
+		x: x, ep: ep, gen: st.gen + 1, dt: dt, epp: epp, vec: ep.spec.VecWidth,
+		count: count, dst: dstGlobal, port: port, patience: x.resolveOpts(opts),
 		credited: ep.spec.Mode == ModeCredited, credits: ep.spec.BufferElems,
 		raw: raw, batch: batch, rvDone: !rendezvous,
-	}, nil
+	}
+	return &SendChannel{s: st, gen: st.gen}, nil
+}
+
+// state returns the channel's state, or panics if the channel has
+// closed and its port has been reopened since.
+func (ch *SendChannel) state() *sendState {
+	if ch.gen != ch.s.gen {
+		panic(fmt.Sprintf("smi: push beyond message size on port %d: the channel closed and the port was reopened", ch.s.port))
+	}
+	return ch.s
 }
 
 // rawPath derives how a count-element message of type dt travels on the
@@ -111,7 +144,7 @@ func (s *PortSpec) rawPath(dt Datatype, count int) (raw, rendezvous bool, epp in
 
 // opDeadline converts the channel's patience into an absolute deadline
 // for one operation starting now.
-func (ch *SendChannel) opDeadline() int64 {
+func (ch *sendState) opDeadline() int64 {
 	if ch.patience <= 0 {
 		return sim.Never
 	}
@@ -137,7 +170,8 @@ func (ch *SendChannel) Push(bits uint64) {
 // state is unchanged and the same element may be retried. Pushing more
 // than count elements still panics — that is a programming error.
 func (ch *SendChannel) PushE(bits uint64) error {
-	s := ch.x.pushPath(ch)
+	st := ch.state()
+	s := st.x.pushPath(st)
 	s.one[0] = bits
 	_, err := ch.PushN(s.one[:])
 	return err
@@ -150,9 +184,10 @@ func (ch *SendChannel) PushE(bits uint64) error {
 // per packet. On a Streaming port this is the intended bulk entry point:
 // the whole slice rides one rendezvous.
 func (ch *SendChannel) PushN(bits []uint64) (int, error) {
-	s := ch.x.pushPath(ch)
+	st := ch.state()
+	s := st.x.pushPath(st)
 	s.beginBits(bits)
-	ch.x.proc.Run(s)
+	st.x.proc.Run(s)
 	return s.end()
 }
 
@@ -184,7 +219,7 @@ const (
 // pointed at the channel of the call in progress.
 type sendPath struct {
 	bulk
-	ch    *SendChannel
+	ch    *sendState
 	phase sendPhase
 }
 
@@ -347,7 +382,7 @@ func (s *sendPath) fail(err error) sim.Wait {
 
 // grantRoom validates a grant from the receiver — a credit top-up or
 // the rendezvous grant — and returns the room in elements it hands over.
-func (ch *SendChannel) grantRoom(grant packet.Packet) int {
+func (ch *sendState) grantRoom(grant packet.Packet) int {
 	if grant.Op != packet.OpCtl || int(grant.Src) != ch.dst {
 		panic(fmt.Sprintf("smi: rank %d port %d: expected a grant from %d, got %v",
 			ch.x.rank, ch.port, ch.dst, grant))
@@ -361,7 +396,7 @@ func (ch *SendChannel) grantRoom(grant packet.Packet) int {
 }
 
 // nextFrag describes the fragment that starts with the staged word.
-func (ch *SendChannel) nextFrag() packet.StreamFrag {
+func (ch *sendState) nextFrag() packet.StreamFrag {
 	flushed := ch.sent - ch.n // elements already on the wire
 	elems := ch.count - flushed
 	if max := ch.batch * ch.epp; elems > max {
@@ -377,10 +412,21 @@ func (ch *SendChannel) nextFrag() packet.StreamFrag {
 
 // RecvChannel is a transient point-to-point receive channel
 // (SMI_Open_recv_channel). The channel closes implicitly after count
-// elements have been popped.
+// elements have been popped. Like SendChannel it is a handle on state
+// in the port's endpoint slot: a handle used after its channel closed
+// panics as a pop beyond the message size does, also once the port has
+// been reopened.
 type RecvChannel struct {
+	s   *recvState
+	gen uint32
+}
+
+// recvState is the state of the receive channel open on a port, kept in
+// the port's endpoint slot (endpoint.recv) as sendState is.
+type recvState struct {
 	x   *Ctx
 	ep  *endpoint
+	gen uint32 // generation of the open the state belongs to
 	vec int
 
 	count    int
@@ -420,9 +466,11 @@ type RecvChannel struct {
 }
 
 // OpenRecvChannel opens a transient channel to receive count elements of
-// type dt from rank source (relative to comm) on the given port. Options
-// (e.g. WithDeadline) bound the blocking behavior of subsequent
-// operations.
+// type dt from rank source (relative to comm) on the given port. Like
+// OpenSendChannel it keeps the channel in the port's endpoint slot and
+// allocates only its 16-byte handle, which stays valid until the
+// channel closes after count elements. Options (e.g. WithDeadline)
+// bound the blocking behavior of subsequent operations.
 func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Comm, opts ...ChannelOption) (*RecvChannel, error) {
 	ep, err := x.endpointFor(port, P2P, dt, count, comm)
 	if err != nil {
@@ -435,13 +483,6 @@ func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Com
 		return nil, fmt.Errorf("smi: rank %d port %d already has an open recv channel", x.rank, port)
 	}
 	srcGlobal := comm.Global(source)
-	o := x.resolveOpts(opts)
-	raw, rendezvous, _ := ep.spec.rawPath(dt, count)
-	ch := &RecvChannel{
-		x: x, ep: ep, dt: dt, vec: ep.spec.VecWidth,
-		count: count, src: srcGlobal, port: port, patience: o.patience,
-		raw: raw, rvDone: !rendezvous,
-	}
 	if ep.spec.Mode.halfDuplex() {
 		if ep.inUseSend {
 			return nil, fmt.Errorf("smi: rank %d port %d: credited and streaming ports are half-duplex", x.rank, port)
@@ -451,21 +492,37 @@ func (x *Ctx) OpenRecvChannel(count int, dt Datatype, source, port int, comm Com
 		}
 		ep.inUseSend = true
 	}
+	raw, rendezvous, _ := ep.spec.rawPath(dt, count)
+	st := ep.recv
+	if st == nil {
+		st = new(recvState)
+		ep.recv = st
+	}
+	*st = recvState{
+		x: x, ep: ep, gen: st.gen + 1, dt: dt, vec: ep.spec.VecWidth,
+		count: count, src: srcGlobal, port: port, patience: x.resolveOpts(opts),
+		raw: raw, rvDone: !rendezvous,
+	}
 	if ep.spec.Mode == ModeCredited {
-		ch.credited = true
-		ch.grantBatch = ep.spec.BufferElems / 2
-		epp := dt.ElemsPerPacket()
-		if ch.grantBatch < epp {
-			ch.grantBatch = epp
-		}
+		st.credited = true
+		st.grantBatch = max(ep.spec.BufferElems/2, dt.ElemsPerPacket())
 	}
 	ep.inUseRecv = true
-	return ch, nil
+	return &RecvChannel{s: st, gen: st.gen}, nil
+}
+
+// state returns the channel's state, or panics if the channel has
+// closed and its port has been reopened since.
+func (ch *RecvChannel) state() *recvState {
+	if ch.gen != ch.s.gen {
+		panic(fmt.Sprintf("smi: pop beyond message size on port %d: the channel closed and the port was reopened", ch.s.port))
+	}
+	return ch.s
 }
 
 // opDeadline converts the channel's patience into an absolute deadline
 // for one operation starting now.
-func (ch *RecvChannel) opDeadline() int64 {
+func (ch *recvState) opDeadline() int64 {
 	if ch.patience <= 0 {
 		return sim.Never
 	}
@@ -490,7 +547,8 @@ func (ch *RecvChannel) Pop() uint64 {
 // retry. Popping past count elements and protocol violations (wrong
 // source, wrong op) still panic: those are programming errors.
 func (ch *RecvChannel) PopE() (uint64, error) {
-	s := ch.x.popPath(ch)
+	st := ch.state()
+	s := st.x.popPath(st)
 	_, err := ch.PopN(s.one[:])
 	return s.one[0], err
 }
@@ -500,9 +558,10 @@ func (ch *RecvChannel) PopE() (uint64, error) {
 // retried. Like PushN, the whole slice is one engine-run loop (see
 // recvPath).
 func (ch *RecvChannel) PopN(bits []uint64) (int, error) {
-	s := ch.x.popPath(ch)
+	st := ch.state()
+	s := st.x.popPath(st)
 	s.beginBits(bits)
-	ch.x.proc.Run(s)
+	st.x.proc.Run(s)
 	return s.end()
 }
 
@@ -535,7 +594,7 @@ const (
 // mismatched program is a bug, not a runtime condition.
 type recvPath struct {
 	bulk
-	ch    *RecvChannel
+	ch    *recvState
 	phase recvPhase
 	took  uint64 // the element taken, delivered when it completes
 }
@@ -664,12 +723,12 @@ func (s *recvPath) fail(err error) sim.Wait {
 
 // grant builds the word that hands the sender room for n elements: a
 // credit top-up, or the rendezvous grant of the whole message.
-func (ch *RecvChannel) grant(n int) packet.Packet {
+func (ch *recvState) grant(n int) packet.Packet {
 	return packet.EncodeCtl(uint16(ch.x.rank), uint16(ch.src), uint8(ch.port), packet.Ctl{Kind: packet.CtlGrant, Elems: uint32(n)})
 }
 
 // checkRequest validates the sender's rendezvous request.
-func (ch *RecvChannel) checkRequest(req packet.Packet) {
+func (ch *recvState) checkRequest(req packet.Packet) {
 	if req.Op != packet.OpCtl || int(req.Src) != ch.src {
 		panic(fmt.Sprintf("smi: rank %d port %d: expected stream request from %d, got %v",
 			ch.x.rank, ch.port, ch.src, req))
@@ -681,7 +740,7 @@ func (ch *RecvChannel) checkRequest(req packet.Packet) {
 }
 
 // openFrag validates a fragment header and opens its word budget.
-func (ch *RecvChannel) openFrag(hdr packet.Packet) {
+func (ch *recvState) openFrag(hdr packet.Packet) {
 	if hdr.Op != packet.OpStream || int(hdr.Src) != ch.src {
 		panic(fmt.Sprintf("smi: rank %d port %d: expected stream fragment from %d, got %v",
 			ch.x.rank, ch.port, ch.src, hdr))
@@ -705,7 +764,7 @@ func (ch *RecvChannel) openFrag(hdr packet.Packet) {
 
 // checkData validates a data packet or raw word and, on the raw path,
 // charges it to the open fragment.
-func (ch *RecvChannel) checkData(pkt packet.Packet) {
+func (ch *recvState) checkData(pkt packet.Packet) {
 	if ch.raw {
 		// A raw word has no header of its own: the fragment header vouched
 		// for its source, and the fragment's budget bounds it.

@@ -156,6 +156,13 @@ type endpoint struct {
 	// pushView and popView are PushSlice's and PopSlice's typed element
 	// views (see typedView).
 	pushView, popView any
+	// The state of the port's open channel, allocated by the first open
+	// and reset in place by every later one: send and recv for a P2P
+	// port, coll for a collective port. inUseSend/inUseRecv allow one
+	// open channel per direction, so no two channels share a state.
+	send *sendState
+	recv *recvState
+	coll *collectiveBase
 }
 
 // NewCluster validates the configuration, generates routes, and builds

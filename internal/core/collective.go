@@ -7,12 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// collectiveBase holds the state shared by all collective channel types:
+// collectiveBase is the state of the collective channel open on a port:
 // packing toward the support kernel and unpacking from it, with the same
-// cycle accounting as point-to-point channels.
+// cycle accounting as point-to-point channels, and the progress of the
+// open operation. It lives in the port's endpoint slot (endpoint.coll):
+// the first open on the port allocates it and every later open resets
+// it in place.
 type collectiveBase struct {
 	x    *Ctx
 	ep   *endpoint
+	gen  uint32 // generation of the open the state belongs to
 	dt   Datatype
 	epp  int
 	vec  int
@@ -33,30 +37,69 @@ type collectiveBase struct {
 	rcv  packet.Packet
 	have int
 	pos  int
+
+	// Progress of the operation. count is the message size (Bcast,
+	// Reduce) or the per-member chunk (Scatter, Gather); sent and rcvd
+	// count the elements pushed and popped. pendingPop is set at a Reduce
+	// root when a contribution was flushed but the matching result pop
+	// failed: a ReduceE retry must not push the contribution again. local
+	// is a Scatter or Gather root's own chunk, kept application-local,
+	// and lpos the next element of it to pop.
+	count      int
+	sent       int
+	rcvd       int
+	pendingPop bool
+	local      []uint64
+	lpos       int
 }
 
-func (x *Ctx) openCollective(kind PortKind, count int, dt Datatype, port, root int, comm Comm, opts []ChannelOption) (*collectiveBase, error) {
+// collHandle is what a collective channel holds: its port's state and
+// the generation of the open that made it. A handle used after its
+// channel closed panics as an operation beyond the message size does,
+// also once the port has been reopened: a stale handle never touches a
+// newer channel.
+type collHandle struct {
+	b   *collectiveBase
+	gen uint32
+}
+
+// state returns the channel's state, or panics naming op if the channel
+// has closed and its port has been reopened since.
+func (h collHandle) state(op string) *collectiveBase {
+	if h.gen != h.b.gen {
+		panic(fmt.Sprintf("smi: %s beyond message size on port %d: the channel closed and the port was reopened", op, h.b.port))
+	}
+	return h.b
+}
+
+// openCollective opens a collective channel of count elements on the
+// port, resetting the port's state in place, and returns the handle.
+func (x *Ctx) openCollective(kind PortKind, count int, dt Datatype, port, root int, comm Comm, opts []ChannelOption) (collHandle, error) {
 	ep, err := x.endpointFor(port, kind, dt, count, comm)
 	if err != nil {
-		return nil, err
+		return collHandle{}, err
 	}
 	if root < 0 || root >= comm.size {
-		return nil, fmt.Errorf("smi: root %d outside %v", root, comm)
+		return collHandle{}, fmt.Errorf("smi: root %d outside %v", root, comm)
 	}
 	if comm.size > packet.MaxRanks {
-		return nil, fmt.Errorf("smi: communicator of %d ranks exceeds packet header limit", comm.size)
+		return collHandle{}, fmt.Errorf("smi: communicator of %d ranks exceeds packet header limit", comm.size)
 	}
 	if ep.inUseSend || ep.inUseRecv {
-		return nil, fmt.Errorf("smi: rank %d port %d already has an open channel", x.rank, port)
+		return collHandle{}, fmt.Errorf("smi: rank %d port %d already has an open channel", x.rank, port)
 	}
 	if err := x.runtimeErr("open", port, -1); err != nil {
-		return nil, err
+		return collHandle{}, err
 	}
-	o := x.resolveOpts(opts)
-	b := &collectiveBase{
-		x: x, ep: ep, dt: dt, epp: dt.ElemsPerPacket(), vec: ep.spec.VecWidth,
+	b := ep.coll
+	if b == nil {
+		b = new(collectiveBase)
+		ep.coll = b
+	}
+	*b = collectiveBase{
+		x: x, ep: ep, gen: b.gen + 1, dt: dt, epp: dt.ElemsPerPacket(), vec: ep.spec.VecWidth,
 		port: port, comm: comm, root: comm.Global(root), isRoot: comm.Global(root) == x.rank,
-		patience: o.patience,
+		patience: x.resolveOpts(opts), count: count, local: b.local[:0],
 	}
 	// Deliver the dynamic channel configuration to the support kernel.
 	// This is the one collective open step that blocks, so it honors the
@@ -70,9 +113,9 @@ func (x *Ctx) openCollective(kind PortKind, count int, dt Datatype, port, root i
 	ep.inUseSend, ep.inUseRecv = true, true
 	if res := ep.appSend.PushProcE(x.proc, cfg, b.opDeadline()); res != sim.WaitOK {
 		ep.inUseSend, ep.inUseRecv = false, false
-		return nil, x.waitErr(res, "open", port, -1)
+		return collHandle{}, x.waitErr(res, "open", port, -1)
 	}
-	return b, nil
+	return collHandle{b: b, gen: b.gen}, nil
 }
 
 func (b *collectiveBase) close() {
@@ -155,25 +198,25 @@ func (b *collectiveBase) popElemE(deadline int64, op string, paired bool) (uint6
 // BcastChannel is a broadcast channel (SMI_Open_bcast_channel /
 // SMI_Bcast). The root streams count elements; every other member of the
 // communicator receives them.
-type BcastChannel struct {
-	b     *collectiveBase
-	count int
-	used  int
-}
+type BcastChannel struct{ h collHandle }
 
 // OpenBcastChannel opens a broadcast channel for count elements of type
 // dt on the given port. root is relative to comm and may be chosen at
-// run time: both root and non-root hardware exist at every rank.
+// run time: both root and non-root hardware exist at every rank. The
+// open's one blocking step delivers the channel configuration to the
+// support kernel. The channel lives in the port's endpoint slot, and
+// the open allocates only its 16-byte handle, which stays valid until
+// the channel closes after count elements.
 func (x *Ctx) OpenBcastChannel(count int, dt Datatype, port, root int, comm Comm, opts ...ChannelOption) (*BcastChannel, error) {
-	b, err := x.openCollective(Bcast, count, dt, port, root, comm, opts)
+	h, err := x.openCollective(Bcast, count, dt, port, root, comm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &BcastChannel{b: b, count: count}, nil
+	return &BcastChannel{h}, nil
 }
 
 // Root reports whether this rank is the broadcast root.
-func (ch *BcastChannel) Root() bool { return ch.b.isRoot }
+func (ch *BcastChannel) Root() bool { return ch.h.state("Bcast").isRoot }
 
 // Bcast participates in the broadcast for one element: the root pushes
 // bits toward the other ranks (and gets them back unchanged); non-root
@@ -191,31 +234,32 @@ func (ch *BcastChannel) Bcast(bits uint64) uint64 {
 // the first runtime error its own operation sequence observes. A failed
 // call consumes nothing and may be retried.
 func (ch *BcastChannel) BcastE(bits uint64) (uint64, error) {
-	if ch.used >= ch.count {
-		panic(fmt.Sprintf("smi: Bcast beyond message size %d on port %d", ch.count, ch.b.port))
+	b := ch.h.state("Bcast")
+	if b.sent >= b.count {
+		panic(fmt.Sprintf("smi: Bcast beyond message size %d on port %d", b.count, b.port))
 	}
-	if err := ch.b.x.runtimeErr("bcast", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("bcast", b.port, -1); err != nil {
 		return 0, err
 	}
-	deadline := ch.b.opDeadline()
-	ch.used++
+	deadline := b.opDeadline()
+	b.sent++
 	var out uint64
-	if ch.b.isRoot {
-		if err := ch.b.pushElemE(bits, ch.used == ch.count, deadline, "bcast"); err != nil {
-			ch.used--
+	if b.isRoot {
+		if err := b.pushElemE(bits, b.sent == b.count, deadline, "bcast"); err != nil {
+			b.sent--
 			return 0, err
 		}
 		out = bits
 	} else {
-		v, err := ch.b.popElemE(deadline, "bcast", false)
+		v, err := b.popElemE(deadline, "bcast", false)
 		if err != nil {
-			ch.used--
+			b.sent--
 			return 0, err
 		}
 		out = v
 	}
-	if ch.used == ch.count {
-		ch.b.close()
+	if b.sent == b.count {
+		b.close()
 	}
 	return out, nil
 }
@@ -233,33 +277,27 @@ func (ch *BcastChannel) BcastInt(v int32) int32 {
 // ReduceChannel is a reduction channel (SMI_Open_reduce_channel /
 // SMI_Reduce). Every member contributes count elements; the reduced
 // result is produced at the root.
-type ReduceChannel struct {
-	b     *collectiveBase
-	count int
-	sent  int
-	// pendingPop is set at the root when a contribution was flushed but
-	// the matching result pop failed: a ReduceE retry must not push the
-	// contribution again.
-	pendingPop bool
-}
+type ReduceChannel struct{ h collHandle }
 
 // OpenReduceChannel opens a reduce channel for count elements of type dt
 // with the declared reduction operation of the port. op must match the
 // port's declared operation (the combinational logic is fixed hardware).
+// Like OpenBcastChannel it allocates only its handle, valid until the
+// channel closes after count elements.
 func (x *Ctx) OpenReduceChannel(count int, dt Datatype, op Op, port, root int, comm Comm, opts ...ChannelOption) (*ReduceChannel, error) {
 	ep, ok := x.c.ranks[x.rank].endpoint(port)
 	if ok && ep.spec.Kind == Reduce && ep.spec.ReduceOp != op {
 		return nil, fmt.Errorf("smi: port %d implements %v, not %v", port, ep.spec.ReduceOp, op)
 	}
-	b, err := x.openCollective(Reduce, count, dt, port, root, comm, opts)
+	h, err := x.openCollective(Reduce, count, dt, port, root, comm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ReduceChannel{b: b, count: count}, nil
+	return &ReduceChannel{h}, nil
 }
 
 // Root reports whether this rank is the reduction root.
-func (ch *ReduceChannel) Root() bool { return ch.b.isRoot }
+func (ch *ReduceChannel) Root() bool { return ch.h.state("Reduce").isRoot }
 
 // Reduce contributes one element; at the root it returns the fully
 // reduced element (ok=true), elsewhere ok=false. Elements are reduced in
@@ -279,38 +317,39 @@ func (ch *ReduceChannel) Reduce(bits uint64) (result uint64, ok bool) {
 // already flushed when the result pop failed, the retry skips the push
 // and only re-attempts the pop.
 func (ch *ReduceChannel) ReduceE(bits uint64) (result uint64, ok bool, err error) {
-	if ch.sent >= ch.count && !ch.pendingPop {
-		panic(fmt.Sprintf("smi: Reduce beyond message size %d on port %d", ch.count, ch.b.port))
+	b := ch.h.state("Reduce")
+	if b.sent >= b.count && !b.pendingPop {
+		panic(fmt.Sprintf("smi: Reduce beyond message size %d on port %d", b.count, b.port))
 	}
-	if err := ch.b.x.runtimeErr("reduce", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("reduce", b.port, -1); err != nil {
 		return 0, false, err
 	}
-	deadline := ch.b.opDeadline()
-	if !ch.pendingPop {
-		ch.sent++
+	deadline := b.opDeadline()
+	if !b.pendingPop {
+		b.sent++
 		// At the root every element flushes immediately: SMI_Reduce pushes
 		// a contribution and pops the result of the same element in one
 		// call, so the contribution must reach the support kernel (a
 		// local-only hop) before the pop. Non-root contributions pack
 		// normally.
-		if err := ch.b.pushElemE(bits, ch.b.isRoot || ch.sent == ch.count, deadline, "reduce"); err != nil {
-			ch.sent--
+		if err := b.pushElemE(bits, b.isRoot || b.sent == b.count, deadline, "reduce"); err != nil {
+			b.sent--
 			return 0, false, err
 		}
-		if ch.b.isRoot {
-			ch.pendingPop = true
+		if b.isRoot {
+			b.pendingPop = true
 		}
 	}
-	if ch.b.isRoot {
-		v, perr := ch.b.popElemE(deadline, "reduce", true)
+	if b.isRoot {
+		v, perr := b.popElemE(deadline, "reduce", true)
 		if perr != nil {
 			return 0, false, perr
 		}
-		ch.pendingPop = false
+		b.pendingPop = false
 		result, ok = v, true
 	}
-	if ch.sent == ch.count {
-		ch.b.close()
+	if b.sent == b.count {
+		b.close()
 	}
 	return result, ok, nil
 }
@@ -331,27 +370,22 @@ func (ch *ReduceChannel) ReduceInt(v int32) (int32, bool) {
 // communicator from the root (SMI-style streaming Scatter). The root
 // pushes comm.Size()*count elements in member-rank order; every member
 // (including the root) pops its count-element chunk.
-type ScatterChannel struct {
-	b     *collectiveBase
-	count int // per-member chunk size
-	sent  int
-	rcvd  int
-	local []uint64 // root's own chunk, kept application-local
-	lpos  int
-}
+type ScatterChannel struct{ h collHandle }
 
 // OpenScatterChannel opens a scatter channel with a per-member chunk of
-// count elements of type dt.
+// count elements of type dt. Like OpenBcastChannel it allocates only its
+// handle, valid until the channel closes: at the root once every chunk
+// is pushed and its own popped, elsewhere once its chunk is popped.
 func (x *Ctx) OpenScatterChannel(count int, dt Datatype, port, root int, comm Comm, opts ...ChannelOption) (*ScatterChannel, error) {
-	b, err := x.openCollective(Scatter, count, dt, port, root, comm, opts)
+	h, err := x.openCollective(Scatter, count, dt, port, root, comm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &ScatterChannel{b: b, count: count}, nil
+	return &ScatterChannel{h}, nil
 }
 
 // Root reports whether this rank is the scatter root.
-func (ch *ScatterChannel) Root() bool { return ch.b.isRoot }
+func (ch *ScatterChannel) Root() bool { return ch.h.state("Scatter").isRoot }
 
 // Push streams the next element of the root's send buffer (member-rank
 // order, comm.Size()*count elements total). Only the root may push. A
@@ -365,30 +399,31 @@ func (ch *ScatterChannel) Push(bits uint64) {
 // PushE is Push with a recoverable error surface; a failed call consumes
 // nothing and may be retried.
 func (ch *ScatterChannel) PushE(bits uint64) error {
-	if !ch.b.isRoot {
-		panic(fmt.Sprintf("smi: Scatter push on non-root rank %d", ch.b.x.rank))
+	b := ch.h.state("Scatter push")
+	if !b.isRoot {
+		panic(fmt.Sprintf("smi: Scatter push on non-root rank %d", b.x.rank))
 	}
-	total := ch.count * ch.b.comm.size
-	if ch.sent >= total {
-		panic(fmt.Sprintf("smi: Scatter push beyond %d elements on port %d", total, ch.b.port))
+	total := b.count * b.comm.size
+	if b.sent >= total {
+		panic(fmt.Sprintf("smi: Scatter push beyond %d elements on port %d", total, b.port))
 	}
-	if err := ch.b.x.runtimeErr("scatter", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("scatter", b.port, -1); err != nil {
 		return err
 	}
-	member := ch.sent / ch.count
-	if ch.b.comm.Global(member) == ch.b.x.rank {
+	member := b.sent / b.count
+	if b.comm.Global(member) == b.x.rank {
 		// The root's own chunk stays local; it never crosses the
 		// support kernel (one cycle of datapath time still passes).
-		ch.local = append(ch.local, bits)
-		ch.b.x.proc.Tick()
+		b.local = append(b.local, bits)
+		b.x.proc.Tick()
 	} else {
-		chunkEnd := (ch.sent+1)%ch.count == 0
-		if err := ch.b.pushElemE(bits, chunkEnd, ch.b.opDeadline(), "scatter"); err != nil {
+		chunkEnd := (b.sent+1)%b.count == 0
+		if err := b.pushElemE(bits, chunkEnd, b.opDeadline(), "scatter"); err != nil {
 			return err
 		}
 	}
-	ch.sent++
-	ch.maybeClose()
+	b.sent++
+	b.maybeCloseScatter()
 	return nil
 }
 
@@ -405,66 +440,64 @@ func (ch *ScatterChannel) Pop() uint64 {
 // PopE is Pop with a recoverable error surface; a failed call consumes
 // nothing and may be retried.
 func (ch *ScatterChannel) PopE() (uint64, error) {
-	if ch.rcvd >= ch.count {
-		panic(fmt.Sprintf("smi: Scatter pop beyond chunk size %d on port %d", ch.count, ch.b.port))
+	b := ch.h.state("Scatter pop")
+	if b.rcvd >= b.count {
+		panic(fmt.Sprintf("smi: Scatter pop beyond chunk size %d on port %d", b.count, b.port))
 	}
-	if err := ch.b.x.runtimeErr("scatter", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("scatter", b.port, -1); err != nil {
 		return 0, err
 	}
 	var bits uint64
-	if ch.b.isRoot {
-		if ch.lpos >= len(ch.local) {
+	if b.isRoot {
+		if b.lpos >= len(b.local) {
 			panic("smi: Scatter root must push its own chunk before popping it")
 		}
-		bits = ch.local[ch.lpos]
-		ch.lpos++
-		ch.b.x.proc.Tick()
+		bits = b.local[b.lpos]
+		b.lpos++
+		b.x.proc.Tick()
 	} else {
-		v, err := ch.b.popElemE(ch.b.opDeadline(), "scatter", false)
+		v, err := b.popElemE(b.opDeadline(), "scatter", false)
 		if err != nil {
 			return 0, err
 		}
 		bits = v
 	}
-	ch.rcvd++
-	ch.maybeClose()
+	b.rcvd++
+	b.maybeCloseScatter()
 	return bits, nil
 }
 
-func (ch *ScatterChannel) maybeClose() {
-	done := ch.rcvd == ch.count
-	if ch.b.isRoot {
-		done = done && ch.sent == ch.count*ch.b.comm.size
+// maybeCloseScatter closes a scatter channel once this rank has popped
+// its chunk and, at the root, pushed every member's.
+func (b *collectiveBase) maybeCloseScatter() {
+	done := b.rcvd == b.count
+	if b.isRoot {
+		done = done && b.sent == b.count*b.comm.size
 	}
 	if done {
-		ch.b.close()
+		b.close()
 	}
 }
 
 // GatherChannel collects count elements from each member at the root.
 // Every member (including the root) pushes count elements; the root pops
 // comm.Size()*count elements in member-rank order.
-type GatherChannel struct {
-	b     *collectiveBase
-	count int
-	sent  int
-	rcvd  int
-	local []uint64 // root's own contribution, kept application-local
-	lpos  int
-}
+type GatherChannel struct{ h collHandle }
 
 // OpenGatherChannel opens a gather channel with a per-member
-// contribution of count elements of type dt.
+// contribution of count elements of type dt. Like OpenBcastChannel it
+// allocates only its handle, valid until the channel closes: once this
+// rank's contribution is pushed and, at the root, every one popped.
 func (x *Ctx) OpenGatherChannel(count int, dt Datatype, port, root int, comm Comm, opts ...ChannelOption) (*GatherChannel, error) {
-	b, err := x.openCollective(Gather, count, dt, port, root, comm, opts)
+	h, err := x.openCollective(Gather, count, dt, port, root, comm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &GatherChannel{b: b, count: count}, nil
+	return &GatherChannel{h}, nil
 }
 
 // Root reports whether this rank is the gather root.
-func (ch *GatherChannel) Root() bool { return ch.b.isRoot }
+func (ch *GatherChannel) Root() bool { return ch.h.state("Gather").isRoot }
 
 // Push streams the next element of this rank's contribution. A runtime
 // failure panics with the ChannelError that PushE would return.
@@ -477,22 +510,23 @@ func (ch *GatherChannel) Push(bits uint64) {
 // PushE is Push with a recoverable error surface; a failed call consumes
 // nothing and may be retried.
 func (ch *GatherChannel) PushE(bits uint64) error {
-	if ch.sent >= ch.count {
-		panic(fmt.Sprintf("smi: Gather push beyond contribution size %d on port %d", ch.count, ch.b.port))
+	b := ch.h.state("Gather push")
+	if b.sent >= b.count {
+		panic(fmt.Sprintf("smi: Gather push beyond contribution size %d on port %d", b.count, b.port))
 	}
-	if err := ch.b.x.runtimeErr("gather", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("gather", b.port, -1); err != nil {
 		return err
 	}
-	if ch.b.isRoot {
-		ch.local = append(ch.local, bits)
-		ch.b.x.proc.Tick()
+	if b.isRoot {
+		b.local = append(b.local, bits)
+		b.x.proc.Tick()
 	} else {
-		if err := ch.b.pushElemE(bits, ch.sent+1 == ch.count, ch.b.opDeadline(), "gather"); err != nil {
+		if err := b.pushElemE(bits, b.sent+1 == b.count, b.opDeadline(), "gather"); err != nil {
 			return err
 		}
 	}
-	ch.sent++
-	ch.maybeClose()
+	b.sent++
+	b.maybeCloseGather()
 	return nil
 }
 
@@ -509,43 +543,46 @@ func (ch *GatherChannel) Pop() uint64 {
 // PopE is Pop with a recoverable error surface; a failed call consumes
 // nothing and may be retried.
 func (ch *GatherChannel) PopE() (uint64, error) {
-	if !ch.b.isRoot {
-		panic(fmt.Sprintf("smi: Gather pop on non-root rank %d", ch.b.x.rank))
+	b := ch.h.state("Gather pop")
+	if !b.isRoot {
+		panic(fmt.Sprintf("smi: Gather pop on non-root rank %d", b.x.rank))
 	}
-	total := ch.count * ch.b.comm.size
-	if ch.rcvd >= total {
-		panic(fmt.Sprintf("smi: Gather pop beyond %d elements on port %d", total, ch.b.port))
+	total := b.count * b.comm.size
+	if b.rcvd >= total {
+		panic(fmt.Sprintf("smi: Gather pop beyond %d elements on port %d", total, b.port))
 	}
-	if err := ch.b.x.runtimeErr("gather", ch.b.port, -1); err != nil {
+	if err := b.x.runtimeErr("gather", b.port, -1); err != nil {
 		return 0, err
 	}
-	member := ch.rcvd / ch.count
+	member := b.rcvd / b.count
 	var bits uint64
-	if ch.b.comm.Global(member) == ch.b.x.rank {
-		if ch.lpos >= len(ch.local) {
+	if b.comm.Global(member) == b.x.rank {
+		if b.lpos >= len(b.local) {
 			panic("smi: Gather root must push its contribution before popping it")
 		}
-		bits = ch.local[ch.lpos]
-		ch.lpos++
-		ch.b.x.proc.Tick()
+		bits = b.local[b.lpos]
+		b.lpos++
+		b.x.proc.Tick()
 	} else {
-		v, err := ch.b.popElemE(ch.b.opDeadline(), "gather", false)
+		v, err := b.popElemE(b.opDeadline(), "gather", false)
 		if err != nil {
 			return 0, err
 		}
 		bits = v
 	}
-	ch.rcvd++
-	ch.maybeClose()
+	b.rcvd++
+	b.maybeCloseGather()
 	return bits, nil
 }
 
-func (ch *GatherChannel) maybeClose() {
-	done := ch.sent == ch.count
-	if ch.b.isRoot {
-		done = done && ch.rcvd == ch.count*ch.b.comm.size
+// maybeCloseGather closes a gather channel once this rank has pushed its
+// contribution and, at the root, popped every member's.
+func (b *collectiveBase) maybeCloseGather() {
+	done := b.sent == b.count
+	if b.isRoot {
+		done = done && b.rcvd == b.count*b.comm.size
 	}
 	if done {
-		ch.b.close()
+		b.close()
 	}
 }

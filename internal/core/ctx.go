@@ -28,7 +28,7 @@ type Ctx struct {
 }
 
 // pushPath returns the kernel's send path, bound to ch.
-func (x *Ctx) pushPath(ch *SendChannel) *sendPath {
+func (x *Ctx) pushPath(ch *sendState) *sendPath {
 	if x.send == nil {
 		x.send = new(sendPath)
 	}
@@ -37,7 +37,7 @@ func (x *Ctx) pushPath(ch *SendChannel) *sendPath {
 }
 
 // popPath returns the kernel's receive path, bound to ch.
-func (x *Ctx) popPath(ch *RecvChannel) *recvPath {
+func (x *Ctx) popPath(ch *recvState) *recvPath {
 	if x.recv == nil {
 		x.recv = new(recvPath)
 	}

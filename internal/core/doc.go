@@ -17,6 +17,13 @@
 // a torus, a bus, or any other wiring, and the set of ranks can change
 // without recompilation.
 //
+// Opening a channel allocates only the small handle it returns: the
+// channel's state lives in its port's endpoint slot, allocated by the
+// port's first open and reset by every later one. A handle is valid
+// until its channel closes after count elements. Used after that, it
+// panics as a push or pop beyond the message size does, also once the
+// port has been reopened: a stale handle never touches a newer message.
+//
 // Because the original system is an HLS library synthesized to Stratix
 // 10 FPGAs, this reproduction executes programs on a deterministic
 // cycle-driven simulator (internal/sim). Rank programs are ordinary Go

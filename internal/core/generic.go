@@ -67,11 +67,12 @@ func PopE[T Element](ch *RecvChannel) (T, error) {
 // SendChannel.PushN. It returns how many elements were consumed and the
 // first error; on error the remainder (vs[n:]) may be retried.
 func PushSlice[T Element](ch *SendChannel, vs []T) (int, error) {
-	view := typedView[T](&ch.ep.pushView)
+	st := ch.state()
+	view := typedView[T](&st.ep.pushView)
 	view.vs = vs
-	s := ch.x.pushPath(ch)
+	s := st.x.pushPath(st)
 	s.begin(view)
-	ch.x.proc.Run(s)
+	st.x.proc.Run(s)
 	view.vs = nil
 	return s.end()
 }
@@ -80,11 +81,12 @@ func PushSlice[T Element](ch *SendChannel, vs []T) (int, error) {
 // returns how many elements were delivered and the first error; on
 // error the remainder (vs[n:]) may be retried.
 func PopSlice[T Element](ch *RecvChannel, vs []T) (int, error) {
-	view := typedView[T](&ch.ep.popView)
+	st := ch.state()
+	view := typedView[T](&st.ep.popView)
 	view.vs = vs
-	s := ch.x.popPath(ch)
+	s := st.x.popPath(st)
 	s.begin(view)
-	ch.x.proc.Run(s)
+	st.x.proc.Run(s)
 	view.vs = nil
 	return s.end()
 }

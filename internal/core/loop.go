@@ -106,7 +106,8 @@ func (l *loopRun) channelOp(p *sim.Proc, op *LoopOp, res sim.WaitResult) sim.Wai
 	slot := l.vals[l.k : l.k+1]
 	switch {
 	case op.Send == nil:
-		s := op.Recv.x.popPath(op.Recv)
+		st := op.Recv.state()
+		s := st.x.popPath(st)
 		if !l.inOp {
 			l.inOp = true
 			s.beginBits(slot)
@@ -117,7 +118,8 @@ func (l *loopRun) channelOp(p *sim.Proc, op *LoopOp, res sim.WaitResult) sim.Wai
 		_, l.err = s.end()
 	case op.Recv == nil:
 		l.compute()
-		s := op.Send.x.pushPath(op.Send)
+		st := op.Send.state()
+		s := st.x.pushPath(st)
 		if !l.inOp {
 			l.inOp = true
 			s.beginBits(slot)

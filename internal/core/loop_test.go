@@ -186,7 +186,7 @@ func TestBulkCallsAllocateNothing(t *testing.T) {
 		vs, bits := make([]int32, per), make([]uint64, per)
 		check("PushSlice", func() { PushSlice(ch, vs) })
 		check("PushN", func() { ch.PushN(bits) })
-		for ch.sent < n {
+		for ch.s.sent < n {
 			PushSlice(ch, vs[:1])
 		}
 	})
@@ -205,7 +205,7 @@ func TestBulkCallsAllocateNothing(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		for ch.received < n {
+		for ch.s.received < n {
 			PopSlice(ch, vs[:1])
 		}
 	})

@@ -33,13 +33,17 @@ func (x *Ctx) SetDefaultDeadline(cycles int64) {
 	x.defPatience = cycles
 }
 
-// resolveOpts folds the Ctx default and the per-open options.
-func (x *Ctx) resolveOpts(opts []ChannelOption) chanOpts {
+// resolveOpts folds the Ctx default and the per-open options into the
+// channel's patience. An open without options allocates nothing here.
+func (x *Ctx) resolveOpts(opts []ChannelOption) int64 {
+	if len(opts) == 0 {
+		return x.defPatience
+	}
 	o := chanOpts{patience: x.defPatience}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return o
+	return o.patience
 }
 
 // ChannelOpts is the options-struct form of a channel open call. Count,

@@ -15,7 +15,9 @@ import (
 //	GET  /v1/workloads         registered workloads
 //	GET  /v1/stats             service + route-cache counters
 //	POST /v1/jobs              submit a JobSpec -> 202 + JobStatus
-//	GET  /v1/jobs              list all jobs
+//	GET  /v1/jobs              list the retained jobs (every queued
+//	                           and running one, and the most recently
+//	                           finished ones; see keepFinished)
 //	GET  /v1/jobs/{id}         job status, spec, result
 //	GET  /v1/jobs/{id}/events  NDJSON event stream (follows until the
 //	                           job is terminal; ?follow=0 dumps and

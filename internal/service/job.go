@@ -49,6 +49,7 @@ type Job struct {
 	errKind     string
 	cacheHit    bool
 	replayOf    string
+	origResult  *workload.Result // the replayed job's result, nil for no replay
 	replayMatch *bool
 	submitted   time.Time
 	started     time.Time
@@ -57,10 +58,16 @@ type Job struct {
 	changed     chan struct{} // closed and replaced on every mutation
 }
 
-func newJob(id string, spec JobSpec, replayOf string) *Job {
+// newJob makes a queued job; replayOf is the completed job it replays,
+// or nil. A replay keeps its original's result for the verdict, so the
+// verdict holds even if the service forgets the original meanwhile.
+func newJob(id string, spec JobSpec, replayOf *Job) *Job {
 	j := &Job{
-		id: id, spec: spec, state: StateQueued, replayOf: replayOf,
+		id: id, spec: spec, state: StateQueued,
 		submitted: time.Now(), changed: make(chan struct{}),
+	}
+	if replayOf != nil {
+		j.replayOf, j.origResult = replayOf.id, replayOf.Result()
 	}
 	j.appendEventLocked("queued", 0, "")
 	return j

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/workload"
@@ -58,14 +59,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// keepFinished is how many finished jobs (done, failed or canceled) the
+// service retains for GET and replay. When one more finishes, the job
+// that finished earliest is forgotten: its id answers NotFound. Queued
+// and running jobs are never forgotten, so the service holds at most
+// QueueDepth + Workers + keepFinished jobs whatever the offered load.
+const keepFinished = 256
+
 // Service is a running smid instance.
 type Service struct {
 	cfg   Config
 	cache *RouteCache
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string // submission order, for listings
+	mu sync.Mutex
+	// jobs holds every queued and running job and the keepFinished most
+	// recently finished ones; order lists their ids in submission order,
+	// finished the finished ones' in the order they finished.
+	jobs     map[string]*Job
+	order    []string
+	finished []string
+	// counts and sched are running totals over every job ever admitted:
+	// how many are in each state, and the effort of the completed ones.
+	counts map[State]int
+	sched  SchedTotals
 	nextID int
 	closed bool
 
@@ -77,10 +93,11 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:   cfg,
-		cache: NewRouteCache(cfg.CacheCapacity),
-		jobs:  make(map[string]*Job),
-		queue: make(chan *Job, cfg.QueueDepth),
+		cfg:    cfg,
+		cache:  NewRouteCache(cfg.CacheCapacity),
+		jobs:   make(map[string]*Job),
+		counts: make(map[State]int),
+		queue:  make(chan *Job, cfg.QueueDepth),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -101,7 +118,7 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 	if _, err := spec.resolve(); err != nil {
 		return nil, err
 	}
-	return s.enqueue(spec, "")
+	return s.enqueue(spec, nil)
 }
 
 // Replay re-executes a completed job from its stored spec as a new job.
@@ -118,11 +135,12 @@ func (s *Service) Replay(id string) (*Job, error) {
 	if orig.State() != StateDone {
 		return nil, errf(Conflict, "job %s is %s; only completed jobs can be replayed", id, orig.State())
 	}
-	return s.enqueue(orig.Spec(), id)
+	return s.enqueue(orig.Spec(), orig)
 }
 
-// enqueue registers and queues a job under admission control.
-func (s *Service) enqueue(spec JobSpec, replayOf string) (*Job, error) {
+// enqueue registers and queues a job under admission control; replayOf
+// is the job it replays, or nil.
+func (s *Service) enqueue(spec JobSpec, replayOf *Job) (*Job, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -137,6 +155,7 @@ func (s *Service) enqueue(spec JobSpec, replayOf string) (*Job, error) {
 	case s.queue <- job:
 		s.jobs[job.id] = job
 		s.order = append(s.order, job.id)
+		s.counts[StateQueued]++
 		s.mu.Unlock()
 		return job, nil
 	default:
@@ -153,17 +172,21 @@ func (s *Service) runJob(job *Job) {
 	if job.State() == StateCanceled {
 		return
 	}
+	s.mu.Lock()
+	s.counts[StateQueued]--
+	s.counts[StateRunning]++
+	s.mu.Unlock()
+	job.start()
 	defer func() {
 		if r := recover(); r != nil {
-			job.fail(fmt.Errorf("job panicked: %v", r))
+			s.finish(job, nil, fmt.Errorf("job panicked: %v", r))
 		}
 	}()
-	job.start()
 
 	spec := job.Spec()
 	r, err := spec.resolve()
 	if err != nil {
-		job.fail(err)
+		s.finish(job, nil, err)
 		return
 	}
 
@@ -184,7 +207,7 @@ func (s *Service) runJob(job *Job) {
 	if r.workload.SupportsRoutes && r.topo != nil {
 		routes, hit, err := s.cache.Get(r.topo, r.policy)
 		if err != nil {
-			job.fail(err)
+			s.finish(job, nil, err)
 			return
 		}
 		params.Routes = routes
@@ -198,29 +221,60 @@ func (s *Service) runJob(job *Job) {
 	}
 
 	res, err := workload.Run(spec.Workload, params)
+	s.finish(job, &res, err)
+}
+
+// finish ends a running job with its result, or with err if that is not
+// nil. The service books the job first, so a client that sees the job
+// finished also sees it in the counters.
+func (s *Service) finish(job *Job, res *workload.Result, err error) {
 	if err != nil {
+		s.retire(job.id, StateRunning, StateFailed, nil)
 		job.fail(err)
 		return
 	}
-	job.done(&res, s.replayVerdict(job.replayOf, &res))
+	s.retire(job.id, StateRunning, StateDone, res)
+	job.done(res, replayVerdict(job.origResult, res))
 }
 
-// replayVerdict compares a replay's result against its original job's:
-// nil when the job is no replay (or its original is gone), else whether
-// the two are bit-identical.
-func (s *Service) replayVerdict(replayOf string, res *workload.Result) *bool {
-	if replayOf == "" {
+// replayVerdict compares a replay's result against its original job's
+// (origRes, nil when the job is no replay): nil for no replay, else
+// whether the two are bit-identical.
+func replayVerdict(origRes, res *workload.Result) *bool {
+	if origRes == nil {
 		return nil
 	}
-	s.mu.Lock()
-	orig := s.jobs[replayOf]
-	s.mu.Unlock()
-	if orig == nil {
-		return nil
-	}
-	origRes := orig.Result()
-	match := origRes != nil && reflect.DeepEqual(*origRes, *res)
+	match := reflect.DeepEqual(*origRes, *res)
 	return &match
+}
+
+// retire books the job id's move from state from to the final state to:
+// it moves the job's count, adds a completed job's scheduler effort
+// (res) to the totals, and forgets the earliest-finished job once more
+// than keepFinished are retained.
+func (s *Service) retire(id string, from, to State, res *workload.Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.counts[from]--
+	s.counts[to]++
+	if res != nil {
+		sc := res.Stats.Sched
+		if sc.Shards > 1 {
+			s.sched.ShardedJobs++
+		}
+		s.sched.Syncs += sc.Syncs
+		s.sched.Windows += sc.Windows
+		s.sched.Steals += sc.Steals
+	}
+	s.finished = append(s.finished, id)
+	if len(s.finished) <= keepFinished {
+		return
+	}
+	old := s.finished[0]
+	s.finished = slices.Delete(s.finished, 0, 1)
+	delete(s.jobs, old)
+	i := slices.Index(s.order, old)
+	s.order = slices.Delete(s.order, i, i+1)
 }
 
 // Job returns a job by ID.
@@ -234,7 +288,7 @@ func (s *Service) Job(id string) (*Job, error) {
 	return j, nil
 }
 
-// Jobs lists all jobs in submission order.
+// Jobs lists the retained jobs (see keepFinished) in submission order.
 func (s *Service) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,9 +307,10 @@ type Stats struct {
 	Workers       int           `json:"workers"`
 	RouteCache    CacheStats    `json:"route_cache"`
 	Draining      bool          `json:"draining"`
-	// Sched aggregates scheduler effort over every completed job; the
-	// per-job breakdown (including Sched.PerShard rows) lives in each
-	// job's status document under result.stats.sched.
+	// Sched aggregates scheduler effort over every completed job,
+	// forgotten ones included; the per-job breakdown (including
+	// Sched.PerShard rows) lives in each job's status document under
+	// result.stats.sched.
 	Sched SchedTotals `json:"sched"`
 }
 
@@ -269,7 +324,8 @@ type SchedTotals struct {
 	Steals      int64 `json:"steals"`
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters. Job counts cover every job
+// ever admitted, by its current state, forgotten ones included.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
@@ -278,24 +334,14 @@ func (s *Service) Stats() Stats {
 		QueueCapacity: s.cfg.QueueDepth,
 		Workers:       s.cfg.Workers,
 		Draining:      s.closed,
+		Sched:         s.sched,
 	}
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		st.Jobs[j.State()]++
-		if res := j.Result(); res != nil {
-			sc := res.Stats.Sched
-			if sc.Shards > 1 {
-				st.Sched.ShardedJobs++
-			}
-			st.Sched.Syncs += sc.Syncs
-			st.Sched.Windows += sc.Windows
-			st.Sched.Steals += sc.Steals
+	for state, n := range s.counts {
+		if n > 0 {
+			st.Jobs[state] = n
 		}
 	}
+	s.mu.Unlock()
 	st.RouteCache = s.cache.Stats()
 	return st
 }
@@ -318,6 +364,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case job := <-s.queue:
+			s.retire(job.id, StateQueued, StateCanceled, nil)
 			job.cancel("server shutting down before the job started")
 			continue
 		default:

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -284,9 +285,9 @@ func TestReplayDeterminism(t *testing.T) {
 // TestReplayVerdictWithCompletion checks that a replay publishes its
 // verdict together with its completion: the status a client reads when
 // the "completed" event arrives already carries replay_match. The test
-// holds the service lock the verdict needs (to look up the original
-// job) for a while, so a verdict computed after the job is published as
-// done is deterministically missing at that event.
+// holds the service lock, which the worker takes to book the job, for a
+// while, so a verdict computed after the job is published as done is
+// deterministically missing at that event.
 func TestReplayVerdictWithCompletion(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
 	orig, err := svc.Submit(JobSpec{Workload: "bcast", Ranks: 4, Size: 64})
@@ -452,5 +453,96 @@ func TestFailedJobsLeakNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after 20 failed jobs, %d when idle", runtime.NumGoroutine(), idle)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFinishedJobsAreForgotten submits keepFinished+3 jobs to a
+// one-worker service, so they finish in submission order: the three
+// that finished first are forgotten (GET and replay answer NotFound),
+// the rest stay listed in submission order, and the stats still count
+// every job.
+func TestFinishedJobsAreForgotten(t *testing.T) {
+	const n = keepFinished + 3
+	svc := newTestService(t, Config{Workers: 1, QueueDepth: n})
+	jobs := make([]*Job, n)
+	for i := range jobs {
+		j, err := svc.Submit(JobSpec{Workload: "pingpong", Ranks: 2, Size: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	for _, j := range jobs {
+		mustDone(t, j)
+	}
+	for _, j := range jobs[:3] {
+		if _, err := svc.Job(j.ID()); !IsKind(err, NotFound) {
+			t.Errorf("GET of forgotten job %s: %v, want NotFound", j.ID(), err)
+		}
+		if _, err := svc.Replay(j.ID()); !IsKind(err, NotFound) {
+			t.Errorf("replay of forgotten job %s: %v, want NotFound", j.ID(), err)
+		}
+	}
+	listed := svc.Jobs()
+	if len(listed) != keepFinished {
+		t.Fatalf("%d jobs listed, want %d", len(listed), keepFinished)
+	}
+	for i, j := range listed {
+		if j != jobs[3+i] {
+			t.Fatalf("listing[%d] is %s, want %s", i, j.ID(), jobs[3+i].ID())
+		}
+	}
+	if got := svc.Stats().Jobs; len(got) != 1 || got[StateDone] != n {
+		t.Fatalf("stats count %v, want %d done", got, n)
+	}
+	replay, err := svc.Replay(jobs[3].ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := mustDone(t, replay); st.ReplayMatch == nil || !*st.ReplayMatch {
+		t.Fatalf("replay of the oldest retained job: replay_match %v", st.ReplayMatch)
+	}
+}
+
+// TestRetireKeepsUnfinishedJobs books keepFinished+1 finished jobs
+// around a queued and a running one: only the earliest-finished job is
+// forgotten, whatever the submission order.
+func TestRetireKeepsUnfinishedJobs(t *testing.T) {
+	s := &Service{jobs: make(map[string]*Job), counts: make(map[State]int)}
+	admit := func(id string) {
+		s.jobs[id] = newJob(id, JobSpec{}, nil)
+		s.order = append(s.order, id)
+		s.counts[StateQueued]++
+	}
+	admit("queued")
+	admit("running")
+	s.counts[StateQueued]--
+	s.counts[StateRunning]++
+	var done []string
+	for i := 0; i <= keepFinished; i++ {
+		id := fmt.Sprintf("done%d", i)
+		admit(id)
+		done = append(done, id)
+	}
+	// Finish them newest first, so the earliest finished is the latest
+	// submitted.
+	for i := len(done) - 1; i >= 0; i-- {
+		s.retire(done[i], StateQueued, StateDone, nil)
+	}
+	gone := done[len(done)-1]
+	if _, ok := s.jobs[gone]; ok {
+		t.Errorf("earliest-finished job %s retained", gone)
+	}
+	want := append([]string{"queued", "running"}, done[:len(done)-1]...)
+	if !reflect.DeepEqual(s.order, want) {
+		t.Errorf("order %v, want %v", s.order, want)
+	}
+	for _, id := range want {
+		if _, ok := s.jobs[id]; !ok {
+			t.Errorf("job %s forgotten", id)
+		}
+	}
+	if s.counts[StateQueued] != 1 || s.counts[StateRunning] != 1 || s.counts[StateDone] != keepFinished+1 {
+		t.Errorf("counts %v", s.counts)
 	}
 }
