@@ -75,13 +75,7 @@ func Incast(cfg NetConfig, senders, elems int) (IncastResult, error) {
 			if err != nil {
 				panic(err)
 			}
-			data := make([]int32, elems)
-			for i := range data {
-				data[i] = int32(s*1_000_003 + i)
-			}
-			if _, err := smi.PushSlice(ch, data); err != nil {
-				panic(err)
-			}
+			streamOut(ch, elems, int32(s*1_000_003))
 		})
 	}
 	flowCycles := make([]int64, senders)
@@ -91,14 +85,8 @@ func Incast(cfg NetConfig, senders, elems int) (IncastResult, error) {
 			if err != nil {
 				panic(err)
 			}
-			got := make([]int32, elems)
-			if _, err := smi.PopSlice(ch, got); err != nil {
-				panic(err)
-			}
-			for i := range got {
-				if got[i] != int32(s*1_000_003+i) {
-					panic(fmt.Sprintf("incast: flow %d element %d corrupted: %d", s, i, got[i]))
-				}
+			if i, v := streamIn(ch, elems, int32(s*1_000_003)); i >= 0 {
+				panic(fmt.Sprintf("incast: flow %d element %d corrupted: %d", s, i, v))
 			}
 			flowCycles[s] = x.Now()
 		}

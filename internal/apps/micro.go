@@ -140,32 +140,20 @@ func Bandwidth(cfg NetConfig, src, dst, elems int) (BandwidthResult, error) {
 	if err != nil {
 		return BandwidthResult{}, err
 	}
-	data := make([]int32, elems)
-	for i := range data {
-		data[i] = int32(i)
-	}
 	c.OnRank(src, "source", func(x *smi.Ctx) {
 		ch, err := x.OpenSend(smi.ChannelOpts{Count: elems, Type: smi.Int, Dst: dst, Port: 0})
 		if err != nil {
 			panic(err)
 		}
-		if _, err := smi.PushSlice(ch, data); err != nil {
-			panic(err)
-		}
+		streamOut(ch, elems, 0)
 	})
 	c.OnRank(dst, "sink", func(x *smi.Ctx) {
 		ch, err := x.OpenRecv(smi.ChannelOpts{Count: elems, Type: smi.Int, Src: src, Port: 0})
 		if err != nil {
 			panic(err)
 		}
-		got := make([]int32, elems)
-		if _, err := smi.PopSlice(ch, got); err != nil {
-			panic(err)
-		}
-		for i := range got {
-			if got[i] != int32(i) {
-				panic(fmt.Sprintf("bandwidth: element %d corrupted: %d", i, got[i]))
-			}
+		if i, v := streamIn(ch, elems, 0); i >= 0 {
+			panic(fmt.Sprintf("bandwidth: element %d corrupted: %d", i, v))
 		}
 	})
 	st, err := c.Run()

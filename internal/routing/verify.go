@@ -2,16 +2,9 @@ package routing
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
-
-// channel identifies a directed use of a cable: device dev transmitting
-// on its local interface iface.
-type channel struct {
-	dev, iface int
-}
-
-func (c channel) String() string { return fmt.Sprintf("%d:%d", c.dev, c.iface) }
 
 // CycleError reports a channel-dependency cycle: a set of directed links
 // that can all be waiting for buffer space in each other, i.e. a
@@ -29,110 +22,111 @@ func (e *CycleError) Error() string {
 // links on the path adds a dependency edge — and searches it for cycles.
 // A nil return proves the route set cannot deadlock under wormhole/
 // credit-based flow control; a CycleError pinpoints one offending cycle.
+//
+// A channel is device dev transmitting on its local interface iface,
+// numbered dev*Ifaces+iface and named "dev:iface". Every channel a
+// channel c feeds belongs to the device at c's far end, so c's
+// dependencies are a bitset over that device's interfaces. The search
+// starts from the channels in number order and tries dependencies in
+// interface order, and names the first cycle it closes.
 func VerifyDeadlockFree(r *Routes) error {
-	adj := r.topo.Adjacent()
-	// Dependency edges between directed channels.
-	deps := make(map[channel]map[channel]bool)
-	addDep := func(a, b channel) {
-		m := deps[a]
-		if m == nil {
-			m = make(map[channel]bool)
-			deps[a] = m
-		}
-		m[b] = true
+	ifaces := r.Ifaces
+	n := r.Devices * ifaces
+	words := (ifaces + 63) / 64
+	// peer[c] is the device at the far end of channel c (-1 uncabled).
+	peer := make([]int, n)
+	for c := range peer {
+		peer[c] = -1
 	}
-	for src := 0; src < r.Devices; src++ {
-		for dst := 0; dst < r.Devices; dst++ {
-			if src == dst {
+	for _, cn := range r.topo.Connections {
+		peer[cn.A.Device*ifaces+cn.A.Iface] = cn.B.Device
+		peer[cn.B.Device*ifaces+cn.B.Iface] = cn.A.Device
+	}
+	// deps[c*words:(c+1)*words] holds bit j when a route leaves on c and
+	// goes on through interface j of c's peer. A route enters every
+	// device on its path, so the edges of all source/destination paths
+	// are those of each device's first hop toward each destination.
+	deps := make([]uint64, n*words)
+	for dev, next := range r.Next {
+		for dst, i := range next {
+			if dev == dst || i < 0 {
 				continue
 			}
-			dev := src
-			var prev *channel
-			for dev != dst {
-				i := r.Next[dev][dst]
-				if i == Unreachable {
-					break
-				}
-				cur := channel{dev, i}
-				if prev != nil {
-					addDep(*prev, cur)
-				}
-				prevv := cur
-				prev = &prevv
-				dev = adj[dev][i].Device
+			c := dev*ifaces + i
+			if i >= ifaces || peer[c] < 0 {
+				return fmt.Errorf("routing: device %d forwards to %d on interface %d, which has no cable", dev, dst, i)
+			}
+			p := peer[c]
+			if p == dst {
+				continue
+			}
+			// An out-of-range j is reported when the loop reaches (p, dst).
+			if j := r.Next[p][dst]; j >= 0 && j < ifaces {
+				deps[c*words+j/64] |= 1 << (j % 64)
 			}
 		}
 	}
+	// nextDep returns the first interface ≥ j in c's dependencies, or -1.
+	nextDep := func(c, j int) int {
+		set := deps[c*words : (c+1)*words]
+		for w := j / 64; w < words; w++ {
+			if m := set[w] &^ (1<<(j%64) - 1); m != 0 {
+				return w*64 + bits.TrailingZeros64(m)
+			}
+			j = (w + 1) * 64
+		}
+		return -1
+	}
 
-	// Iterative DFS cycle detection with deterministic ordering.
+	// Iterative depth-first search; a frame is a channel and the next
+	// interface of its peer to try.
 	const (
-		white = 0
-		gray  = 1
-		black = 2
+		white = iota
+		gray
+		black
 	)
-	color := make(map[channel]int)
-	var chans []channel
-	for d := 0; d < r.Devices; d++ {
-		for i := 0; i < r.Ifaces; i++ {
-			c := channel{d, i}
-			if deps[c] != nil {
-				chans = append(chans, c)
-			}
+	color := make([]uint8, n)
+	type frame struct{ c, j int }
+	var stack []frame
+	for root := range color {
+		if color[root] != white {
+			continue
 		}
-	}
-	// Sorted successor lists for determinism.
-	succ := func(c channel) []channel {
-		var out []channel
-		for d := 0; d < r.Devices; d++ {
-			for i := 0; i < r.Ifaces; i++ {
-				n := channel{d, i}
-				if deps[c][n] {
-					out = append(out, n)
-				}
+		color[root] = gray
+		stack = append(stack[:0], frame{root, 0})
+		for len(stack) > 0 {
+			f := &stack[len(stack)-1]
+			j := nextDep(f.c, f.j)
+			if j < 0 {
+				color[f.c] = black
+				stack = stack[:len(stack)-1]
+				continue
 			}
-		}
-		return out
-	}
-
-	var stack []channel
-	var dfs func(c channel) *CycleError
-	dfs = func(c channel) *CycleError {
-		color[c] = gray
-		stack = append(stack, c)
-		for _, n := range succ(c) {
-			switch color[n] {
+			f.j = j + 1
+			d := peer[f.c]*ifaces + j
+			switch color[d] {
 			case white:
-				if err := dfs(n); err != nil {
-					return err
-				}
+				color[d] = gray
+				stack = append(stack, frame{d, 0})
 			case gray:
-				// Extract the cycle from the stack.
-				var cyc []string
 				start := 0
-				for i, s := range stack {
-					if s == n {
-						start = i
+				for k, s := range stack {
+					if s.c == d {
+						start = k
 						break
 					}
 				}
+				var cyc []string
 				for _, s := range stack[start:] {
-					cyc = append(cyc, s.String())
+					cyc = append(cyc, chanName(s.c, ifaces))
 				}
-				cyc = append(cyc, n.String())
+				cyc = append(cyc, chanName(d, ifaces))
 				return &CycleError{Cycle: cyc}
-			}
-		}
-		stack = stack[:len(stack)-1]
-		color[c] = black
-		return nil
-	}
-	for _, c := range chans {
-		if color[c] == white {
-			stack = stack[:0]
-			if err := dfs(c); err != nil {
-				return err
 			}
 		}
 	}
 	return nil
 }
+
+// chanName names channel c as "dev:iface".
+func chanName(c, ifaces int) string { return fmt.Sprintf("%d:%d", c/ifaces, c%ifaces) }
